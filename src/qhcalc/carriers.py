@@ -15,26 +15,24 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .ladders import Ladder
-from .spectra import MonotoneData
+from .spectra import (
+    CappedOrbit,
+    MonotoneData,
+    augmented_action,
+    index_window_check,
+    iterate,
+    recap,
+)
 
-
-@dataclass(frozen=True)
-class TableOrbit:
-    orbit_id: str
-    action: Fraction
-    delta: Fraction
-    weakly_nondegenerate: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "action", Fraction(self.action))
-        object.__setattr__(self, "delta", Fraction(self.delta))
+# A table row is a fixed point: a capped orbit with the trivial capping.
+TableOrbit = CappedOrbit
 
 
 @dataclass(frozen=True)
 class OrbitTable:
     md: MonotoneData
     n: int
-    orbits: Tuple[TableOrbit, ...]
+    orbits: Tuple[CappedOrbit, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "orbits", tuple(self.orbits))
@@ -43,12 +41,22 @@ class OrbitTable:
             raise ValueError("orbit ids must be unique")
         if not self.orbits:
             raise ValueError("orbit table must be non-empty")
+        for o in self.orbits:
+            if o.m != 0:
+                raise ValueError(
+                    f"table orbit {o.orbit_id} has capping m = {o.m}; table rows "
+                    "are fixed points with m = 0, cappings live in the slots"
+                )
 
-    def orbit(self, orbit_id: str) -> TableOrbit:
+    def orbit(self, orbit_id: str) -> CappedOrbit:
         for o in self.orbits:
             if o.orbit_id == orbit_id:
                 return o
         raise KeyError(orbit_id)
+
+    def capped(self, orbit_id: str, m: int, k: int) -> CappedOrbit:
+        """The k-th iterate of a table orbit with m extra copies of A."""
+        return recap(iterate(self.orbit(orbit_id), k), m, self.md)
 
 
 Slot = Tuple[str, int]  # (orbit id, capping)
@@ -65,59 +73,40 @@ class CarrierAssignment:
     k: int
     slots: Tuple[Slot, ...]
 
-    def slot(self, j: int) -> Slot:
-        block, pos = divmod(j, len(self.slots))
-        oid, m = self.slots[pos]
-        return (oid, m)
-
     def phi(self) -> Tuple[str, ...]:
         return tuple(oid for oid, _ in self.slots)
 
 
-def capped_action(table: OrbitTable, oid: str, m: int, k: int) -> Fraction:
-    o = table.orbit(oid)
-    return k * o.action - m * table.md.lambda0
-
-
-def capped_delta(table: OrbitTable, oid: str, m: int, k: int) -> Fraction:
-    o = table.orbit(oid)
-    return k * o.delta - 2 * table.md.N * m
-
-
-def _slot_candidates(table: OrbitTable, deg_hom: int, k: int) -> List[Slot]:
-    """Capped orbits whose mean index lies in [deg - 2n, deg] at iteration k."""
-    two_n = 2 * table.n
-    two_n_chern = 2 * table.md.N
-    out: List[Slot] = []
+def _slot_candidates(table: OrbitTable, deg_hom: int, k: int) -> List[CappedOrbit]:
+    """Capped k-th iterates that pass the index window of a class of
+    homology degree deg_hom, sorted by (orbit id, capping)."""
+    md = table.md
+    two_n_chern = 2 * md.N
+    out: List[CappedOrbit] = []
     for o in table.orbits:
-        lo = Fraction(k * o.delta - deg_hom, two_n_chern)
-        hi = Fraction(k * o.delta - deg_hom + two_n, two_n_chern)
-        m_lo, m_hi = math.ceil(lo), math.floor(hi)
+        it = iterate(o, k)
+        # only these cappings can bring the mean index into [deg - 2n, deg]
+        m_lo = math.ceil((it.mean_index - deg_hom) / two_n_chern)
+        m_hi = math.floor((it.mean_index - deg_hom + 2 * table.n) / two_n_chern)
         for m in range(m_lo, m_hi + 1):
-            if o.weakly_nondegenerate and (
-                Fraction(m) == lo or Fraction(m) == hi
-            ):
-                continue
-            out.append((o.orbit_id, m))
-    return sorted(out)
+            c = recap(it, m, md)
+            if index_window_check(c, deg_hom, table.n):
+                out.append(c)
+    out.sort(key=lambda c: (c.orbit_id, c.m))
+    return out
 
 
-def _ordering_ok(table: OrbitTable, assignment: Sequence[Slot], nu: int, k: int) -> bool:
+def _ordering_ok(
+    assignment: Sequence[CappedOrbit], nu: int, md: MonotoneData
+) -> bool:
     """Weakly decreasing actions around one period; ties only between
-    distinct capped orbits."""
-    ell = len(assignment)
-    drop = nu * table.md.lambda0
-    for j in range(ell):
-        oid_a, m_a = assignment[j]
-        if j + 1 < ell:
-            oid_b, m_b = assignment[j + 1]
-        else:
-            oid_b, m_b = assignment[0][0], assignment[0][1] + nu
-        act_a = capped_action(table, oid_a, m_a, k)
-        act_b = capped_action(table, oid_b, m_b, k)
-        if act_a < act_b:
+    distinct capped orbits.  The period closes on slot 0 recapped by nu."""
+    chain = list(assignment)
+    chain.append(recap(chain[0], nu, md))
+    for a, b in zip(chain, chain[1:]):
+        if a.action < b.action:
             return False
-        if act_a == act_b and (oid_a, m_a) == (oid_b, m_b):
+        if a.action == b.action and (a.orbit_id, a.m) == (b.orbit_id, b.m):
             return False
     return True
 
@@ -126,19 +115,15 @@ def check_assignment(table: OrbitTable, ladder: Ladder, a: CarrierAssignment) ->
     """Independent re-verification of one assignment (post-hoc checker)."""
     if len(a.slots) != ladder.ell:
         return False
-    two_n = 2 * table.n
-    for j, (oid, m) in enumerate(a.slots):
-        o = table.orbit(oid)
-        deg = ladder.hom_degrees[j]
-        d = capped_delta(table, oid, m, a.k)
-        if o.weakly_nondegenerate:
-            if not (deg - two_n < d < deg):
-                return False
-        elif not (deg - two_n <= d <= deg):
+    capped = []
+    for (oid, m), deg in zip(a.slots, ladder.hom_degrees):
+        c = table.capped(oid, m, a.k)
+        if not index_window_check(c, deg, table.n):
             return False
+        capped.append(c)
     if len(set(a.slots)) != len(a.slots):
         return False
-    return _ordering_ok(table, a.slots, ladder.nu, a.k)
+    return _ordering_ok(capped, ladder.nu, table.md)
 
 
 def admissible_assignments(
@@ -151,10 +136,11 @@ def admissible_assignments(
     ]
     out = []
     for combo in itertools.product(*candidates):
-        if len(set(combo)) != len(combo):
+        slots = tuple((c.orbit_id, c.m) for c in combo)
+        if len(set(slots)) != len(slots):
             continue
-        if _ordering_ok(table, combo, ladder.nu, k):
-            out.append(CarrierAssignment(k=k, slots=tuple(combo)))
+        if _ordering_ok(combo, ladder.nu, table.md):
+            out.append(CarrierAssignment(k=k, slots=slots))
     out.sort(key=lambda a: a.slots)
     return out
 
@@ -212,8 +198,6 @@ class CountingVerdict:
     slope: Fraction
     bound: Fraction
     per_k: Tuple[Tuple[int, Fraction, Fraction, Fraction], ...]
-    first_violation: Optional[int]
-    residual: Fraction
 
     @property
     def status(self) -> str:
@@ -235,41 +219,23 @@ def counting_check(report: StabilityReport, x_id: str, y_id: str) -> CountingVer
     image = sorted(set(report.phi))
     bound = Fraction(3, 2) * len(image) + 2
     if x_id == y_id:
-        return CountingVerdict(
-            ok=True, slope=Fraction(0), bound=bound, per_k=(),
-            first_violation=None, residual=Fraction(0),
-        )
+        return CountingVerdict(ok=True, slope=Fraction(0), bound=bound, per_k=())
     for oid in (x_id, y_id):
         if oid not in report.phi:
             raise ValueError(f"{oid} is not in the stable image")
-    ox, oy = table.orbit(x_id), table.orbit(y_id)
-    aug_x = ox.action - (md.lam / 2) * ox.delta
-    aug_y = oy.action - (md.lam / 2) * oy.delta
-    slope = (aug_x - aug_y) / md.lambda0
+    slope = (
+        augmented_action(table.orbit(x_id), md) - augmented_action(table.orbit(y_id), md)
+    ) / md.lambda0
     per_k = []
-    first_violation = None
     for k in report.stable_ks:
         a = report.assignment_for(k)
-        jx = a.phi().index(x_id)
-        jy = a.phi().index(y_id)
-        mx, my = a.slots[jx][1], a.slots[jy][1]
-        d_act = capped_action(table, x_id, mx, k) - capped_action(table, y_id, my, k)
-        d_idx = capped_delta(table, x_id, mx, k) - capped_delta(table, y_id, my, k)
-        m_act = Fraction(ell) * d_act / (nu * md.lambda0)
-        m_idx = Fraction(ell) * d_idx / (nu * 2 * md.N)
-        diff = m_act - m_idx
-        per_k.append((k, m_act, m_idx, diff))
-        if first_violation is None and abs(diff) > bound:
-            first_violation = k
-    residual = bound / max(report.stable_ks) if report.stable_ks else Fraction(0)
-    return CountingVerdict(
-        ok=(slope == 0),
-        slope=slope,
-        bound=bound,
-        per_k=tuple(per_k),
-        first_violation=first_violation,
-        residual=residual,
-    )
+        mx = a.slots[a.phi().index(x_id)][1]
+        my = a.slots[a.phi().index(y_id)][1]
+        cx, cy = table.capped(x_id, mx, k), table.capped(y_id, my, k)
+        m_act = Fraction(ell) * (cx.action - cy.action) / (nu * md.lambda0)
+        m_idx = Fraction(ell) * (cx.mean_index - cy.mean_index) / (nu * 2 * md.N)
+        per_k.append((k, m_act, m_idx, m_act - m_idx))
+    return CountingVerdict(ok=(slope == 0), slope=slope, bound=bound, per_k=tuple(per_k))
 
 
 @dataclass(frozen=True)
@@ -353,15 +319,10 @@ class ObstructionVerdict:
     details: Tuple[str, ...] = ()
 
 
-def _fundamental_class_carrier(table: OrbitTable, k: int) -> Optional[Tuple[Slot, Fraction]]:
+def _fundamental_class_carrier(table: OrbitTable, k: int) -> Optional[CappedOrbit]:
     """Action maximizer among capped orbits with mean index in [0, 2n]."""
-    best = None
-    for oid, m in _slot_candidates(table, 2 * table.n, k):
-        act = capped_action(table, oid, m, k)
-        key = (-act, oid, m)
-        if best is None or key < best[0]:
-            best = (key, ((oid, m), act))
-    return None if best is None else best[1]
+    candidates = _slot_candidates(table, 2 * table.n, k)
+    return min(candidates, key=lambda c: (-c.action, c.orbit_id, c.m), default=None)
 
 
 def neg_monotone_obstruction(
@@ -379,25 +340,23 @@ def neg_monotone_obstruction(
     if md.lam >= 0:
         raise ValueError("negative monotone data required")
     primes = tuple(primes)
-    carriers: List[Tuple[int, Slot, Fraction]] = []
+    carriers: List[Tuple[int, CappedOrbit]] = []
     for k in primes:
         found = _fundamental_class_carrier(table, k)
         if found is not None:
-            carriers.append((k, found[0], found[1]))
+            carriers.append((k, found))
     if not carriers:
         return ObstructionVerdict(
             status="no_obstruction",
             details=("no feasible fundamental-class carrier at any iteration",),
         )
     counts: Dict[str, int] = {}
-    for _, (oid, _m), _ in carriers:
-        counts[oid] = counts.get(oid, 0) + 1
+    for _, c in carriers:
+        counts[c.orbit_id] = counts.get(c.orbit_id, 0) + 1
     stable_id = min(counts, key=lambda i: (-counts[i], i))
-    stable = [(k, slot, act) for k, slot, act in carriers if slot[0] == stable_id]
-    k1, (_, m1), _ = stable[0]
-    x = table.orbit(stable_id)
-    delta1 = k1 * x.delta - 2 * md.N * m1
-    if delta1 == 0:
+    stable = [(k, c) for k, c in carriers if c.orbit_id == stable_id]
+    k1, carrier1 = stable[0]
+    if carrier1.mean_index == 0:
         return ObstructionVerdict(
             status="no_obstruction",
             details=(
@@ -405,15 +364,16 @@ def neg_monotone_obstruction(
             ),
         )
     # sub-additivity constant: max over remainders r < k1 of c(r) - r * a_x
+    x = table.orbit(stable_id)
     c0 = Fraction(0)
     for r in range(1, k1):
         found = _fundamental_class_carrier(table, r)
         if found is not None:
-            c0 = max(c0, found[1] - r * x.action)
+            c0 = max(c0, found.action - iterate(x, r).action)
     i_omega = md.I_omega_A
-    for k_i, (_, m_i), _ in stable[1:]:
+    for k_i, carrier_i in stable[1:]:
         l_i = k_i // k1
-        nu_i = m_i - l_i * m1
+        nu_i = carrier_i.m - l_i * carrier1.m
         if nu_i * i_omega > c0:
             return ObstructionVerdict(
                 status="contradiction",

@@ -7,7 +7,6 @@ Exit codes: 0 ok/consistent, 2 mathematical contradiction found,
 from __future__ import annotations
 
 import json
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -17,10 +16,9 @@ import click
 from . import carriers as carriers_mod
 from . import ladders as ladders_mod
 from . import models as models_mod
-from . import rings as rings_mod
 from . import serialize as ser
 from .qalgebra import GroundField
-from .spectra import CappedOrbit, MonotoneData, augmented_action, iterate, recap
+from .spectra import MonotoneData, augmented_action, iterate, recap
 
 EXIT_OK = 0
 EXIT_CONTRADICTION = 2
@@ -36,30 +34,9 @@ class Inconclusive(click.ClickException):
     exit_code = EXIT_INCONCLUSIVE
 
 
-def _emit(ctx, result, invocation: dict):
-    fmt = ctx.obj.get("format", "json")
+def _emit(result, invocation: dict):
     envelope = {"invocation": invocation, "result": result}
-    if fmt == "json":
-        click.echo(json.dumps(envelope, indent=2, sort_keys=True))
-    elif fmt == "csv":
-        rows = result if isinstance(result, list) else [result]
-        if rows and isinstance(rows[0], dict):
-            keys = sorted(rows[0])
-            click.echo(",".join(keys))
-            for r in rows:
-                click.echo(",".join(str(r.get(k, "")) for k in keys))
-        else:
-            for r in rows:
-                click.echo(str(r))
-    else:  # table
-        rows = result if isinstance(result, list) else [result]
-        for r in rows:
-            if isinstance(r, dict):
-                for k in sorted(r):
-                    click.echo(f"{k:24} {r[k]}")
-                click.echo("")
-            else:
-                click.echo(str(r))
+    click.echo(json.dumps(envelope, indent=2, sort_keys=True))
 
 
 def _load_json(path: str) -> dict:
@@ -78,15 +55,8 @@ def _load_ring(path: str, field_spec: str = None):
 
 
 @click.group()
-@click.option("--format", "fmt", default="json", type=click.Choice(["json", "table", "csv"]))
-@click.pass_context
-def cli(ctx, fmt):
+def cli():
     """Exact quantum cohomology and action/index calculus."""
-    ctx.ensure_object(dict)
-    ctx.obj["format"] = fmt
-    # parallelism cap for the search commands; enumeration is sequential,
-    # so the variable only bounds, never changes, results
-    ctx.obj["threads"] = int(os.environ.get("LADDERS_THREADS", "1") or "1")
 
 
 # ---------------------------------------------------------------------------
@@ -103,14 +73,13 @@ def ring():
 @click.option("--a", "a_lit", required=True)
 @click.option("--b", "b_lit", required=True)
 @click.option("--field", "field_spec", default=None)
-@click.pass_context
-def ring_mul(ctx, ring_path, a_lit, b_lit, field_spec):
+def ring_mul(ring_path, a_lit, b_lit, field_spec):
     r = _load_ring(ring_path, field_spec)
     a = ser.class_from_str(r, a_lit)
     b = ser.class_from_str(r, b_lit)
     out = ser.class_to_str(r.quantum_product(a, b))
-    _emit(ctx, out, {"cmd": "ring mul", "ring": ring_path, "a": a_lit, "b": b_lit,
-                     "field": field_spec})
+    _emit(out, {"cmd": "ring mul", "ring": ring_path, "a": a_lit, "b": b_lit,
+                "field": field_spec})
 
 
 @ring.command("power")
@@ -118,24 +87,22 @@ def ring_mul(ctx, ring_path, a_lit, b_lit, field_spec):
 @click.option("--class", "cls_lit", required=True)
 @click.option("--d", required=True, type=int)
 @click.option("--field", "field_spec", default=None)
-@click.pass_context
-def ring_power(ctx, ring_path, cls_lit, d, field_spec):
+def ring_power(ring_path, cls_lit, d, field_spec):
     r = _load_ring(ring_path, field_spec)
     u = ser.class_from_str(r, cls_lit)
-    out = ser.class_to_str(r.power(u, d))
-    _emit(ctx, out, {"cmd": "ring power", "ring": ring_path, "class": cls_lit,
-                     "d": d, "field": field_spec})
+    out = ser.class_to_str(u ** d)
+    _emit(out, {"cmd": "ring power", "ring": ring_path, "class": cls_lit,
+                "d": d, "field": field_spec})
 
 
 @ring.command("basis")
 @click.option("--ring", "ring_path", required=True)
 @click.option("--degree", required=True, type=int)
 @click.option("--field", "field_spec", default=None)
-@click.pass_context
-def ring_basis(ctx, ring_path, degree, field_spec):
+def ring_basis(ring_path, degree, field_spec):
     r = _load_ring(ring_path, field_spec)
     labels = [ser.class_to_str(r.basis_class(lbl)) for lbl in r.basis(degree)]
-    _emit(ctx, labels, {"cmd": "ring basis", "ring": ring_path, "degree": degree})
+    _emit(labels, {"cmd": "ring basis", "ring": ring_path, "degree": degree})
 
 
 # ---------------------------------------------------------------------------
@@ -152,26 +119,24 @@ def ladders():
 @click.option("--ell-max", required=True, type=int)
 @click.option("--nu-max", default=2, type=int)
 @click.option("--out", "out_path", default=None)
-@click.pass_context
-def ladders_search(ctx, ring_path, ell_max, nu_max, out_path):
+def ladders_search(ring_path, ell_max, nu_max, out_path):
     r = _load_ring(ring_path)
     decs = ladders_mod.search_decompositions(r, ell_max, nu_max)
     payload = [ser.decomposition_to_json(d) for d in decs]
     if out_path:
         Path(out_path).write_text(json.dumps(payload, indent=2))
-    _emit(ctx, payload, {"cmd": "ladders search", "ring": ring_path,
-                         "ell_max": ell_max, "nu_max": nu_max})
+    _emit(payload, {"cmd": "ladders search", "ring": ring_path,
+                    "ell_max": ell_max, "nu_max": nu_max})
 
 
 @ladders.command("verify")
 @click.option("--ring", "ring_path", required=True)
 @click.option("--dec", "dec_path", required=True)
-@click.pass_context
-def ladders_verify(ctx, ring_path, dec_path):
+def ladders_verify(ring_path, dec_path):
     r = _load_ring(ring_path)
     dec = ser.decomposition_from_json(r, _load_json(dec_path))
     report = ladders_mod.verify_decomposition(r, dec)
-    _emit(ctx, {"valid": report.valid, "reasons": list(report.reasons)},
+    _emit({"valid": report.valid, "reasons": list(report.reasons)},
           {"cmd": "ladders verify", "ring": ring_path, "dec": dec_path})
     if not report.valid:
         raise Contradiction("decomposition invalid: " + "; ".join(report.reasons))
@@ -180,12 +145,11 @@ def ladders_verify(ctx, ring_path, dec_path):
 @ladders.command("build")
 @click.option("--ring", "ring_path", required=True)
 @click.option("--dec", "dec_path", required=True)
-@click.pass_context
-def ladders_build(ctx, ring_path, dec_path):
+def ladders_build(ring_path, dec_path):
     r = _load_ring(ring_path)
     dec = ser.decomposition_from_json(r, _load_json(dec_path))
     ladder = ladders_mod.build_ladder(r, dec)
-    _emit(ctx, {
+    _emit({
         "window": [ser.class_to_str(v) for v in ladder.window],
         "hom_degrees": list(ladder.hom_degrees),
         "nu": ladder.nu,
@@ -197,18 +161,16 @@ def ladders_build(ctx, ring_path, dec_path):
 @click.option("--ring", "ring_path", required=True)
 @click.option("--class", "cls_lit", default=None)
 @click.option("--orbits", required=True, type=int)
-@click.pass_context
-def ladders_case2(ctx, ring_path, cls_lit, orbits):
+def ladders_case2(ring_path, cls_lit, orbits):
     r = _load_ring(ring_path)
-    u = (ser.class_from_str(r, cls_lit) if cls_lit
-         else rings_mod.first_chern_generator(r))
+    u = ser.class_from_str(r, cls_lit) if cls_lit else r.first_chern_generator()
     try:
         params = ladders_mod.case_ii_parameters(r, u, orbits)
     except ladders_mod.PowerVanishesError as exc:
-        _emit(ctx, {"error": str(exc), "vanishing_exponent": exc.exponent},
+        _emit({"error": str(exc), "vanishing_exponent": exc.exponent},
               {"cmd": "ladders case2", "ring": ring_path, "orbits": orbits})
         raise Contradiction(str(exc))
-    _emit(ctx, {"d": params.d, "ell": params.ell},
+    _emit({"d": params.d, "ell": params.ell},
           {"cmd": "ladders case2", "ring": ring_path, "class": cls_lit,
            "orbits": orbits})
 
@@ -233,11 +195,10 @@ def _orbit_and_md(orbit_path, n_chern, lam):
 @click.option("--m", required=True, type=int)
 @click.option("--chern", "n_chern", required=True, type=int)
 @click.option("--lam", required=True)
-@click.pass_context
-def spectra_recap(ctx, orbit_path, m, n_chern, lam):
+def spectra_recap(orbit_path, m, n_chern, lam):
     orbit, md = _orbit_and_md(orbit_path, n_chern, lam)
     out = recap(orbit, m, md)
-    _emit(ctx, ser.orbit_to_json(out),
+    _emit(ser.orbit_to_json(out),
           {"cmd": "spectra recap", "orbit": orbit_path, "m": m,
            "chern": n_chern, "lambda": lam})
 
@@ -245,10 +206,9 @@ def spectra_recap(ctx, orbit_path, m, n_chern, lam):
 @spectra.command("iterate")
 @click.option("--orbit", "orbit_path", required=True)
 @click.option("--k", required=True, type=int)
-@click.pass_context
-def spectra_iterate(ctx, orbit_path, k):
+def spectra_iterate(orbit_path, k):
     orbit = ser.orbit_from_json(_load_json(orbit_path))
-    _emit(ctx, ser.orbit_to_json(iterate(orbit, k)),
+    _emit(ser.orbit_to_json(iterate(orbit, k)),
           {"cmd": "spectra iterate", "orbit": orbit_path, "k": k})
 
 
@@ -256,10 +216,9 @@ def spectra_iterate(ctx, orbit_path, k):
 @click.option("--orbit", "orbit_path", required=True)
 @click.option("--chern", "n_chern", required=True, type=int)
 @click.option("--lam", required=True)
-@click.pass_context
-def spectra_augmented(ctx, orbit_path, n_chern, lam):
+def spectra_augmented(orbit_path, n_chern, lam):
     orbit, md = _orbit_and_md(orbit_path, n_chern, lam)
-    _emit(ctx, ser.frac_to_str(augmented_action(orbit, md)),
+    _emit(ser.frac_to_str(augmented_action(orbit, md)),
           {"cmd": "spectra augmented", "orbit": orbit_path,
            "chern": n_chern, "lambda": lam})
 
@@ -294,35 +253,32 @@ def _model_report(model):
 @models.command("cpn")
 @click.option("--lambdas", required=True)
 @click.option("--verify", is_flag=True, default=False)
-@click.pass_context
-def models_cpn(ctx, lambdas, verify):
+def models_cpn(lambdas, verify):
     model = models_mod.CPnQuadraticModel(lambdas=_parse_lambdas(lambdas))
     payload = _model_report(model)
     if not verify:
         payload.pop("equal_augmented_actions")
         payload.pop("details")
-    _emit(ctx, payload, {"cmd": "models cpn", "lambdas": lambdas})
+    _emit(payload, {"cmd": "models cpn", "lambdas": lambdas})
 
 
 @models.command("product")
 @click.option("--factors", required=True,
               help="factor lambda lists separated by ';', e.g. '0,1;0,1'")
-@click.pass_context
-def models_product(ctx, factors):
+def models_product(factors):
     parts = [p for p in factors.split(";") if p.strip()]
     model = models_mod.product_model(
         [models_mod.CPnQuadraticModel(lambdas=_parse_lambdas(p)) for p in parts]
     )
-    _emit(ctx, _model_report(model), {"cmd": "models product", "factors": factors})
+    _emit(_model_report(model), {"cmd": "models product", "factors": factors})
 
 
 @models.command("verify")
 @click.option("--model", "model_path", required=True)
-@click.pass_context
-def models_verify(ctx, model_path):
+def models_verify(model_path):
     model = ser.model_from_json(_load_json(model_path))
     payload = _model_report(model)
-    _emit(ctx, payload, {"cmd": "models verify", "model": model_path})
+    _emit(payload, {"cmd": "models verify", "model": model_path})
     if not payload["equal_augmented_actions"]:
         raise Contradiction("augmented actions are not all equal")
 
@@ -354,28 +310,26 @@ def _load_scenario(path):
 @carriers.command("assignments")
 @click.option("--scenario", "scenario_path", required=True)
 @click.option("--k", required=True, type=int)
-@click.pass_context
-def carriers_assignments(ctx, scenario_path, k):
+def carriers_assignments(scenario_path, k):
     table, ladder, _ = _load_scenario(scenario_path)
     if ladder is None:
         raise click.UsageError("scenario has no 'ladder' entry")
     assignments = carriers_mod.admissible_assignments(table, ladder, k)
-    _emit(ctx, [
+    _emit([
         {"k": a.k, "slots": [[oid, m] for oid, m in a.slots]} for a in assignments
     ], {"cmd": "carriers assignments", "scenario": scenario_path, "k": k})
 
 
 @carriers.command("verify")
 @click.option("--scenario", "scenario_path", required=True)
-@click.pass_context
-def carriers_verify(ctx, scenario_path):
+def carriers_verify(scenario_path):
     table, ladder, primes = _load_scenario(scenario_path)
     if ladder is None:
         raise click.UsageError("scenario has no 'ladder' entry")
     if not primes:
         raise click.UsageError("scenario has no 'primes' entry")
     verdict = carriers_mod.relation_verdict(table, ladder, primes)
-    _emit(ctx, {
+    _emit({
         "status": verdict.status,
         "witness": [str(w) for w in verdict.witness],
         "details": list(verdict.details),
@@ -386,13 +340,12 @@ def carriers_verify(ctx, scenario_path):
 
 @carriers.command("negmon")
 @click.option("--scenario", "scenario_path", required=True)
-@click.pass_context
-def carriers_negmon(ctx, scenario_path):
+def carriers_negmon(scenario_path):
     table, _, primes = _load_scenario(scenario_path)
     if not primes:
         raise click.UsageError("scenario has no 'primes' entry")
     verdict = carriers_mod.neg_monotone_obstruction(table, primes)
-    _emit(ctx, {
+    _emit({
         "status": verdict.status,
         "witness": [str(w) for w in verdict.witness],
         "details": list(verdict.details),
@@ -409,7 +362,7 @@ def carriers_negmon(ctx, scenario_path):
 
 def main(argv=None):
     try:
-        cli.main(args=argv, standalone_mode=False, obj={})
+        cli.main(args=argv, standalone_mode=False)
     except (Contradiction, Inconclusive) as exc:
         click.echo(exc.format_message(), err=True)
         sys.exit(exc.exit_code)
@@ -421,6 +374,9 @@ def main(argv=None):
         sys.exit(EXIT_USAGE)
     except click.exceptions.Abort:
         sys.exit(EXIT_USAGE)
+    except (ladders_mod.InvalidDecompositionError, ladders_mod.LadderChainError) as exc:
+        click.echo(f"invalid ladder: {exc}", err=True)
+        sys.exit(EXIT_CONTRADICTION)
     except (ser.ParseError, ValueError, KeyError) as exc:
         click.echo(f"input error: {exc}", err=True)
         sys.exit(EXIT_USAGE)

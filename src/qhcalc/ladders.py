@@ -9,7 +9,7 @@ extended in both directions by index arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
 from typing import List, Optional, Sequence, Tuple
@@ -173,9 +173,14 @@ def build_ladder(ring, dec: Decomposition) -> Ladder:
     window = [dec.u0]
     for f in dec.factors[:-1]:
         window.append(ring.quantum_product(window[-1], f))
+    return _checked_ladder(ring, window, dec.nu, dec.factors)
+
+
+def _checked_ladder(ring, window, nu: int, step_classes) -> Ladder:
+    """The ladder on one period window, after checking that the homology
+    degrees strictly decrease across the window and into the next period."""
     hom = tuple(ring.convert_grading(v.degree()) for v in window)
-    two_n_chern = 2 * ring.N_chern
-    chain = hom + (hom[0] - two_n_chern,)
+    chain = hom + (hom[0] - 2 * ring.N_chern,)
     for a, b in zip(chain, chain[1:]):
         if not a > b:
             raise LadderChainError(
@@ -183,8 +188,8 @@ def build_ladder(ring, dec: Decomposition) -> Ladder:
             )
     return Ladder(
         window=tuple(window),
-        nu=dec.nu,
-        step_classes=dec.factors,
+        nu=nu,
+        step_classes=step_classes,
         hom_degrees=hom,
     )
 
@@ -192,12 +197,6 @@ def build_ladder(ring, dec: Decomposition) -> Ladder:
 def ladder_class(ladder: Ladder, j: int) -> QuantumClass:
     block, pos = divmod(j, ladder.ell)
     return ladder.window[pos].q_shift(ladder.nu * block)
-
-
-def ladder_hom_degree(ladder: Ladder, j: int, ring) -> int:
-    """Homology degree of v_j; drops by 2N*nu per period."""
-    block, pos = divmod(j, ladder.ell)
-    return ladder.hom_degrees[pos] - 2 * ring.N_chern * ladder.nu * block
 
 
 def case_ii_parameters(ring, u: QuantumClass, n_orbits: int) -> CaseTwoParameters:
@@ -248,23 +247,11 @@ def case_ii_ladder(ring, u: QuantumClass, s_minus: int, s_plus: int) -> Ladder:
     if s_plus - s_minus - ell + 1 <= 0:
         raise ValueError("gap too small: need s_plus - s_minus - ell + 1 > 0")
     window = []
-    v = ring.power(u, s_minus)
+    v = u ** s_minus
     for j in range(ell):
         if j > 0:
             v = ring.quantum_product(v, u)
         if v.is_zero():
             raise PowerVanishesError(s_minus + j)
         window.append(v)
-    hom = tuple(ring.convert_grading(v.degree()) for v in window)
-    chain = hom + (hom[0] - two_n_chern,)
-    for a, b in zip(chain, chain[1:]):
-        if not a > b:
-            raise LadderChainError(
-                f"homology degrees not strictly decreasing: {a} -> {b}"
-            )
-    return Ladder(
-        window=tuple(window),
-        nu=int(nu_frac),
-        step_classes=(u,) * ell,
-        hom_degrees=hom,
-    )
+    return _checked_ladder(ring, window, int(nu_frac), (u,) * ell)

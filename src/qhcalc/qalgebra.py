@@ -101,22 +101,6 @@ class GroundField:
         raise ValueError(f"unknown field spec {spec!r} (expected 'Q' or 'Fp:<p>')")
 
 
-def coeff_arith(field: GroundField, a: Scalar, b: Scalar, op: str) -> Scalar:
-    """Single-dispatch helper over the four field operations.
-
-    ``neg`` and ``inv`` are unary; ``b`` is ignored for them.
-    """
-    if op == "add":
-        return field.add(a, b)
-    if op == "mul":
-        return field.mul(a, b)
-    if op == "neg":
-        return field.neg(a)
-    if op == "inv":
-        return field.inv(a)
-    raise ValueError(f"unknown op {op!r}")
-
-
 TermKey = Tuple[object, int]  # (basis label, q exponent)
 
 
@@ -155,9 +139,6 @@ class QuantumClass:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def term_dict(self) -> dict:
-        return dict(self.terms)
 
     def _check_ring(self, other: "QuantumClass"):
         if self.ring != other.ring:
@@ -225,14 +206,3 @@ class QuantumClass:
 
         return class_to_str(self)
 
-
-def qclass_add(a: QuantumClass, b: QuantumClass) -> QuantumClass:
-    return a + b
-
-
-def qclass_degree(a: QuantumClass) -> int:
-    return a.degree()
-
-
-def q_shift(a: QuantumClass, m: int) -> QuantumClass:
-    return a.q_shift(m)

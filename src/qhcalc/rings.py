@@ -281,14 +281,6 @@ class RingPresentation:
                     acc[key] = fld.add(acc.get(key, 0), fld.mul(cab, n))
         return QuantumClass.build(self, acc)
 
-    def power(self, u: QuantumClass, d: int) -> QuantumClass:
-        if d < 0:
-            raise ValueError("power exponent must be >= 0")
-        result = self.one()
-        for _ in range(d):
-            result = self.quantum_product(result, u)
-        return result
-
     def convert_grading(self, degree_coh: int) -> int:
         return 2 * self.complex_dim - degree_coh
 
@@ -518,19 +510,7 @@ def quantum_pieri(ring: Grassmannian, lam, p: int) -> QuantumClass:
 
 
 # ---------------------------------------------------------------------------
-# module-level operation wrappers
-
-
-def basis(ring: RingPresentation, degree: int):
-    return ring.basis(degree)
-
-
-def quantum_product(ring: RingPresentation, a: QuantumClass, b: QuantumClass) -> QuantumClass:
-    return ring.quantum_product(a, b)
-
-
-def power(ring: RingPresentation, u: QuantumClass, d: int) -> QuantumClass:
-    return ring.power(u, d)
+# monotone products
 
 
 def kunneth(ring_a: RingPresentation, ring_b: RingPresentation) -> ProductRing:
@@ -539,11 +519,3 @@ def kunneth(ring_a: RingPresentation, ring_b: RingPresentation) -> ProductRing:
     return ProductRing(
         left=ring_a, right=ring_b, field=ring_a.field, lambda0=lam * n_prod
     )
-
-
-def convert_grading(ring: RingPresentation, degree_coh: int) -> int:
-    return ring.convert_grading(degree_coh)
-
-
-def first_chern_generator(ring: RingPresentation) -> QuantumClass:
-    return ring.first_chern_generator()

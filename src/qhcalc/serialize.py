@@ -16,7 +16,7 @@ from .qalgebra import GroundField, QuantumClass
 from .rings import CPn, Grassmannian, ProductRing, RingPresentation
 from .spectra import CappedOrbit, MonotoneData
 from .ladders import Decomposition
-from .carriers import OrbitTable, TableOrbit
+from .carriers import OrbitTable
 
 
 class ParseError(ValueError):
@@ -275,6 +275,7 @@ def orbit_to_json(o: CappedOrbit) -> dict:
         "action": frac_to_str(o.action),
         "delta": frac_to_str(o.mean_index),
         "cz": o.cz_index,
+        "weakly_nondegenerate": o.weakly_nondegenerate,
     }
 
 
@@ -292,15 +293,7 @@ def monotone_to_json(md: MonotoneData) -> dict:
 def table_from_json(data) -> OrbitTable:
     try:
         md = monotone_from_json(data["monotone"])
-        orbits = tuple(
-            TableOrbit(
-                orbit_id=o["id"],
-                action=frac_from_str(o["action"]),
-                delta=frac_from_str(o["delta"]),
-                weakly_nondegenerate=bool(o.get("weakly_nondegenerate", False)),
-            )
-            for o in data["orbits"]
-        )
+        orbits = tuple(orbit_from_json(o) for o in data["orbits"])
         n = int(data["n"])
     except KeyError as exc:
         raise ParseError(f"scenario missing key {exc}") from exc

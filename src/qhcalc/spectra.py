@@ -10,9 +10,9 @@ index, and mu_CZ of a split nondegenerate flow is sum(2*floor(theta) + 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 
 class DegenerateAngleError(ValueError):
@@ -56,28 +56,38 @@ class MonotoneData:
 
 @dataclass(frozen=True)
 class CappedOrbit:
-    """A capped periodic orbit with exact action and mean index data."""
+    """A capped periodic orbit with exact action and mean index data.
+
+    It is also the row type of a carrier orbit table
+    (``carriers.TableOrbit``): a table row is a fixed point with m = 0, and
+    carriers reach every capped iterate through ``recap`` and ``iterate``.
+    The field order lets a row be written ``CappedOrbit(id, action, delta)``.
+    """
 
     orbit_id: str
-    m: int = 0
     action: Fraction = Fraction(0)
     mean_index: Fraction = Fraction(0)
-    cz_index: Optional[int] = None
     weakly_nondegenerate: bool = False
+    m: int = 0
+    cz_index: Optional[int] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "action", Fraction(self.action))
-        object.__setattr__(self, "mean_index", Fraction(self.mean_index))
+        # recap and iterate pass Fractions; skip the copy on that hot path
+        if type(self.action) is not Fraction:
+            object.__setattr__(self, "action", Fraction(self.action))
+        if type(self.mean_index) is not Fraction:
+            object.__setattr__(self, "mean_index", Fraction(self.mean_index))
 
 
 def recap(o: CappedOrbit, m: int, md: MonotoneData) -> CappedOrbit:
     """Attach m copies of the generator A to the capping."""
-    return replace(
-        o,
-        m=o.m + m,
-        action=o.action + m * md.I_omega_A,
-        mean_index=o.mean_index + m * md.I_c1_A,
-        cz_index=None if o.cz_index is None else o.cz_index + m * md.I_c1_A,
+    return CappedOrbit(
+        o.orbit_id,
+        o.action + m * md.I_omega_A,
+        o.mean_index + m * md.I_c1_A,
+        o.weakly_nondegenerate,
+        o.m + m,
+        None if o.cz_index is None else o.cz_index + m * md.I_c1_A,
     )
 
 
@@ -85,24 +95,19 @@ def iterate(o: CappedOrbit, k: int) -> CappedOrbit:
     """The k-th iterate: action and mean index are homogeneous; mu_CZ is not."""
     if k < 1:
         raise ValueError("iteration order must be >= 1")
-    return replace(
-        o,
-        action=k * o.action,
-        mean_index=k * o.mean_index,
-        cz_index=o.cz_index if k == 1 else None,
+    return CappedOrbit(
+        o.orbit_id,
+        k * o.action,
+        k * o.mean_index,
+        o.weakly_nondegenerate,
+        o.m,
+        o.cz_index if k == 1 else None,
     )
 
 
 def augmented_action(o: CappedOrbit, md: MonotoneData) -> Fraction:
     """A - (lambda/2) * Delta: capping-independent, iteration-homogeneous."""
     return o.action - (md.lam / 2) * o.mean_index
-
-
-AngleVector = Tuple[Fraction, ...]
-
-
-def angle_vector(angles: Sequence) -> AngleVector:
-    return tuple(Fraction(a) for a in angles)
 
 
 def mean_index_split(av: Sequence) -> Fraction:

@@ -5,7 +5,7 @@ import time
 from fractions import Fraction
 
 from qhcalc.qalgebra import GroundField
-from qhcalc.rings import CPn, Grassmannian, quantum_pieri, quantum_product
+from qhcalc.rings import CPn, Grassmannian, quantum_pieri
 from qhcalc.ladders import (
     Decomposition,
     build_ladder,
@@ -56,18 +56,18 @@ def test_criterion_1_cpn_ring_law():
         for n in range(1, 11):
             ring = CPn(n=n)
             u = ring.basis_class(1)
-            assert ring.power(u, n + 1) == ring.basis_class(0, m=1)
-            assert ring.power(u, n + 2) == ring.basis_class(1, m=1)
+            assert u ** (n + 1) == ring.basis_class(0, m=1)
+            assert u ** (n + 2) == ring.basis_class(1, m=1)
 
 
 def test_criterion_2_characteristic_split():
     with _Timer(2, "G(2,4): sigma_1^3 = 0 over F_2, sigma_1^d != 0 over Q", 1.0):
         ring2 = Grassmannian(k=2, N=4, field=GroundField(2))
-        assert ring2.power(ring2.basis_class((1,)), 3).is_zero()
+        assert (ring2.basis_class((1,)) ** 3).is_zero()
         ring = Grassmannian(k=2, N=4)
         p = ring.one()
         for d in range(1, 41):
-            p = quantum_product(ring, p, ring.basis_class((1,)))
+            p = ring.quantum_product(p, ring.basis_class((1,)))
             assert not p.is_zero(), d
 
 
@@ -82,15 +82,15 @@ def test_criterion_3_cross_oracle_and_associativity():
         for ring in rings:
             for lam in ring.basis_labels():
                 for p in range(1, ring.N - ring.k + 1):
-                    assert quantum_pieri(ring, lam, p) == quantum_product(
-                        ring, ring.basis_class(lam), ring.basis_class((p,))
+                    assert quantum_pieri(ring, lam, p) == ring.quantum_product(
+                        ring.basis_class(lam), ring.basis_class((p,))
                     ), (ring.k, ring.N, lam, p)
         for ring in rings:
             labels = ring.basis_labels()
             for _ in range(1000):
                 a, b, c = (ring.basis_class(rng.choice(labels)) for _ in range(3))
-                assert quantum_product(ring, quantum_product(ring, a, b), c) == (
-                    quantum_product(ring, a, quantum_product(ring, b, c))
+                assert ring.quantum_product(ring.quantum_product(a, b), c) == (
+                    ring.quantum_product(a, ring.quantum_product(b, c))
                 )
 
 
@@ -188,7 +188,7 @@ def test_criterion_7_proof_skeleton_soundness():
                     orbits[idx] = TableOrbit(
                         orbits[idx].orbit_id,
                         orbits[idx].action + delta,
-                        orbits[idx].delta,
+                        orbits[idx].mean_index,
                     )
                     perturbed = OrbitTable(md=table.md, n=table.n, orbits=tuple(orbits))
                     verdict = relation_verdict(perturbed, ladder, PRIMES_TO_100)

@@ -18,7 +18,7 @@ from qhcalc.carriers import (
 from qhcalc.ladders import Decomposition, build_ladder, case_ii_ladder
 from qhcalc.models import CPnQuadraticModel, cpn_fixed_points
 from qhcalc.rings import CPn, Grassmannian
-from qhcalc.spectra import MonotoneData
+from qhcalc.spectra import CappedOrbit, MonotoneData
 
 PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
           67, 71, 73, 79, 83, 89, 97]
@@ -37,6 +37,14 @@ def cpn_ladder(n):
     ring = CPn(n=n)
     dec = Decomposition(u0=ring.one(), factors=(ring.basis_class(1),) * (n + 1), nu=1)
     return build_ladder(ring, dec)
+
+
+def test_one_orbit_type():
+    assert TableOrbit is CappedOrbit
+    row = TableOrbit("x", Fraction(1, 3), Fraction(2), True)
+    assert (row.action, row.mean_index, row.weakly_nondegenerate, row.m) == (
+        Fraction(1, 3), Fraction(2), True, 0
+    )
 
 
 class TestAdmissibleAssignments:
@@ -124,7 +132,7 @@ class TestCountingCheck:
         delta = Fraction(1, 16)
         base = model_table(0, Fraction(1, 8))
         orbits = (
-            TableOrbit("x0", base.orbits[0].action + delta, base.orbits[0].delta),
+            TableOrbit("x0", base.orbits[0].action + delta, base.orbits[0].mean_index),
             base.orbits[1],
         )
         table = OrbitTable(md=base.md, n=base.n, orbits=orbits)
@@ -165,7 +173,7 @@ class TestRelationVerdict:
                 delta = Fraction(rng.choice([-5, -3, -1, 1, 3, 5]), 16)
                 orbits = list(base.orbits)
                 orbits[idx] = TableOrbit(
-                    orbits[idx].orbit_id, orbits[idx].action + delta, orbits[idx].delta
+                    orbits[idx].orbit_id, orbits[idx].action + delta, orbits[idx].mean_index
                 )
                 table = OrbitTable(md=base.md, n=base.n, orbits=tuple(orbits))
                 verdict = relation_verdict(table, cpn_ladder(n), PRIMES)

@@ -94,9 +94,11 @@ class TestLadders:
         (workdir / "dec.json").write_text(
             json.dumps({"u0": "1", "factors": ["u"], "nu": 1})
         )
-        proc = run_cli("ladders", "verify", "--ring", "cp2.json", "--dec", "dec.json",
-                       cwd=workdir)
-        assert proc.returncode == 2, proc.stderr
+        for command in ("verify", "build"):
+            proc = run_cli("ladders", command, "--ring", "cp2.json", "--dec", "dec.json",
+                           cwd=workdir)
+            assert proc.returncode == 2, (command, proc.stderr)
+            assert "product does not equal q^nu * u0" in proc.stderr, command
 
 
 class TestSpectraAndModels:

@@ -1,0 +1,101 @@
+"""Round trips of the text and JSON records: class literals and orbit records."""
+
+import json
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qhcalc.models import CPnQuadraticModel, cpn_fixed_points
+from qhcalc.qalgebra import GroundField, QuantumClass
+from qhcalc.rings import CPn, Grassmannian, kunneth
+from qhcalc.serialize import (
+    class_from_str,
+    class_to_str,
+    orbit_from_json,
+    orbit_to_json,
+    table_from_json,
+)
+from qhcalc.spectra import CappedOrbit
+
+# Derandomized with a bounded example count, so the suite stays deterministic
+# and its run time does not depend on the host.
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=150)
+
+
+def _rings(field):
+    return [
+        CPn(n=1, field=field),
+        CPn(n=3, field=field),
+        Grassmannian(k=2, N=4, field=field),
+        Grassmannian(k=2, N=5, field=field),
+        Grassmannian(k=3, N=6, field=field),
+        kunneth(CPn(n=1, field=field), CPn(n=1, field=field)),
+        # CP^3 and G(2,4) share N = 4 and so the monotonicity constant
+        kunneth(CPn(n=3, field=field), Grassmannian(k=2, N=4, field=field)),
+    ]
+
+
+RINGS = [ring for p in (0, 2, 3, 7) for ring in _rings(GroundField(p))]
+
+
+@st.composite
+def quantum_classes(draw):
+    ring = draw(st.sampled_from(RINGS))
+    labels = ring.basis_labels()
+    coeff = (
+        st.fractions(min_value=-20, max_value=20, max_denominator=12)
+        if ring.field.p == 0
+        else st.integers(min_value=0, max_value=ring.field.p - 1)
+    )
+    terms = draw(
+        st.dictionaries(
+            st.tuples(st.sampled_from(labels), st.integers(min_value=-3, max_value=3)),
+            coeff,
+            max_size=6,
+        )
+    )
+    return QuantumClass.build(ring, terms)
+
+
+@PROPERTY
+@given(quantum_classes())
+def test_class_literal_round_trip(cls):
+    assert class_from_str(cls.ring, class_to_str(cls)) == cls
+
+
+orbits = st.builds(
+    CappedOrbit,
+    orbit_id=st.text(alphabet="xyz0123456789*", min_size=1, max_size=6),
+    action=st.fractions(max_denominator=50),
+    mean_index=st.fractions(max_denominator=50),
+    weakly_nondegenerate=st.booleans(),
+    m=st.integers(min_value=-5, max_value=5),
+    cz_index=st.none() | st.integers(min_value=-20, max_value=20),
+)
+
+
+@PROPERTY
+@given(orbits)
+def test_orbit_record_round_trip(o):
+    record = json.loads(json.dumps(orbit_to_json(o)))
+    assert orbit_from_json(record) == o
+    assert orbit_to_json(orbit_from_json(record)) == record
+    scenario = {"monotone": {"N": 2, "lambda": "1/2"}, "n": 1, "orbits": [record]}
+    if o.m == 0:
+        assert table_from_json(scenario).orbits == (o,)
+    else:
+        with pytest.raises(ValueError):
+            table_from_json(scenario)
+
+
+def test_model_orbits_round_trip_with_flag():
+    """models output can be pasted into a scenario without losing the flag."""
+    flags = set()
+    for lams in ((0, Fraction(1, 3)), (0, 1), (0, Fraction(1, 8), Fraction(3, 8)),
+                 (0, Fraction(1, 5), Fraction(2, 5), Fraction(3, 5)), (0, 1, 3)):
+        for o in cpn_fixed_points(CPnQuadraticModel(lambdas=lams)):
+            assert orbit_from_json(json.loads(json.dumps(orbit_to_json(o)))) == o
+            flags.add(o.weakly_nondegenerate)
+    assert flags == {True, False}
