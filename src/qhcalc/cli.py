@@ -366,10 +366,7 @@ def main(argv=None):
     except (Contradiction, Inconclusive) as exc:
         click.echo(exc.format_message(), err=True)
         sys.exit(exc.exit_code)
-    except click.UsageError as exc:
-        click.echo(exc.format_message(), err=True)
-        sys.exit(EXIT_USAGE)
-    except click.ClickException as exc:
+    except click.ClickException as exc:  # usage errors included
         click.echo(exc.format_message(), err=True)
         sys.exit(EXIT_USAGE)
     except click.exceptions.Abort:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .qalgebra import QuantumClass
 
@@ -61,7 +61,6 @@ class VerificationReport:
 class Ladder:
     window: Tuple[QuantumClass, ...]
     nu: int
-    step_classes: Tuple[QuantumClass, ...] = ()
     hom_degrees: Tuple[int, ...] = ()
 
     @property
@@ -73,9 +72,6 @@ class Ladder:
 class CaseTwoParameters:
     d: int
     ell: int
-    s_minus: Optional[int] = None
-    s_plus: Optional[int] = None
-    nu: Optional[int] = None
 
 
 def verify_decomposition(ring, dec: Decomposition) -> VerificationReport:
@@ -173,10 +169,10 @@ def build_ladder(ring, dec: Decomposition) -> Ladder:
     window = [dec.u0]
     for f in dec.factors[:-1]:
         window.append(ring.quantum_product(window[-1], f))
-    return _checked_ladder(ring, window, dec.nu, dec.factors)
+    return _checked_ladder(ring, window, dec.nu)
 
 
-def _checked_ladder(ring, window, nu: int, step_classes) -> Ladder:
+def _checked_ladder(ring, window, nu: int) -> Ladder:
     """The ladder on one period window, after checking that the homology
     degrees strictly decrease across the window and into the next period."""
     hom = tuple(ring.convert_grading(v.degree()) for v in window)
@@ -186,12 +182,7 @@ def _checked_ladder(ring, window, nu: int, step_classes) -> Ladder:
             raise LadderChainError(
                 f"homology degrees not strictly decreasing: {a} -> {b}"
             )
-    return Ladder(
-        window=tuple(window),
-        nu=nu,
-        step_classes=step_classes,
-        hom_degrees=hom,
-    )
+    return Ladder(window=tuple(window), nu=nu, hom_degrees=hom)
 
 
 def ladder_class(ladder: Ladder, j: int) -> QuantumClass:
@@ -254,4 +245,4 @@ def case_ii_ladder(ring, u: QuantumClass, s_minus: int, s_plus: int) -> Ladder:
         if v.is_zero():
             raise PowerVanishesError(s_minus + j)
         window.append(v)
-    return _checked_ladder(ring, window, int(nu_frac), (u,) * ell)
+    return _checked_ladder(ring, window, int(nu_frac))

@@ -79,7 +79,6 @@ class ProductModel:
 class ModelReport:
     ok: bool
     common_value: Fraction = None
-    witnesses: Tuple = ()
     details: Tuple[str, ...] = ()
 
 
@@ -158,11 +157,9 @@ def verify_equal_augmented_actions(model, orbits=None) -> ModelReport:
         expected = sum(model.lambdas) / (model.n + 1)
     bad = [(oid, v) for oid, v in values if v != expected]
     if bad:
-        witness = (values[0] if values[0][1] == expected else None, bad[0])
         return ModelReport(
             ok=False,
             common_value=expected,
-            witnesses=tuple(w for w in witness if w is not None),
             details=tuple(f"{oid}: augmented action {v} != {expected}" for oid, v in bad),
         )
     return ModelReport(ok=True, common_value=expected)
@@ -181,7 +178,6 @@ def theorem_consistency_report(model, ring, dec) -> ModelReport:
         return ModelReport(
             ok=False,
             common_value=eq_report.common_value,
-            witnesses=eq_report.witnesses,
             details=("augmented actions are not all equal",) + eq_report.details,
         )
     common = eq_report.common_value

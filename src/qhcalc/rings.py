@@ -6,6 +6,12 @@ kept as an independent implementation and used as a cross-check oracle.
 Structure constants are integers independent of the ground field, so they are
 computed once over Z and cached; coefficients are coerced into the field only
 when classes are assembled.
+
+Basis labels are checked once, where they enter, by each ring's
+``normalize_label``; past that point partitions are normalised tuples and no
+loop re-checks them.  ``partitions_in_box`` is the one partition enumerator:
+the Grassmannian basis and the candidate shapes nu of the LR rule both come
+from it.
 """
 
 from __future__ import annotations
@@ -36,57 +42,46 @@ def normalize_partition(parts) -> Partition:
     return t
 
 
-def partition_weight(lam: Partition) -> int:
-    return sum(lam)
-
-
 def fits_box(lam: Partition, rows: int, cols: int) -> bool:
-    lam = normalize_partition(lam)
+    """Whether a normalised partition fits the rows x cols box."""
     return len(lam) <= rows and (not lam or lam[0] <= cols)
 
 
-def partitions_in_box(rows: int, cols: int, weight=None) -> List[Partition]:
-    """All partitions inside a rows x cols box, optionally of fixed weight."""
+def partitions_in_box(
+    rows: int, cols: int, weight=None, inner: Partition = ()
+) -> List[Partition]:
+    """The partitions inside a rows x cols box, in lexicographic order.
+
+    This is the one partition enumerator.  ``weight`` keeps only |lam| ==
+    weight; ``inner`` (a normalised partition) keeps only lam containing it.
+    """
+    if len(inner) > rows:
+        return []
+    inner = inner + (0,) * (rows - len(inner))
     out = []
 
-    def rec(prefix, maxpart, remaining_rows):
-        out.append(tuple(prefix))
-        if remaining_rows == 0:
-            return
-        for part in range(min(maxpart, cols), 0, -1):
-            rec(prefix + [part], part, remaining_rows - 1)
-
-    rec([], cols, rows)
-    result = sorted(set(normalize_partition(p) for p in out))
-    if weight is not None:
-        result = [p for p in result if partition_weight(p) == weight]
-    return result
-
-
-def _partitions_bounded(weight: int, rows: int, maxpart: int) -> List[Partition]:
-    """Partitions of `weight` with at most `rows` parts, each <= maxpart."""
-    out = []
-
-    def rec(prefix, remaining, maxp, rows_left):
-        if remaining == 0:
+    def rec(prefix, maxpart, left):
+        row = len(prefix)
+        if (left is None or left == 0) and (row == rows or inner[row] == 0):
             out.append(tuple(prefix))
+        if row == rows:
             return
-        if rows_left == 0:
-            return
-        for part in range(min(maxp, remaining), 0, -1):
-            rec(prefix + [part], remaining - part, part, rows_left - 1)
+        for part in range(max(inner[row], 1), maxpart + 1):
+            if left is not None:
+                if part > left:
+                    break
+                if left - part > part * (rows - row - 1):
+                    continue
+            prefix.append(part)
+            rec(prefix, part, None if left is None else left - part)
+            prefix.pop()
 
-    rec([], weight, maxpart, rows)
+    rec([], cols, weight)
     return out
 
 
 # ---------------------------------------------------------------------------
 # Littlewood-Richardson
-
-
-def _contains(outer: Partition, inner: Partition) -> bool:
-    inner = inner + (0,) * (len(outer) - len(inner))
-    return len(inner) <= len(outer) and all(o >= i for o, i in zip(outer, inner))
 
 
 def _lr_count(nu: Partition, lam: Partition, mu: Partition) -> int:
@@ -113,15 +108,9 @@ def _lr_count(nu: Partition, lam: Partition, mu: Partition) -> int:
         for v in range(1, nvals + 1):
             if remaining[v - 1] == 0:
                 continue
-            # column strict with the cell above
+            # column strict with the cell above, when that cell is in nu/lam
             if r > 0 and c < nu[r - 1] and (c >= lam_p[r - 1]) and entry[r - 1][c] >= v:
                 continue
-            if r > 0 and c < lam_p[r - 1]:
-                # cell above is in lam: no constraint from it
-                pass
-            if r > 0 and c >= nu[r - 1]:
-                # no cell above
-                pass
             # rows weakly increase left to right: entry <= the one to its right
             if c + 1 < nu[r] and entry[r][c + 1] != 0 and v > entry[r][c + 1]:
                 continue
@@ -148,13 +137,9 @@ def littlewood_richardson(lam, mu, rows: int) -> Dict[Partition, int]:
     if not mu:
         return {lam: 1}
     if not lam:
-        return {mu: 1} if len(mu) <= rows else {}
-    total = partition_weight(lam) + partition_weight(mu)
-    width = lam[0] + mu[0]
+        return {mu: 1}
     out: Dict[Partition, int] = {}
-    for nu in _partitions_bounded(total, rows, width):
-        if not _contains(nu, lam):
-            continue
+    for nu in partitions_in_box(rows, lam[0] + mu[0], sum(lam) + sum(mu), inner=lam):
         c = _lr_count(nu, lam, mu)
         if c:
             out[nu] = c
@@ -178,15 +163,10 @@ def rim_hook_reduce(nu, k: int, N: int):
     if len(nu) > k:
         raise ValueError(f"partition {nu} has more than {k} parts")
     padded = nu + (0,) * (k - len(nu))
-    beta = sorted((padded[i] + (k - 1 - i) for i in range(k)), reverse=True)
+    beta = [padded[i] + (k - 1 - i) for i in range(k)]  # strictly decreasing
     d = 0
     sign = 1
-    while True:
-        parts = tuple(beta[i] - (k - 1 - i) for i in range(k))
-        current = normalize_partition(parts)
-        if fits_box(current, k, N - k):
-            return current, d, sign
-        moved = False
+    while beta[0] - (k - 1) > N - k:  # the first row overflows the box
         for i in range(k):
             target = beta[i] - N
             if target < 0 or target in beta:
@@ -197,22 +177,17 @@ def rim_hook_reduce(nu, k: int, N: int):
             d += 1
             beta[i] = target
             beta.sort(reverse=True)
-            moved = True
             break
-        if not moved:
+        else:
             return None
+    parts = (b - (k - 1 - i) for i, b in enumerate(beta))
+    return tuple(part for part in parts if part), d, sign
 
 
 # ---------------------------------------------------------------------------
 # field-independent structure constants (over Z)
 
 StructTable = Dict[Tuple[object, int], int]
-
-
-@lru_cache(maxsize=None)
-def _cpn_structure(n: int, a: int, b: int) -> Tuple:
-    e = a + b
-    return (((e % (n + 1), e // (n + 1)), 1),)
 
 
 @lru_cache(maxsize=None)
@@ -323,7 +298,8 @@ class CPn(RingPresentation):
         return (label,)
 
     def structure(self, a, b):
-        return _cpn_structure(self.n, a, b)
+        e = a + b
+        return (((e % (self.n + 1), e // (self.n + 1)), 1),)
 
     def first_chern_generator(self) -> QuantumClass:
         return self.basis_class(1)
@@ -362,10 +338,10 @@ class Grassmannian(RingPresentation):
         return lam
 
     def label_degree(self, label) -> int:
-        return 2 * partition_weight(label)
+        return 2 * sum(label)
 
     def label_key(self, label):
-        return (partition_weight(label), label)
+        return (sum(label), label)
 
     def structure(self, a, b):
         return _grassmannian_structure(self.k, self.N, a, b)
@@ -470,12 +446,12 @@ def quantum_pieri(ring: Grassmannian, lam, p: int) -> QuantumClass:
     acc: dict = {}
 
     # classical horizontal strips
-    target = partition_weight(lam) + p
+    target = sum(lam) + p
 
     def strips(i, prefix):
         if i == k:
             mu = normalize_partition(prefix)
-            if partition_weight(mu) == target:
+            if sum(mu) == target:
                 acc[(mu, 0)] = acc.get((mu, 0), 0) + 1
             return
         lo = lam_p[i]
@@ -489,13 +465,13 @@ def quantum_pieri(ring: Grassmannian, lam, p: int) -> QuantumClass:
     strips(0, [])
 
     # quantum part
-    qtarget = partition_weight(lam) + p - N
+    qtarget = sum(lam) + p - N
     if qtarget >= 0 and all(lam_p[i] >= 1 for i in range(k)):
 
         def rhos(i, prefix):
             if i == k:
                 rho = normalize_partition(prefix)
-                if partition_weight(rho) == qtarget:
+                if sum(rho) == qtarget:
                     acc[(rho, 1)] = acc.get((rho, 1), 0) + 1
                 return
             hi = lam_p[i] - 1

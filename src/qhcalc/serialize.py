@@ -109,7 +109,7 @@ def _parse_term(ring: RingPresentation, text: str):
         if not f:
             raise ParseError(f"empty factor in term {text!r}")
         if _NUM_RE.match(f):
-            coeff *= Fraction(f)
+            coeff *= frac_from_str(f)
             continue
         mq = _Q_RE.match(f)
         if mq:
@@ -135,8 +135,13 @@ def class_from_str(ring: RingPresentation, text: str) -> QuantumClass:
     field = ring.field
     for sign, term in _split_terms(text):
         key, coeff = _parse_term(ring, term)
-        prior = acc.get(key, field.coerce(0))
-        acc[key] = field.add(prior, field.coerce(sign * coeff))
+        try:
+            coeff = field.coerce(sign * coeff)
+        except ZeroDivisionError as exc:
+            raise ParseError(
+                f"coefficient in term {term!r} is not in {field.spec()}: {exc}"
+            ) from exc
+        acc[key] = field.add(acc.get(key, field.coerce(0)), coeff)
     return QuantumClass.build(ring, acc)
 
 
@@ -198,6 +203,8 @@ def ring_from_json(data, field: GroundField = None) -> RingPresentation:
             )
         if kind == "product":
             factors = [ring_from_json(f, field=field) for f in data["factors"]]
+            if not factors:
+                raise ParseError("product ring spec has no factors")
             ring = factors[0]
             from .rings import kunneth
 
@@ -210,12 +217,16 @@ def ring_from_json(data, field: GroundField = None) -> RingPresentation:
 
 
 def ring_to_json(ring: RingPresentation) -> dict:
+    """The ring record; a product's lambda0 follows from its factors' by Kunneth."""
     if isinstance(ring, CPn):
-        return {"kind": "cpn", "n": ring.n, "field": ring.field.spec()}
+        return {
+            "kind": "cpn", "n": ring.n, "field": ring.field.spec(),
+            "lambda0": frac_to_str(ring.lambda0),
+        }
     if isinstance(ring, Grassmannian):
         return {
             "kind": "grassmannian", "k": ring.k, "N": ring.N,
-            "field": ring.field.spec(),
+            "field": ring.field.spec(), "lambda0": frac_to_str(ring.lambda0),
         }
     return {
         "kind": "product",

@@ -65,6 +65,25 @@ class TestRing:
                        cwd=workdir)
         assert proc.returncode == 64, proc.stderr
 
+    def test_zero_denominator_literal_is_usage_error(self, workdir):
+        proc = run_cli("ring", "mul", "--ring", "cp2.json", "--a", "1/0*u", "--b", "u",
+                       cwd=workdir)
+        assert proc.returncode == 64, proc.stderr
+        assert "bad rational '1/0'" in proc.stderr
+
+    def test_coefficient_outside_field_is_usage_error(self, workdir):
+        proc = run_cli("ring", "mul", "--ring", "g24.json", "--a", "1/2*s[1]", "--b", "s[1]",
+                       "--field", "Fp:2", cwd=workdir)
+        assert proc.returncode == 64, proc.stderr
+        assert "not in Fp:2" in proc.stderr
+
+    def test_product_without_factors_is_usage_error(self, workdir):
+        (workdir / "empty.json").write_text(json.dumps({"kind": "product", "factors": []}))
+        proc = run_cli("ring", "mul", "--ring", "empty.json", "--a", "1", "--b", "1",
+                       cwd=workdir)
+        assert proc.returncode == 64, proc.stderr
+        assert "no factors" in proc.stderr
+
 
 class TestLadders:
     def test_search_round_trip(self, workdir):

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qhcalc.qalgebra import (
     GradingError,
@@ -45,6 +47,29 @@ class TestGroundField:
     def test_coerce_residue_canonical(self):
         assert F5.coerce(Fraction(1, 2)) == 3
         assert F5.coerce(-1) == 4
+
+
+def _coercible(x: Fraction, p: int) -> bool:
+    return p == 0 or x.denominator % p != 0
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    st.sampled_from((0, 2, 3, 5, 7)),
+    st.fractions(min_value=-50, max_value=50, max_denominator=30),
+    st.fractions(min_value=-50, max_value=50, max_denominator=30),
+)
+def test_field_ops_on_canonical_scalars(p, x, y):
+    """add/neg/mul on coerced operands agree with coerce of the rational result."""
+    field = GroundField(p)
+    assume(_coercible(x, p) and _coercible(y, p))
+    a, b = field.coerce(x), field.coerce(y)
+    assert field.add(a, b) == field.coerce(x + y)
+    assert field.neg(a) == field.coerce(-x)
+    assert field.mul(a, b) == field.coerce(x * y)
+    for c in (field.add(a, b), field.neg(a), field.mul(a, b)):
+        assert type(c) is type(field.coerce(0))
+        assert p == 0 or 0 <= c < p
 
 
 class TestQuantumClass:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -32,6 +33,33 @@ class TestPartitions:
         assert not fits_box((3,), 2, 2)
         assert len(partitions_in_box(2, 2)) == 6  # binomial(4, 2)
 
+    def test_enumerator_against_brute_force(self):
+        """Every box up to 4 x 4, every weight and every inner partition,
+        including inner partitions one row or column too big: the enumerator
+        returns exactly the filtered brute-force list, in lexicographic order."""
+
+        def brute_force(rows, cols):
+            return sorted({
+                normalize_partition(p)
+                for p in product(range(cols + 1), repeat=rows)
+                if all(a >= b for a, b in zip(p, p[1:]))
+            })
+
+        for rows in range(5):
+            for cols in range(5):
+                every = brute_force(rows, cols)
+                assert partitions_in_box(rows, cols) == every
+                for inner in brute_force(rows + 1, cols + 1):
+                    for weight in (None, *range(-1, rows * cols + 2)):
+                        expected = [
+                            lam for lam in every
+                            if (weight is None or sum(lam) == weight)
+                            and len(inner) <= len(lam)
+                            and all(a >= b for a, b in zip(lam, inner))
+                        ]
+                        assert partitions_in_box(rows, cols, weight, inner) == expected, (
+                            rows, cols, weight, inner)
+
 
 class TestBasis:
     def test_cp2_degree_two(self):
@@ -63,7 +91,9 @@ class TestLittlewoodRichardson:
                 for mu in box:
                     cases.append((lam, mu, rows))
         rng = random.Random(3)
-        for lam, mu, rows in rng.sample(cases, 60):
+        box = partitions_in_box(4, 4)
+        four_rows = [(lam, mu, 4) for lam in box for mu in box]
+        for lam, mu, rows in rng.sample(cases, 60) + rng.sample(four_rows, 40):
             assert littlewood_richardson(lam, mu, rows) == lr_coefficients_oracle(
                 lam, mu, rows
             ), (lam, mu, rows)

@@ -1,4 +1,4 @@
-"""Round trips of the text and JSON records: class literals and orbit records."""
+"""Round trips of the text and JSON records: class literals, ring and orbit records."""
 
 import json
 from fractions import Fraction
@@ -15,6 +15,8 @@ from qhcalc.serialize import (
     class_to_str,
     orbit_from_json,
     orbit_to_json,
+    ring_from_json,
+    ring_to_json,
     table_from_json,
 )
 from qhcalc.spectra import CappedOrbit
@@ -63,6 +65,21 @@ def quantum_classes(draw):
 @given(quantum_classes())
 def test_class_literal_round_trip(cls):
     assert class_from_str(cls.ring, class_to_str(cls)) == cls
+
+
+def test_ring_record_round_trip():
+    """Every ring, lambda0 included, reads back equal from its JSON record."""
+    for p in (0, 2, 3, 7):
+        field = GroundField(p)
+        cp1 = CPn(n=1, field=field, lambda0=2)
+        cp2 = CPn(n=2, field=field, lambda0=3)
+        g24 = Grassmannian(k=2, N=4, field=field, lambda0=Fraction(4, 3))
+        cp3 = CPn(n=3, field=field, lambda0=Fraction(4, 3))
+        for ring in (cp1, cp2, g24, Grassmannian(k=3, N=6, field=field, lambda0=-5),
+                     kunneth(cp1, cp2), kunneth(cp3, g24), kunneth(kunneth(cp1, cp2), cp1)):
+            record = json.loads(json.dumps(ring_to_json(ring)))
+            assert ring_from_json(record) == ring
+            assert ring_to_json(ring_from_json(record)) == record
 
 
 orbits = st.builds(
