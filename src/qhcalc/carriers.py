@@ -134,6 +134,7 @@ def admissible_assignments(
     candidates = [
         _slot_candidates(table, deg, k) for deg in ladder.hom_degrees
     ]
+    # candidates are sorted by (orbit id, capping): the product is in slot order
     out = []
     for combo in itertools.product(*candidates):
         slots = tuple((c.orbit_id, c.m) for c in combo)
@@ -141,7 +142,6 @@ def admissible_assignments(
             continue
         if _ordering_ok(combo, ladder.nu, table.md):
             out.append(CarrierAssignment(k=k, slots=slots))
-    out.sort(key=lambda a: a.slots)
     return out
 
 

@@ -102,7 +102,8 @@ def ring_power(ring_path, cls_lit, d, field_spec):
 def ring_basis(ring_path, degree, field_spec):
     r = _load_ring(ring_path, field_spec)
     labels = [ser.class_to_str(r.basis_class(lbl)) for lbl in r.basis(degree)]
-    _emit(labels, {"cmd": "ring basis", "ring": ring_path, "degree": degree})
+    _emit(labels, {"cmd": "ring basis", "ring": ring_path, "degree": degree,
+                   "field": field_spec})
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +127,7 @@ def ladders_search(ring_path, ell_max, nu_max, out_path):
     if out_path:
         Path(out_path).write_text(json.dumps(payload, indent=2))
     _emit(payload, {"cmd": "ladders search", "ring": ring_path,
-                    "ell_max": ell_max, "nu_max": nu_max})
+                    "ell_max": ell_max, "nu_max": nu_max, "out": out_path})
 
 
 @ladders.command("verify")
@@ -162,17 +163,16 @@ def ladders_build(ring_path, dec_path):
 @click.option("--class", "cls_lit", default=None)
 @click.option("--orbits", required=True, type=int)
 def ladders_case2(ring_path, cls_lit, orbits):
+    invocation = {"cmd": "ladders case2", "ring": ring_path, "class": cls_lit,
+                  "orbits": orbits}
     r = _load_ring(ring_path)
     u = ser.class_from_str(r, cls_lit) if cls_lit else r.first_chern_generator()
     try:
         params = ladders_mod.case_ii_parameters(r, u, orbits)
     except ladders_mod.PowerVanishesError as exc:
-        _emit({"error": str(exc), "vanishing_exponent": exc.exponent},
-              {"cmd": "ladders case2", "ring": ring_path, "orbits": orbits})
+        _emit({"error": str(exc), "vanishing_exponent": exc.exponent}, invocation)
         raise Contradiction(str(exc))
-    _emit({"d": params.d, "ell": params.ell},
-          {"cmd": "ladders case2", "ring": ring_path, "class": cls_lit,
-           "orbits": orbits})
+    _emit({"d": params.d, "ell": params.ell}, invocation)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +259,7 @@ def models_cpn(lambdas, verify):
     if not verify:
         payload.pop("equal_augmented_actions")
         payload.pop("details")
-    _emit(payload, {"cmd": "models cpn", "lambdas": lambdas})
+    _emit(payload, {"cmd": "models cpn", "lambdas": lambdas, "verify": verify})
 
 
 @models.command("product")
@@ -302,6 +302,11 @@ def _load_scenario(path):
         if isinstance(spec, str):
             spec = _load_json(str(Path(path).parent / spec))
         ring = ser.ring_from_json(spec["ring"])
+        ours = (ring.N_chern, ring.monotonicity, ring.complex_dim)
+        theirs = (table.md.N, table.md.lam, table.n)
+        for name, a, b in zip(("N_chern", "monotonicity", "complex_dim"), ours, theirs):
+            if a != b:
+                raise click.UsageError(f"ladder ring has {name} {a}, the orbit table {b}")
         dec = ser.decomposition_from_json(ring, spec["decomposition"])
         ladder = ladders_mod.build_ladder(ring, dec)
     return table, ladder, primes

@@ -105,18 +105,18 @@ def search_decompositions(ring, ell_max: int, nu_max: int) -> List[Decomposition
 
     Factors range over positive-degree basis labels; results are sorted by
     (ell descending, nu ascending) with a lexicographic label tiebreak, so
-    the output is deterministic.
+    the output is deterministic.  Each basis class is built once and shared
+    by the search and the decompositions it returns.
     """
     if ell_max < 1:
         raise ValueError("ell_max must be >= 1")
     two_n_chern = 2 * ring.N_chern
-    pos_labels = [
-        lbl for lbl in sorted(ring.basis_labels(), key=ring.label_key)
-        if ring.label_degree(lbl) > 0
-    ]
+    labels = sorted(ring.basis_labels(), key=ring.label_key)
+    classes = {lbl: ring.basis_class(lbl) for lbl in labels}
+    pos_labels = [lbl for lbl in labels if ring.label_degree(lbl) > 0]
     found: List[Tuple] = []
-    for u0_label in sorted(ring.basis_labels(), key=ring.label_key):
-        u0 = ring.basis_class(u0_label)
+    for u0_label in labels:
+        u0 = classes[u0_label]
 
         def dfs(chain, partial, interior_deg, total_deg):
             ell = len(chain)
@@ -135,7 +135,7 @@ def search_decompositions(ring, ell_max: int, nu_max: int) -> List[Decomposition
                 new_interior = interior_deg + (ring.label_degree(chain[-1]) if chain else 0)
                 if new_interior >= two_n_chern:
                     continue
-                step = ring.quantum_product(partial, ring.basis_class(lbl))
+                step = ring.quantum_product(partial, classes[lbl])
                 if step.is_zero():
                     continue
                 chain.append(lbl)
@@ -153,11 +153,7 @@ def search_decompositions(ring, ell_max: int, nu_max: int) -> List[Decomposition
         )
     )
     return [
-        Decomposition(
-            ring.basis_class(u0l),
-            tuple(ring.basis_class(l) for l in fl),
-            nu,
-        )
+        Decomposition(classes[u0l], tuple(classes[l] for l in fl), nu)
         for u0l, fl, nu in found
     ]
 

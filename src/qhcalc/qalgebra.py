@@ -7,7 +7,10 @@ elements are canonical residues in ``[0, p)``.  No floats anywhere.
 (``QuantumClass.build``, ``scale``, class literals, ``one``).  The field
 operations ``add``, ``neg`` and ``mul`` take canonical scalars (or, as the
 second factor of ``mul``, an integer structure constant) and return canonical
-scalars, so values stay canonical by construction.
+scalars, so values stay canonical by construction.  ``QuantumClass.build``
+is the checked entry for outside terms (it normalises labels and coerces
+scalars); ring operations combine canonical terms and assemble them with
+``QuantumClass._assemble``, which only drops zeros and sorts.
 """
 
 from __future__ import annotations
@@ -115,21 +118,24 @@ class QuantumClass:
 
     @classmethod
     def build(cls, ring, mapping: Mapping[TermKey, Scalar]) -> "QuantumClass":
+        """The class of caller-supplied terms: the checked entry."""
         field = ring.field
         cleaned = {}
         for (label, m), c in mapping.items():
             c = field.coerce(c)
             if c == 0:
                 continue
-            label = ring.normalize_label(label)
-            key = (label, int(m))
-            if key in cleaned:
-                c = field.add(cleaned[key], c)
-                if c == 0:
-                    del cleaned[key]
-                    continue
-            cleaned[key] = c
-        ordered = sorted(cleaned.items(), key=lambda kv: (ring.label_key(kv[0][0]), kv[0][1]))
+            key = (ring.normalize_label(label), int(m))
+            cleaned[key] = field.add(cleaned.get(key, 0), c)
+        return cls._assemble(ring, cleaned)
+
+    @classmethod
+    def _assemble(cls, ring, terms: Mapping[TermKey, Scalar]) -> "QuantumClass":
+        """The class of canonical terms: drops zeros and sorts, checks nothing."""
+        ordered = sorted(
+            (kv for kv in terms.items() if kv[1] != 0),
+            key=lambda kv: (ring.label_key(kv[0][0]), kv[0][1]),
+        )
         return cls(ring, tuple(ordered))
 
     # -- basic structure ---------------------------------------------------
@@ -147,11 +153,11 @@ class QuantumClass:
         acc = dict(self.terms)
         for key, c in other.terms:
             acc[key] = field.add(acc.get(key, 0), c)
-        return QuantumClass.build(self.ring, acc)
+        return QuantumClass._assemble(self.ring, acc)
 
     def __neg__(self) -> "QuantumClass":
         field = self.ring.field
-        return QuantumClass.build(self.ring, {k: field.neg(c) for k, c in self.terms})
+        return QuantumClass._assemble(self.ring, {k: field.neg(c) for k, c in self.terms})
 
     def __sub__(self, other: "QuantumClass") -> "QuantumClass":
         return self + (-other)
@@ -159,7 +165,7 @@ class QuantumClass:
     def scale(self, c: Scalar) -> "QuantumClass":
         field = self.ring.field
         c = field.coerce(c)
-        return QuantumClass.build(self.ring, {k: field.mul(v, c) for k, v in self.terms})
+        return QuantumClass._assemble(self.ring, {k: field.mul(v, c) for k, v in self.terms})
 
     def __mul__(self, other: "QuantumClass") -> "QuantumClass":
         return self.ring.quantum_product(self, other)
@@ -193,7 +199,7 @@ class QuantumClass:
 
     def q_shift(self, m: int) -> "QuantumClass":
         """Multiply by q^m: every Novikov exponent moves by m."""
-        return QuantumClass.build(
+        return QuantumClass._assemble(
             self.ring, {(label, e + m): c for (label, e), c in self.terms}
         )
 

@@ -3,9 +3,10 @@
 Grassmannian products run through the classical Littlewood-Richardson rule
 followed by rim-hook reduction of out-of-box terms; the quantum Pieri rule is
 kept as an independent implementation and used as a cross-check oracle.
-Structure constants are integers independent of the ground field, so they are
-computed once over Z and cached; coefficients are coerced into the field only
-when classes are assembled.
+Structure constants are integers independent of the ground field; those of
+G(k,N) are computed once over Z and cached, a product recombines its factors'
+tables on each call.  A product ring is its two factors: its ground field and
+lambda0 come from theirs.
 
 Basis labels are checked once, where they enter, by each ring's
 ``normalize_label``; past that point partitions are normalised tuples and no
@@ -230,10 +231,10 @@ class RingPresentation:
         return self.basis_class(self.unit_label())
 
     def basis_class(self, label, m: int = 0, coeff=1) -> QuantumClass:
-        return QuantumClass.build(self, {(self.normalize_label(label), m): coeff})
+        return QuantumClass.build(self, {(label, m): coeff})
 
     def zero(self) -> QuantumClass:
-        return QuantumClass.build(self, {})
+        return QuantumClass._assemble(self, {})
 
     def basis(self, degree: int) -> List:
         if degree < 0:
@@ -254,7 +255,7 @@ class RingPresentation:
                 for (lc, mc), n in self.structure(la, lb):
                     key = (lc, ma + mb + mc)
                     acc[key] = fld.add(acc.get(key, 0), fld.mul(cab, n))
-        return QuantumClass.build(self, acc)
+        return QuantumClass._assemble(self, acc)
 
     def convert_grading(self, degree_coh: int) -> int:
         return 2 * self.complex_dim - degree_coh
@@ -354,18 +355,18 @@ class Grassmannian(RingPresentation):
 class ProductRing(RingPresentation):
     """Monotone product via the quantum Kunneth formula.
 
-    Both factors must carry the same monotonicity constant; the product's
-    minimal Chern number is gcd(N_left, N_right) and factor q-powers convert
-    by the ratios N_left/N and N_right/N.
+    Both factors must carry the same monotonicity constant and ground field,
+    which the product takes; its minimal Chern number is N = gcd(N_left,
+    N_right), so lambda0 = monotonicity * N.  Factor q-powers convert by the
+    ratios N_left/N and N_right/N.
     """
 
-    left: RingPresentation = None
-    right: RingPresentation = None
+    left: RingPresentation
+    right: RingPresentation
+    field: GroundField = dc_field(init=False)
+    lambda0: Fraction = dc_field(init=False)
 
     def __post_init__(self):
-        super().__post_init__()
-        if self.left is None or self.right is None:
-            raise ValueError("product ring needs two factors")
         if self.left.monotonicity != self.right.monotonicity:
             raise ValueError(
                 "mismatched monotonicity constants: "
@@ -373,6 +374,9 @@ class ProductRing(RingPresentation):
             )
         if self.left.field != self.right.field:
             raise ValueError("factors must share the ground field")
+        object.__setattr__(self, "field", self.left.field)
+        object.__setattr__(self, "lambda0", self.left.monotonicity * self.N_chern)
+        super().__post_init__()
 
     @property
     def complex_dim(self) -> int:
@@ -413,15 +417,10 @@ class ProductRing(RingPresentation):
         return tuple(sorted(kv for kv in out.items() if kv[1] != 0))
 
     def first_chern_generator(self) -> QuantumClass:
-        ua = self.left.first_chern_generator()
-        ub = self.right.first_chern_generator()
-        acc: dict = {}
-        for (la, ma), ca in ua.terms:
-            acc[((la, self.right.unit_label()), ma)] = ca
-        for (lb, mb), cb in ub.terms:
-            key = ((self.left.unit_label(), lb), mb)
-            acc[key] = self.field.add(acc.get(key, 0), cb)
-        return QuantumClass.build(self, acc)
+        one_a, one_b = self.left.unit_label(), self.right.unit_label()
+        ua = {((la, one_b), m): c for (la, m), c in self.left.first_chern_generator().terms}
+        ub = {((one_a, lb), m): c for (lb, m), c in self.right.first_chern_generator().terms}
+        return QuantumClass._assemble(self, ua) + QuantumClass._assemble(self, ub)
 
 
 # ---------------------------------------------------------------------------
@@ -490,8 +489,4 @@ def quantum_pieri(ring: Grassmannian, lam, p: int) -> QuantumClass:
 
 
 def kunneth(ring_a: RingPresentation, ring_b: RingPresentation) -> ProductRing:
-    lam = ring_a.monotonicity
-    n_prod = math.gcd(ring_a.N_chern, ring_b.N_chern)
-    return ProductRing(
-        left=ring_a, right=ring_b, field=ring_a.field, lambda0=lam * n_prod
-    )
+    return ProductRing(left=ring_a, right=ring_b)

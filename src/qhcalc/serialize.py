@@ -126,11 +126,11 @@ def _parse_term(ring: RingPresentation, text: str):
 
 
 def class_from_str(ring: RingPresentation, text: str) -> QuantumClass:
+    """Parse a class literal; labels are normalised as they are parsed and
+    coefficients coerced below, so the terms are assembled as they are."""
     text = text.strip()
     if not text:
         raise ParseError("empty class literal")
-    if text == "0":
-        return ring.zero()
     acc = {}
     field = ring.field
     for sign, term in _split_terms(text):
@@ -141,8 +141,8 @@ def class_from_str(ring: RingPresentation, text: str) -> QuantumClass:
             raise ParseError(
                 f"coefficient in term {term!r} is not in {field.spec()}: {exc}"
             ) from exc
-        acc[key] = field.add(acc.get(key, field.coerce(0)), coeff)
-    return QuantumClass.build(ring, acc)
+        acc[key] = field.add(acc.get(key, 0), coeff)
+    return QuantumClass._assemble(ring, acc)
 
 
 def _label_to_str(ring: RingPresentation, label) -> str:
@@ -206,10 +206,8 @@ def ring_from_json(data, field: GroundField = None) -> RingPresentation:
             if not factors:
                 raise ParseError("product ring spec has no factors")
             ring = factors[0]
-            from .rings import kunneth
-
             for f in factors[1:]:
-                ring = kunneth(ring, f)
+                ring = ProductRing(left=ring, right=f)
             return ring
     except KeyError as exc:
         raise ParseError(f"ring spec missing key {exc}") from exc

@@ -77,6 +77,7 @@ class TestAdmissibleAssignments:
         )
         assignments = admissible_assignments(table, cpn_ladder(1), 1)
         assert len(assignments) >= 2
+        assert assignments == sorted(assignments, key=lambda a: a.slots)
 
     def test_post_hoc_checker_rejects_mutations(self):
         table = model_table(0, Fraction(1, 8))

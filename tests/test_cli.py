@@ -55,6 +55,12 @@ class TestRing:
                        cwd=workdir)
         assert result_of(proc) == ["s[1,1]", "s[2]"]
 
+    def test_basis_invocation_records_field(self, workdir):
+        proc = run_cli("ring", "basis", "--ring", "g24.json", "--degree", "2",
+                       "--field", "Fp:2", cwd=workdir)
+        assert result_of(proc) == ["s[1]"]
+        assert json.loads(proc.stdout)["invocation"]["field"] == "Fp:2"
+
     def test_missing_file_is_usage_error(self, workdir):
         proc = run_cli("ring", "mul", "--ring", "nope.json", "--a", "u", "--b", "u",
                        cwd=workdir)
@@ -91,6 +97,7 @@ class TestLadders:
                        "--nu-max", "1", "--out", "decs.json", cwd=workdir)
         decs = result_of(proc)
         assert {"u0": "1", "factors": ["u", "u", "u"], "nu": 1} in decs
+        assert json.loads(proc.stdout)["invocation"]["out"] == "decs.json"
         (workdir / "dec.json").write_text(json.dumps(decs[0]))
         verify = run_cli("ladders", "verify", "--ring", "cp2.json", "--dec", "dec.json",
                          cwd=workdir)
@@ -109,6 +116,17 @@ class TestLadders:
                        cwd=workdir)
         assert result_of(proc) == {"d": 25, "ell": 4}
 
+    def test_case2_vanishing_power_invocation_records_class(self, workdir):
+        (workdir / "g24f2.json").write_text(
+            json.dumps({"kind": "grassmannian", "k": 2, "N": 4, "field": "Fp:2"})
+        )
+        proc = run_cli("ladders", "case2", "--ring", "g24f2.json", "--class", "s[1]",
+                       "--orbits", "6", cwd=workdir)
+        assert proc.returncode == 2, proc.stderr
+        envelope = json.loads(proc.stdout)
+        assert envelope["result"]["vanishing_exponent"] == 3
+        assert envelope["invocation"]["class"] == "s[1]"
+
     def test_invalid_dec_exit_two(self, workdir):
         (workdir / "dec.json").write_text(
             json.dumps({"u0": "1", "factors": ["u"], "nu": 1})
@@ -126,6 +144,7 @@ class TestSpectraAndModels:
         result = result_of(proc)
         assert result["common_value"] == "1/2"
         assert result["equal_augmented_actions"] is True
+        assert json.loads(proc.stdout)["invocation"]["verify"] is True
 
     def test_spectra_round_trip(self, workdir):
         orbit = {"id": "x0", "m": 0, "action": "1/2", "delta": "-2", "cz": None}
@@ -187,6 +206,19 @@ class TestCarriers:
         (workdir / "s.json").write_text(json.dumps(scenario_payload(perturb="3/16")))
         proc = run_cli("carriers", "verify", "--scenario", "s.json", cwd=workdir)
         assert proc.returncode == 2, proc.stderr
+
+    @pytest.mark.parametrize("field, value, named", [
+        ("monotone", {"N": 1, "lambda": "1"}, "N_chern"),
+        ("monotone", {"N": 2, "lambda": "1/4"}, "monotonicity"),
+        ("n", 3, "complex_dim"),
+    ])
+    def test_ladder_ring_must_match_table(self, workdir, field, value, named):
+        payload = scenario_payload()
+        payload[field] = value
+        (workdir / "s.json").write_text(json.dumps(payload))
+        proc = run_cli("carriers", "verify", "--scenario", "s.json", cwd=workdir)
+        assert proc.returncode == 64, proc.stderr
+        assert named in proc.stderr
 
     def test_assignments(self, workdir):
         (workdir / "s.json").write_text(json.dumps(scenario_payload()))

@@ -13,6 +13,8 @@ from qhcalc.qalgebra import (
 )
 from qhcalc.rings import CPn, Grassmannian
 
+from test_serialize import PROPERTY, quantum_classes
+
 
 Q = GroundField()
 F2 = GroundField(2)
@@ -167,3 +169,38 @@ class TestProperties:
                 for _ in range(p):
                     total = total + a
                 assert total.is_zero()
+
+
+def assert_canonical(x):
+    """x is what the checked entry makes of its own terms: no zero
+    coefficient, canonical scalars, normalised labels."""
+    ring, p = x.ring, x.ring.field.p
+    assert QuantumClass.build(ring, dict(x.terms)) == x
+    for (label, m), c in x.terms:
+        assert c != 0
+        if p == 0:
+            assert type(c) is Fraction
+        else:
+            assert type(c) is int and 0 <= c < p
+        assert ring.normalize_label(label) == label
+        assert type(m) is int
+
+
+@PROPERTY
+@given(st.data())
+def test_ring_operations_stay_canonical(data):
+    """Every operation assembles its result without the entry checks, so its
+    terms must already be canonical."""
+    a = data.draw(quantum_classes())
+    ring = a.ring
+    b = data.draw(quantum_classes(ring))
+    scalar = data.draw(
+        st.fractions(min_value=-6, max_value=6, max_denominator=5)
+        if ring.field.p == 0
+        else st.integers(min_value=-10, max_value=10)
+    )
+    shift = data.draw(st.integers(min_value=-3, max_value=3))
+    u = ring.first_chern_generator()
+    for x in (a * b, a + b, a - b, -a, a.scale(scalar), a.q_shift(shift), a ** 2,
+              u, u ** 3, ring.zero(), ring.one()):
+        assert_canonical(x)

@@ -8,6 +8,7 @@ from qhcalc.qalgebra import GroundField
 from qhcalc.rings import (
     CPn,
     Grassmannian,
+    ProductRing,
     fits_box,
     kunneth,
     littlewood_richardson,
@@ -227,6 +228,22 @@ class TestKunneth:
         a = ring.basis_class(((2, 1), 0))
         b = ring.basis_class(((), 2))
         assert ring.quantum_product(a, b) == ring.basis_class(((2, 1), 2))
+
+    def test_field_and_lambda0_come_from_factors(self):
+        f3 = GroundField(3)
+        left = CPn(n=1, field=f3, lambda0=Fraction(4))
+        right = Grassmannian(k=2, N=4, field=f3, lambda0=Fraction(8))
+        ring = ProductRing(left=left, right=right)
+        assert ring == kunneth(left, right)
+        assert (ring.field, ring.N_chern, ring.lambda0, ring.monotonicity) == (
+            f3, 2, Fraction(4), Fraction(2)
+        )
+        assert ring.first_chern_generator() == ring.basis_class(
+            (1, ())
+        ) + ring.basis_class((0, (1,)))
+        for setting in ({"lambda0": 5}, {"field": f3}):
+            with pytest.raises(TypeError):
+                ProductRing(left=CPn(n=1), right=CPn(n=1), **setting)
 
     def test_mismatched_monotonicity_rejected(self):
         with pytest.raises(ValueError):

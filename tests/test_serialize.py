@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from qhcalc.models import CPnQuadraticModel, cpn_fixed_points
 from qhcalc.qalgebra import GroundField, QuantumClass
-from qhcalc.rings import CPn, Grassmannian, kunneth
+from qhcalc.rings import CPn, Grassmannian, ProductRing, kunneth
 from qhcalc.serialize import (
     class_from_str,
     class_to_str,
@@ -43,8 +43,10 @@ RINGS = [ring for p in (0, 2, 3, 7) for ring in _rings(GroundField(p))]
 
 
 @st.composite
-def quantum_classes(draw):
-    ring = draw(st.sampled_from(RINGS))
+def quantum_classes(draw, ring=None):
+    """A class in ``ring``, or in one of RINGS when none is given."""
+    if ring is None:
+        ring = draw(st.sampled_from(RINGS))
     labels = ring.basis_labels()
     coeff = (
         st.fractions(min_value=-20, max_value=20, max_denominator=12)
@@ -76,7 +78,8 @@ def test_ring_record_round_trip():
         g24 = Grassmannian(k=2, N=4, field=field, lambda0=Fraction(4, 3))
         cp3 = CPn(n=3, field=field, lambda0=Fraction(4, 3))
         for ring in (cp1, cp2, g24, Grassmannian(k=3, N=6, field=field, lambda0=-5),
-                     kunneth(cp1, cp2), kunneth(cp3, g24), kunneth(kunneth(cp1, cp2), cp1)):
+                     kunneth(cp1, cp2), kunneth(cp3, g24), kunneth(kunneth(cp1, cp2), cp1),
+                     ProductRing(left=cp3, right=g24)):
             record = json.loads(json.dumps(ring_to_json(ring)))
             assert ring_from_json(record) == ring
             assert ring_to_json(ring_from_json(record)) == record
