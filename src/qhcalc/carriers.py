@@ -12,7 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .ladders import Ladder
 from .spectra import (
@@ -126,23 +126,53 @@ def check_assignment(table: OrbitTable, ladder: Ladder, a: CarrierAssignment) ->
     return _ordering_ok(capped, ladder.nu, table.md)
 
 
+def _assignments(
+    table: OrbitTable, ladder: Ladder, k: int
+) -> Iterator[CarrierAssignment]:
+    """Admissible assignments at iteration k in slot order, depth first.
+
+    The slot candidates are sorted by (orbit id, capping), so walking them
+    slot by slot visits the assignments in slot order.  A prefix is cut as
+    soon as it repeats a capped orbit, raises the action, or falls below
+    recap(slot 0, nu).action, the floor the period must close on; a full
+    period is kept when `_ordering_ok` closes it on the wrap-around pair.
+    """
+    if k < 1:
+        raise ValueError("iteration order must be >= 1")
+    md, nu = table.md, ladder.nu
+    candidates = [_slot_candidates(table, deg, k) for deg in ladder.hom_degrees]
+    chain: List[CappedOrbit] = []
+    used: Set[Slot] = set()
+
+    def extend(floor: Optional[Fraction]) -> Iterator[CarrierAssignment]:
+        j = len(chain)
+        if j == len(candidates):
+            if _ordering_ok(chain, nu, md):
+                yield CarrierAssignment(k=k, slots=tuple((c.orbit_id, c.m) for c in chain))
+            return
+        for c in candidates[j]:
+            key = (c.orbit_id, c.m)
+            if key in used or (j and not floor <= c.action <= chain[-1].action):
+                continue
+            chain.append(c)
+            used.add(key)
+            # slot 0 sets the floor
+            yield from extend(floor if j else recap(c, nu, md).action)
+            chain.pop()
+            used.remove(key)
+
+    yield from extend(None)
+
+
 def admissible_assignments(
     table: OrbitTable, ladder: Ladder, k: int
 ) -> List[CarrierAssignment]:
-    if k < 1:
-        raise ValueError("iteration order must be >= 1")
-    candidates = [
-        _slot_candidates(table, deg, k) for deg in ladder.hom_degrees
-    ]
-    # candidates are sorted by (orbit id, capping): the product is in slot order
-    out = []
-    for combo in itertools.product(*candidates):
-        slots = tuple((c.orbit_id, c.m) for c in combo)
-        if len(set(slots)) != len(slots):
-            continue
-        if _ordering_ok(combo, ladder.nu, table.md):
-            out.append(CarrierAssignment(k=k, slots=slots))
-    return out
+    """Every admissible assignment at iteration k, in slot order.
+
+    This lists the whole depth-first search of `_assignments`; verdicts
+    read only its first element, through `stable_subsequence`.
+    """
+    return list(_assignments(table, ladder, k))
 
 
 @dataclass(frozen=True)
@@ -162,17 +192,24 @@ class StabilityReport:
 def stable_subsequence(
     table: OrbitTable, ladder: Ladder, primes: Sequence[int]
 ) -> StabilityReport:
+    """Follow the first admissible assignment along the iterations.
+
+    At each k the first assignment in slot order, the first one the search
+    of `_assignments` finds, is chosen; k with none are failures.  The ks are
+    grouped by the orbit ids phi of their choice, and the largest group (ties
+    to the smallest phi) is the stable subsequence.
+    """
     primes = tuple(primes)
     if any(b <= a for a, b in zip(primes, primes[1:])):
         raise ValueError("primes must be strictly increasing")
     chosen: List[Tuple[int, CarrierAssignment]] = []
     failures: List[int] = []
     for k in primes:
-        assignments = admissible_assignments(table, ladder, k)
-        if not assignments:
+        first = next(_assignments(table, ladder, k), None)
+        if first is None:
             failures.append(k)
             continue
-        chosen.append((k, assignments[0]))
+        chosen.append((k, first))
     groups: Dict[Tuple[str, ...], List[int]] = {}
     for k, a in chosen:
         groups.setdefault(a.phi(), []).append(k)

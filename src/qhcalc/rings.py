@@ -373,7 +373,10 @@ class ProductRing(RingPresentation):
                 f"{self.left.monotonicity} vs {self.right.monotonicity}"
             )
         if self.left.field != self.right.field:
-            raise ValueError("factors must share the ground field")
+            raise ValueError(
+                "factors must share the ground field: "
+                f"{self.left.field.spec()} vs {self.right.field.spec()}"
+            )
         object.__setattr__(self, "field", self.left.field)
         object.__setattr__(self, "lambda0", self.left.monotonicity * self.N_chern)
         super().__post_init__()

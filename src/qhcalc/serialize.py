@@ -164,10 +164,11 @@ def class_to_str(cls: QuantumClass) -> str:
     if cls.is_zero():
         return "0"
     ring = cls.ring
+    one = ring.field.one()
     pieces = []
     for (label, m), c in cls.terms:
         factors = []
-        if c != ring.field.one():
+        if c != one:
             factors.append(str(c))
         if m == 1:
             factors.append("q")
@@ -185,33 +186,57 @@ def class_to_str(cls: QuantumClass) -> str:
 
 
 def ring_from_json(data, field: GroundField = None) -> RingPresentation:
+    """The ring of a record.
+
+    A given ``field`` (the CLI's ``--field``) overrides every field spec in
+    the record.  Otherwise a CP^n or G(k,N) reads its own ``"field"``
+    (default Q), and each factor of a product reads its own: the product's
+    ``"field"``, if it has one, is the default of its factors and must agree
+    with every factor's field.
+    """
     if isinstance(data, str):
         data = json.loads(data)
     try:
         kind = data["kind"]
     except (TypeError, KeyError) as exc:
         raise ParseError("ring spec missing key 'kind'") from exc
-    if field is None:
-        field = GroundField.from_spec(data.get("field", "Q"))
     lambda0 = frac_from_str(data.get("lambda0", "1"))
     try:
+        if kind == "product":
+            return _product_from_json(data["factors"], field, data.get("field"))
+        if field is None:
+            field = GroundField.from_spec(data.get("field", "Q"))
         if kind == "cpn":
             return CPn(n=int(data["n"]), field=field, lambda0=lambda0)
         if kind == "grassmannian":
             return Grassmannian(
                 k=int(data["k"]), N=int(data["N"]), field=field, lambda0=lambda0
             )
-        if kind == "product":
-            factors = [ring_from_json(f, field=field) for f in data["factors"]]
-            if not factors:
-                raise ParseError("product ring spec has no factors")
-            ring = factors[0]
-            for f in factors[1:]:
-                ring = ProductRing(left=ring, right=f)
-            return ring
     except KeyError as exc:
         raise ParseError(f"ring spec missing key {exc}") from exc
     raise ParseError(f"unknown ring kind {kind!r}")
+
+
+def _product_from_json(factor_records, field: GroundField, spec) -> RingPresentation:
+    """A product of the factor records; ``spec`` is the product's own field."""
+    if not factor_records:
+        raise ParseError("product ring spec has no factors")
+    top = None if field is not None or spec is None else GroundField.from_spec(spec)
+    factors = []
+    for record in factor_records:
+        if top is not None and isinstance(record, dict):
+            record = {"field": spec, **record}
+        factor = ring_from_json(record, field=field)
+        if top is not None and factor.field != top:
+            raise ParseError(
+                f"product field {top.spec()} disagrees with factor field "
+                f"{factor.field.spec()}"
+            )
+        factors.append(factor)
+    ring = factors[0]
+    for f in factors[1:]:
+        ring = ProductRing(left=ring, right=f)
+    return ring
 
 
 def ring_to_json(ring: RingPresentation) -> dict:

@@ -4,11 +4,16 @@ The Littlewood-Richardson oracle multiplies Schur polynomials in finitely
 many variables (monomial expansion via semistandard tableaux) and peels the
 product back into the Schur basis, which shares no code with the tableau
 counting in the package.
+
+The carrier oracle builds the whole Cartesian product of the slot candidates
+and filters it, with no pruning: it shares the candidate windows and the
+ordering rule with the package, not the search.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+
+from qhcalc.carriers import CarrierAssignment, _ordering_ok, _slot_candidates
 
 
 @lru_cache(maxsize=None)
@@ -71,3 +76,20 @@ def lr_coefficients_oracle(lam, mu, rows):
             if poly[e] == 0:
                 del poly[e]
     return {k: v for k, v in result.items() if v}
+
+
+def brute_force_assignments(table, ladder, k):
+    """Every admissible assignment at iteration k, by full enumeration.
+
+    The candidates are sorted by (orbit id, capping), so the product, and the
+    list, is in slot order.
+    """
+    candidates = [_slot_candidates(table, deg, k) for deg in ladder.hom_degrees]
+    out = []
+    for combo in product(*candidates):
+        slots = tuple((c.orbit_id, c.m) for c in combo)
+        if len(set(slots)) != len(slots):
+            continue
+        if _ordering_ok(combo, ladder.nu, table.md):
+            out.append(CarrierAssignment(k=k, slots=slots))
+    return out

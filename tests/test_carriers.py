@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qhcalc.carriers import (
     CarrierAssignment,
@@ -20,6 +22,8 @@ from qhcalc.models import CPnQuadraticModel, cpn_fixed_points
 from qhcalc.rings import CPn, Grassmannian
 from qhcalc.spectra import CappedOrbit, MonotoneData
 
+from oracles import brute_force_assignments
+
 PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
           67, 71, 73, 79, 83, 89, 97]
 
@@ -37,6 +41,69 @@ def cpn_ladder(n):
     ring = CPn(n=n)
     dec = Decomposition(u0=ring.one(), factors=(ring.basis_class(1),) * (n + 1), nu=1)
     return build_ladder(ring, dec)
+
+
+def g24_nu2_ladder():
+    ring = Grassmannian(k=2, N=4)
+    return case_ii_ladder(ring, ring.basis_class((1,)), 1, 9)
+
+
+# (complex dimension, minimal Chern number, ladder): the CP^n ladders of
+# u^(n+1) = q and the nu = 2 ladder of G(2,4)
+ORACLE_LADDERS = tuple((n, n + 1, cpn_ladder(n)) for n in range(1, 5)) + (
+    (4, 4, g24_nu2_ladder()),
+)
+
+
+@st.composite
+def carrier_searches(draw):
+    """An orbit table, a ladder and a few primes below 30.
+
+    Half the tables are quadratic-model fixed points on CP^(N-1) (with one
+    action sometimes shifted by an odd multiple of 1/16), half are random
+    rows; the flags are random and lambda has either sign.
+    """
+    n, n_chern, ladder = draw(st.sampled_from(ORACLE_LADDERS))
+    lam = draw(st.sampled_from([1, -1])) * Fraction(1, n_chern)
+    if draw(st.booleans()):
+        lams = draw(st.lists(st.integers(-12, 12), min_size=n_chern, max_size=n_chern,
+                             unique=True))
+        den = draw(st.sampled_from([5, 7, 8, 9, 16]))
+        model = CPnQuadraticModel(lambdas=tuple(Fraction(x, den) for x in lams))
+        rows = [(o.action, o.mean_index) for o in cpn_fixed_points(model)]
+        shift = draw(st.sampled_from([0, 0, -3, -1, 1, 3]))
+        j = draw(st.integers(0, len(rows) - 1))
+        rows[j] = (rows[j][0] + Fraction(shift, 16), rows[j][1])
+    else:
+        rows = draw(st.lists(
+            st.tuples(
+                st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 2, 4, 8])),
+                st.builds(Fraction, st.integers(-2 * n - 2, 2 * n + 2), st.sampled_from([1, 2, 3])),
+            ),
+            min_size=1, max_size=n + 2,
+        ))
+    flags = draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+    table = OrbitTable(
+        md=MonotoneData(N=n_chern, lam=lam), n=n,
+        orbits=tuple(
+            TableOrbit(f"x{i}", a, d, flag) for i, ((a, d), flag) in enumerate(zip(rows, flags))
+        ),
+    )
+    ks = draw(st.lists(st.sampled_from([p for p in PRIMES if p < 30]), min_size=1,
+                       max_size=4, unique=True))
+    return table, ladder, sorted(ks)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(carrier_searches())
+def test_search_matches_brute_force(case):
+    table, ladder, ks = case
+    expected = {k: brute_force_assignments(table, ladder, k) for k in ks}
+    for k in ks:
+        assert admissible_assignments(table, ladder, k) == expected[k]
+    report = stable_subsequence(table, ladder, ks)
+    assert report.assignments == tuple((k, expected[k][0]) for k in ks if expected[k])
+    assert report.failures == tuple(k for k in ks if not expected[k])
 
 
 def test_one_orbit_type():
@@ -153,6 +220,12 @@ class TestRelationVerdict:
         for lams, n in (((0, Fraction(1, 8)), 1), ((0, Fraction(1, 8), Fraction(3, 8)), 2)):
             table = model_table(*lams)
             assert relation_verdict(table, cpn_ladder(n), PRIMES).status == "consistent"
+
+    def test_cp6_consistent(self):
+        # full enumeration needs seconds per prime here; the pruned search
+        # covers all 25 primes below 100
+        table = model_table(*(Fraction(j * j + 1, 15) for j in range(7)))
+        assert relation_verdict(table, cpn_ladder(6), PRIMES).status == "consistent"
 
     def test_single_orbit_vacuous(self):
         md = MonotoneData(N=2, lam=Fraction(1, 2))

@@ -90,6 +90,35 @@ class TestRing:
         assert proc.returncode == 64, proc.stderr
         assert "no factors" in proc.stderr
 
+    def test_product_factors_keep_their_field(self, workdir):
+        cp1_f2 = {"kind": "cpn", "n": 1, "field": "Fp:2"}
+        (workdir / "p.json").write_text(
+            json.dumps({"kind": "product", "factors": [cp1_f2, cp1_f2]})
+        )
+        proc = run_cli("ring", "mul", "--ring", "p.json", "--a", "2*u ox 1", "--b", "u ox 1",
+                       cwd=workdir)
+        assert result_of(proc) == "0"
+
+    def test_product_field_disagreeing_with_factor_is_usage_error(self, workdir):
+        (workdir / "p.json").write_text(json.dumps({
+            "kind": "product", "field": "Q",
+            "factors": [{"kind": "cpn", "n": 1, "field": "Fp:2"}, {"kind": "cpn", "n": 1}],
+        }))
+        proc = run_cli("ring", "mul", "--ring", "p.json", "--a", "u ox 1", "--b", "u ox 1",
+                       cwd=workdir)
+        assert proc.returncode == 64, proc.stderr
+        assert "product field Q disagrees with factor field Fp:2" in proc.stderr
+
+    def test_product_factors_over_different_fields_is_usage_error(self, workdir):
+        (workdir / "p.json").write_text(json.dumps({
+            "kind": "product",
+            "factors": [{"kind": "cpn", "n": 1, "field": "Fp:2"}, {"kind": "cpn", "n": 1}],
+        }))
+        proc = run_cli("ring", "mul", "--ring", "p.json", "--a", "u ox 1", "--b", "u ox 1",
+                       cwd=workdir)
+        assert proc.returncode == 64, proc.stderr
+        assert "factors must share the ground field: Fp:2 vs Q" in proc.stderr
+
 
 class TestLadders:
     def test_search_round_trip(self, workdir):

@@ -4,14 +4,22 @@ The file holds ``class_to_str`` of every ordered basis product of G(2,5) over
 Q and F_3, of G(3,6) over Q, and of the Kunneth products CP^1 x CP^1 over Q
 and F_2 and G(2,4) x CP^3 over Q and F_3; the powers c_1^d, d <= 8, of the
 first Chern generator of those products; and ``decomposition_to_json`` of
-the decomposition search on CP^2 and G(2,4).  Regenerate it, only when an
-output change is intended, with ``PYTHONPATH=src python tests/test_golden.py``.
+the decomposition search on CP^2 and G(2,4).  It also holds the carrier
+search on seeded quadratic-model tables of CP^1..CP^4, each genuine and with
+one action perturbed, over the primes below 100 and over 2, 3: the
+``stable_subsequence`` report, each assignment written as "id:capping" per
+slot, and the ``relation_verdict``.  Regenerate it, only when an output
+change is intended, with ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 import json
+import random
+from fractions import Fraction
 from pathlib import Path
 
-from qhcalc.ladders import search_decompositions
+from qhcalc.carriers import OrbitTable, TableOrbit, relation_verdict, stable_subsequence
+from qhcalc.ladders import Decomposition, build_ladder, search_decompositions
+from qhcalc.models import CPnQuadraticModel, cpn_fixed_points
 from qhcalc.qalgebra import GroundField
 from qhcalc.rings import CPn, Grassmannian, kunneth
 from qhcalc.serialize import class_to_str, decomposition_to_json
@@ -19,6 +27,12 @@ from qhcalc.serialize import class_to_str, decomposition_to_json
 GOLDEN = Path(__file__).resolve().parent / "data" / "ring_golden.json"
 ELL_MAX, NU_MAX = 3, 2
 C1_POWER_MAX = 8
+# over the first two primes a perturbation is still caught by the counting check
+PRIME_SETS = (
+    ("primes below 100", [p for p in range(2, 100) if all(p % d for d in range(2, p))]),
+    ("primes 2, 3", [2, 3]),
+)
+MODELS_PER_N = 3
 
 
 def _product_rings():
@@ -58,9 +72,63 @@ def ring_outputs() -> dict:
     return out
 
 
+def _carrier_tables(n: int):
+    """Seeded model tables on CP^n as (name, lambdas, rows, monotone data):
+    each model genuine, then with one action shifted by an odd multiple of 1/16."""
+    rng = random.Random(f"golden carriers CP^{n}")
+    for i in range(MODELS_PER_N):
+        den = rng.choice([5, 7, 8, 9, 11, 16])
+        lams = tuple(Fraction(x, den) for x in rng.sample(range(-12, 13), n + 1))
+        model = CPnQuadraticModel(lambdas=lams)
+        rows = [(o.orbit_id, o.action, o.mean_index) for o in cpn_fixed_points(model)]
+        yield f"model {i}, genuine", lams, rows, model.monotone_data
+        j = rng.randrange(n + 1)
+        oid, action, delta = rows[j]
+        rows = list(rows)
+        rows[j] = (oid, action + Fraction(rng.choice([-5, -3, -1, 1, 3, 5]), 16), delta)
+        yield f"model {i}, {oid} perturbed", lams, rows, model.monotone_data
+
+
+def carrier_outputs() -> dict:
+    out = {}
+    for n in range(1, 5):
+        ring = CPn(n=n)
+        ladder = build_ladder(
+            ring, Decomposition(u0=ring.one(), factors=(ring.basis_class(1),) * (n + 1), nu=1)
+        )
+        for name, lams, rows, md in _carrier_tables(n):
+            table = OrbitTable(md=md, n=n, orbits=tuple(TableOrbit(*row) for row in rows))
+            for primes_name, primes in PRIME_SETS:
+                report = stable_subsequence(table, ladder, primes)
+                verdict = relation_verdict(table, ladder, primes)
+                out[f"carriers on CP^{n}, u^{n + 1} = q, {primes_name}, {name}"] = {
+                    "lambdas": [str(x) for x in lams],
+                    "actions": [str(action) for _, action, _ in rows],
+                    "stable_subsequence": {
+                        "assignments": [
+                            [k, " ".join(f"{oid}:{m}" for oid, m in a.slots)]
+                            for k, a in report.assignments
+                        ],
+                        "stable_ks": list(report.stable_ks),
+                        "phi": list(report.phi),
+                        "failures": list(report.failures),
+                    },
+                    "relation_verdict": {
+                        "status": verdict.status,
+                        "witness": [str(w) for w in verdict.witness],
+                        "details": list(verdict.details),
+                    },
+                }
+    return out
+
+
+def golden_outputs() -> dict:
+    return {**ring_outputs(), **carrier_outputs()}
+
+
 def test_ring_output_matches_golden():
-    assert ring_outputs() == json.loads(GOLDEN.read_text())
+    assert golden_outputs() == json.loads(GOLDEN.read_text())
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(ring_outputs(), indent=1, sort_keys=True) + "\n")
+    GOLDEN.write_text(json.dumps(golden_outputs(), indent=1, sort_keys=True) + "\n")
