@@ -189,6 +189,14 @@ class StabilityReport:
         return dict(self.assignments)[k]
 
 
+def _increasing(primes: Sequence[int]) -> Tuple[int, ...]:
+    """The iterations as a tuple; each verdict reads them in increasing order."""
+    primes = tuple(primes)
+    if any(b <= a for a, b in zip(primes, primes[1:])):
+        raise ValueError("primes must be strictly increasing")
+    return primes
+
+
 def stable_subsequence(
     table: OrbitTable, ladder: Ladder, primes: Sequence[int]
 ) -> StabilityReport:
@@ -199,9 +207,7 @@ def stable_subsequence(
     grouped by the orbit ids phi of their choice, and the largest group (ties
     to the smallest phi) is the stable subsequence.
     """
-    primes = tuple(primes)
-    if any(b <= a for a, b in zip(primes, primes[1:])):
-        raise ValueError("primes must be strictly increasing")
+    primes = _increasing(primes)
     chosen: List[Tuple[int, CarrierAssignment]] = []
     failures: List[int] = []
     for k in primes:
@@ -376,7 +382,7 @@ def neg_monotone_obstruction(
     md = table.md
     if md.lam >= 0:
         raise ValueError("negative monotone data required")
-    primes = tuple(primes)
+    primes = _increasing(primes)
     carriers: List[Tuple[int, CappedOrbit]] = []
     for k in primes:
         found = _fundamental_class_carrier(table, k)

@@ -295,19 +295,25 @@ def carriers():
 def _load_scenario(path):
     data = _load_json(path)
     table = ser.table_from_json(data)
-    primes = [int(p) for p in data.get("primes", [])]
+    with ser.reading("scenario"):
+        primes = list(data.get("primes", []))
+    for p in primes:
+        if type(p) is not int:
+            raise ser.ParseError(f"prime {p!r} is not an integer")
     ladder = None
     if "ladder" in data:
         spec = data["ladder"]
         if isinstance(spec, str):
             spec = _load_json(str(Path(path).parent / spec))
-        ring = ser.ring_from_json(spec["ring"])
+        with ser.reading("scenario ladder"):
+            ring_spec, dec_spec = spec["ring"], spec["decomposition"]
+        ring = ser.ring_from_json(ring_spec)
         ours = (ring.N_chern, ring.monotonicity, ring.complex_dim)
         theirs = (table.md.N, table.md.lam, table.n)
         for name, a, b in zip(("N_chern", "monotonicity", "complex_dim"), ours, theirs):
             if a != b:
                 raise click.UsageError(f"ladder ring has {name} {a}, the orbit table {b}")
-        dec = ser.decomposition_from_json(ring, spec["decomposition"])
+        dec = ser.decomposition_from_json(ring, dec_spec)
         ladder = ladders_mod.build_ladder(ring, dec)
     return table, ladder, primes
 

@@ -3,16 +3,19 @@
 Grassmannian products run through the classical Littlewood-Richardson rule
 followed by rim-hook reduction of out-of-box terms; the quantum Pieri rule is
 kept as an independent implementation and used as a cross-check oracle.
-Structure constants are integers independent of the ground field; those of
-G(k,N) are computed once over Z and cached, a product recombines its factors'
-tables on each call.  A product ring is its two factors: its ground field and
-lambda0 come from theirs.
+The LR rule is one walk that adds the content's boxes to the other shape as
+horizontal strips under the lattice condition, so it meets only the nu with
+a nonzero coefficient.  Structure constants are integers independent of the
+ground field; those of G(k,N) are computed once over Z and cached under the
+unordered pair of labels, since c^nu_{lam,mu} = c^nu_{mu,lam}, with the
+smaller label as the content.  A product recombines its factors' tables on
+each call.  A product ring is its two factors: its ground field and lambda0
+come from theirs.
 
 Basis labels are checked once, where they enter, by each ring's
 ``normalize_label``; past that point partitions are normalised tuples and no
-loop re-checks them.  ``partitions_in_box`` is the one partition enumerator:
-the Grassmannian basis and the candidate shapes nu of the LR rule both come
-from it.
+loop re-checks them.  ``partitions_in_box`` enumerates the Grassmannian
+basis.
 """
 
 from __future__ import annotations
@@ -48,36 +51,20 @@ def fits_box(lam: Partition, rows: int, cols: int) -> bool:
     return len(lam) <= rows and (not lam or lam[0] <= cols)
 
 
-def partitions_in_box(
-    rows: int, cols: int, weight=None, inner: Partition = ()
-) -> List[Partition]:
-    """The partitions inside a rows x cols box, in lexicographic order.
-
-    This is the one partition enumerator.  ``weight`` keeps only |lam| ==
-    weight; ``inner`` (a normalised partition) keeps only lam containing it.
-    """
-    if len(inner) > rows:
-        return []
-    inner = inner + (0,) * (rows - len(inner))
+def partitions_in_box(rows: int, cols: int) -> List[Partition]:
+    """The partitions inside a rows x cols box, in lexicographic order."""
     out = []
 
-    def rec(prefix, maxpart, left):
-        row = len(prefix)
-        if (left is None or left == 0) and (row == rows or inner[row] == 0):
-            out.append(tuple(prefix))
-        if row == rows:
+    def rec(prefix, maxpart):
+        out.append(tuple(prefix))
+        if len(prefix) == rows:
             return
-        for part in range(max(inner[row], 1), maxpart + 1):
-            if left is not None:
-                if part > left:
-                    break
-                if left - part > part * (rows - row - 1):
-                    continue
+        for part in range(1, maxpart + 1):
             prefix.append(part)
-            rec(prefix, part, None if left is None else left - part)
+            rec(prefix, part)
             prefix.pop()
 
-    rec([], cols, weight)
+    rec([], cols)
     return out
 
 
@@ -85,66 +72,54 @@ def partitions_in_box(
 # Littlewood-Richardson
 
 
-def _lr_count(nu: Partition, lam: Partition, mu: Partition) -> int:
-    """Count LR skew tableaux of shape nu/lam and content mu.
-
-    Cells are filled in reading order (top row first, right to left) so the
-    lattice-word condition can be checked as each entry is placed.
-    """
-    rows = len(nu)
-    lam_p = lam + (0,) * (rows - len(lam))
-    cells = []
-    for r in range(rows):
-        for c in range(nu[r] - 1, lam_p[r] - 1, -1):
-            cells.append((r, c))
-    nvals = len(mu)
-    remaining = list(mu)
-    entry = [[0] * nu[r] for r in range(rows)]
-
-    def rec(idx: int) -> int:
-        if idx == len(cells):
-            return 1
-        r, c = cells[idx]
-        total = 0
-        for v in range(1, nvals + 1):
-            if remaining[v - 1] == 0:
-                continue
-            # column strict with the cell above, when that cell is in nu/lam
-            if r > 0 and c < nu[r - 1] and (c >= lam_p[r - 1]) and entry[r - 1][c] >= v:
-                continue
-            # rows weakly increase left to right: entry <= the one to its right
-            if c + 1 < nu[r] and entry[r][c + 1] != 0 and v > entry[r][c + 1]:
-                continue
-            # lattice condition in reverse reading order: before placing v,
-            # v-1 must have been placed strictly more often than v
-            if v > 1 and (mu[v - 2] - remaining[v - 2]) <= (mu[v - 1] - remaining[v - 1]):
-                continue
-            entry[r][c] = v
-            remaining[v - 1] -= 1
-            total += rec(idx + 1)
-            remaining[v - 1] += 1
-            entry[r][c] = 0
-        return total
-
-    return rec(0)
-
-
 def littlewood_richardson(lam, mu, rows: int) -> Dict[Partition, int]:
-    """Classical LR coefficients c^nu_{lam,mu} over all nu with <= rows parts."""
+    """Classical LR coefficients c^nu_{lam,mu} over all nu with <= rows parts.
+
+    One depth-first walk over the LR tableaux of shape nu/lam and content mu
+    (Fulton, Young Tableaux, section 5).  Label i adds mu_i boxes to the
+    shape as a horizontal strip, filling the rows from the top: row r takes
+    no box past the end of row r-1 in the shape before label i.  The lattice
+    condition is kept as each row is filled: the i's in rows <= r are at most
+    the (i-1)'s in rows < r.  Each leaf is one tableau, so exactly the nu
+    with c^nu_{lam,mu} > 0 appear, with their multiplicities, in
+    lexicographic order.  The walk's cost grows with mu, so callers that may
+    swap the factors pass the smaller one as mu.
+    """
     lam = normalize_partition(lam)
     mu = normalize_partition(mu)
     if len(lam) > rows or len(mu) > rows:
         raise ValueError(f"inputs must have at most {rows} parts")
-    if not mu:
-        return {lam: 1}
-    if not lam:
-        return {mu: 1}
+    shape = list(lam) + [0] * (rows - len(lam))
+    strips = [[0] * rows for _ in mu]  # strips[i][r]: boxes labelled i+1 in row r
     out: Dict[Partition, int] = {}
-    for nu in partitions_in_box(rows, lam[0] + mu[0], sum(lam) + sum(mu), inner=lam):
-        c = _lr_count(nu, lam, mu)
-        if c:
-            out[nu] = c
-    return out
+
+    def walk(i: int, r: int, left: int, placed: int, above: int) -> None:
+        # label i has `left` boxes still to place from row r down; `placed`
+        # of its boxes and `above` boxes of label i-1 are in rows < r
+        if left == 0:
+            if i + 1 < len(mu):
+                walk(i + 1, 0, mu[i + 1], 0, 0)
+            else:
+                nu = tuple(part for part in shape if part)
+                out[nu] = out.get(nu, 0) + 1
+            return
+        if r == rows:
+            return
+        strip = strips[i]
+        most = left if i == 0 else min(left, above - placed)
+        if r > 0:
+            most = min(most, shape[r - 1] - strip[r - 1] - shape[r])
+        below = above + strips[i - 1][r] if i else 0
+        base = shape[r]
+        for n in range(most + 1):
+            shape[r] = base + n
+            strip[r] = n
+            walk(i, r + 1, left - n, placed + n, below)
+        shape[r] = base
+        strip[r] = 0
+
+    walk(-1, 0, 0, 0, 0)  # no label yet: start label 0, or stop at lam if mu = ()
+    return dict(sorted(out.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +320,10 @@ class Grassmannian(RingPresentation):
         return (sum(label), label)
 
     def structure(self, a, b):
-        return _grassmannian_structure(self.k, self.N, a, b)
+        # c^nu_{a,b} = c^nu_{b,a}: one cache entry per unordered pair, with
+        # the smaller class as the LR content
+        small, large = sorted((a, b), key=self.label_key)
+        return _grassmannian_structure(self.k, self.N, large, small)
 
     def first_chern_generator(self) -> QuantumClass:
         return self.basis_class((1,))

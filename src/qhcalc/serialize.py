@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import re
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import List, Tuple
 
@@ -21,6 +22,19 @@ from .carriers import OrbitTable
 
 class ParseError(ValueError):
     """Malformed literal or JSON input."""
+
+
+@contextmanager
+def reading(record: str):
+    """Read a JSON record: a missing key or a value of the wrong type (a
+    number where a list belongs, a list where an object belongs, a null)
+    is a ParseError naming the record."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ParseError(f"{record} missing key {exc}") from exc
+    except TypeError as exc:
+        raise ParseError(f"malformed {record}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -196,12 +210,9 @@ def ring_from_json(data, field: GroundField = None) -> RingPresentation:
     """
     if isinstance(data, str):
         data = json.loads(data)
-    try:
+    with reading("ring spec"):
         kind = data["kind"]
-    except (TypeError, KeyError) as exc:
-        raise ParseError("ring spec missing key 'kind'") from exc
-    lambda0 = frac_from_str(data.get("lambda0", "1"))
-    try:
+        lambda0 = frac_from_str(data.get("lambda0", "1"))
         if kind == "product":
             return _product_from_json(data["factors"], field, data.get("field"))
         if field is None:
@@ -212,8 +223,6 @@ def ring_from_json(data, field: GroundField = None) -> RingPresentation:
             return Grassmannian(
                 k=int(data["k"]), N=int(data["N"]), field=field, lambda0=lambda0
             )
-    except KeyError as exc:
-        raise ParseError(f"ring spec missing key {exc}") from exc
     raise ParseError(f"unknown ring kind {kind!r}")
 
 
@@ -265,12 +274,10 @@ def ring_to_json(ring: RingPresentation) -> dict:
 def decomposition_from_json(ring: RingPresentation, data) -> Decomposition:
     if isinstance(data, str):
         data = json.loads(data)
-    try:
+    with reading("decomposition"):
         u0 = class_from_str(ring, data["u0"])
         factors = tuple(class_from_str(ring, f) for f in data["factors"])
         nu = int(data["nu"])
-    except KeyError as exc:
-        raise ParseError(f"decomposition missing key {exc}") from exc
     return Decomposition(u0=u0, factors=factors, nu=nu)
 
 
@@ -289,7 +296,7 @@ def decomposition_to_json(dec: Decomposition) -> dict:
 def orbit_from_json(data) -> CappedOrbit:
     if isinstance(data, str):
         data = json.loads(data)
-    try:
+    with reading("orbit record"):
         return CappedOrbit(
             orbit_id=data["id"],
             m=int(data.get("m", 0)),
@@ -298,8 +305,6 @@ def orbit_from_json(data) -> CappedOrbit:
             cz_index=None if data.get("cz") is None else int(data["cz"]),
             weakly_nondegenerate=bool(data.get("weakly_nondegenerate", False)),
         )
-    except KeyError as exc:
-        raise ParseError(f"orbit record missing key {exc}") from exc
 
 
 def orbit_to_json(o: CappedOrbit) -> dict:
@@ -314,10 +319,8 @@ def orbit_to_json(o: CappedOrbit) -> dict:
 
 
 def monotone_from_json(data) -> MonotoneData:
-    try:
+    with reading("monotone record"):
         return MonotoneData(N=int(data["N"]), lam=frac_from_str(data["lambda"]))
-    except KeyError as exc:
-        raise ParseError(f"monotone record missing key {exc}") from exc
 
 
 def monotone_to_json(md: MonotoneData) -> dict:
@@ -325,12 +328,10 @@ def monotone_to_json(md: MonotoneData) -> dict:
 
 
 def table_from_json(data) -> OrbitTable:
-    try:
+    with reading("scenario"):
         md = monotone_from_json(data["monotone"])
         orbits = tuple(orbit_from_json(o) for o in data["orbits"])
         n = int(data["n"])
-    except KeyError as exc:
-        raise ParseError(f"scenario missing key {exc}") from exc
     return OrbitTable(md=md, n=n, orbits=orbits)
 
 
@@ -339,7 +340,7 @@ def model_from_json(data):
 
     if isinstance(data, str):
         data = json.loads(data)
-    try:
+    with reading("model spec"):
         kind = data["kind"]
         if kind == "cpn":
             return CPnQuadraticModel(
@@ -349,8 +350,6 @@ def model_from_json(data):
             return ProductModel(
                 factors=tuple(model_from_json(f) for f in data["factors"])
             )
-    except KeyError as exc:
-        raise ParseError(f"model spec missing key {exc}") from exc
     raise ParseError(f"unknown model kind {kind!r}")
 
 

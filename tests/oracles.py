@@ -2,8 +2,8 @@
 
 The Littlewood-Richardson oracle multiplies Schur polynomials in finitely
 many variables (monomial expansion via semistandard tableaux) and peels the
-product back into the Schur basis, which shares no code with the tableau
-counting in the package.
+product back into the Schur basis, which shares no code with the package's
+walk over Littlewood-Richardson tableaux.
 
 The carrier oracle builds the whole Cartesian product of the slot candidates
 and filters it, with no pruning: it shares the candidate windows and the

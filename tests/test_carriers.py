@@ -305,6 +305,18 @@ class TestNegMonotone:
         assert verdict.status == "no_obstruction"
         assert any("degenerate" in d for d in verdict.details)
 
+    def test_unsorted_primes_rejected(self):
+        """k_1 is the first stable iteration, so the order is the verdict's:
+        over [2, 3, 5, 7] this table has no obstruction."""
+        table = OrbitTable(
+            md=MonotoneData(N=1, lam=Fraction(-1)), n=1,
+            orbits=(TableOrbit("x", Fraction(-6), Fraction(-3, 4)),),
+        )
+        assert neg_monotone_obstruction(table, [2, 3, 5, 7]).status == "no_obstruction"
+        for primes in ([3, 2, 5, 7], [2, 3, 3, 5]):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                neg_monotone_obstruction(table, primes)
+
     def test_positive_lambda_rejected(self):
         md = MonotoneData(N=2, lam=Fraction(1, 2))
         table = OrbitTable(

@@ -268,6 +268,18 @@ class TestCarriers:
         proc = run_cli("carriers", "negmon", "--scenario", "s.json", cwd=workdir)
         assert proc.returncode == 2, proc.stderr
 
+    def test_negmon_unsorted_primes_is_usage_error(self, workdir):
+        payload = {
+            "monotone": {"N": 1, "lambda": "-1"},
+            "n": 1,
+            "orbits": [{"id": "x", "action": "-6", "delta": "-3/4"}],
+            "primes": [3, 2, 5, 7],
+        }
+        (workdir / "s.json").write_text(json.dumps(payload))
+        proc = run_cli("carriers", "negmon", "--scenario", "s.json", cwd=workdir)
+        assert proc.returncode == 64, proc.stderr
+        assert "primes must be strictly increasing" in proc.stderr
+
     def test_negmon_degenerate_inconclusive(self, workdir):
         payload = {
             "monotone": {"N": 1, "lambda": "-1"},
@@ -278,3 +290,35 @@ class TestCarriers:
         (workdir / "s.json").write_text(json.dumps(payload))
         proc = run_cli("carriers", "negmon", "--scenario", "s.json", cwd=workdir)
         assert proc.returncode == 3, proc.stderr
+
+
+_CPN = {"kind": "cpn", "n": 1, "field": "Q"}
+_SCENARIO = ["carriers", "verify", "--scenario", "in.json"]
+_MODEL = ["models", "verify", "--model", "in.json"]
+
+
+@pytest.mark.parametrize("record, argv, cause", [
+    ({**_CPN, "n": None}, ["ring", "basis", "--ring", "in.json", "--degree", "0"],
+     "malformed ring spec"),
+    ({"kind": "product", "factors": 5}, ["ring", "basis", "--ring", "in.json", "--degree", "0"],
+     "malformed ring spec"),
+    ({**scenario_payload(), "primes": 5}, _SCENARIO, "malformed scenario"),
+    ({**scenario_payload(), "ladder": 5}, _SCENARIO, "malformed scenario ladder"),
+    ({**scenario_payload(), "monotone": None}, _SCENARIO, "malformed monotone record"),
+    ({**scenario_payload(), "n": None}, _SCENARIO, "malformed scenario"),
+    ({**scenario_payload(), "primes": [2.5, 3]}, _SCENARIO, "prime 2.5 is not an integer"),
+    ({"u0": "1", "factors": 5, "nu": 1},
+     ["ladders", "verify", "--ring", "cp2.json", "--dec", "in.json"], "malformed decomposition"),
+    ({"kind": "cpn", "lambdas": 5}, _MODEL, "malformed model spec"),
+    ([{"kind": "cpn", "lambdas": ["0", "1"]}], _MODEL, "malformed model spec"),
+    ([{"id": "x0", "action": "1/2", "delta": "2"}],
+     ["spectra", "iterate", "--orbit", "in.json", "--k", "2"], "malformed orbit record"),
+], ids=["ring n null", "product factors 5", "scenario primes 5", "scenario ladder 5",
+        "scenario monotone null", "scenario n null", "scenario prime 2.5",
+        "decomposition factors 5", "model lambdas 5", "model list", "orbit list"])
+def test_malformed_json_value_is_usage_error(workdir, record, argv, cause):
+    (workdir / "in.json").write_text(json.dumps(record))
+    proc = run_cli(*argv, cwd=workdir)
+    assert proc.returncode == 64, proc.stderr
+    assert cause in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -3,8 +3,10 @@
 The file holds ``class_to_str`` of every ordered basis product of G(2,5) over
 Q and F_3, of G(3,6) over Q, and of the Kunneth products CP^1 x CP^1 over Q
 and F_2 and G(2,4) x CP^3 over Q and F_3; the powers c_1^d, d <= 8, of the
-first Chern generator of those products; and ``decomposition_to_json`` of
-the decomposition search on CP^2 and G(2,4).  It also holds the carrier
+first Chern generator of those products; ``decomposition_to_json`` of the
+decomposition search on CP^2 and G(2,4); and the SHA-256 of the
+structure constants ``structure(a, b)`` of every ordered pair of basis
+labels of G(3,7) and G(4,8) over Q, as JSON.  It also holds the carrier
 search on seeded quadratic-model tables of CP^1..CP^4, each genuine and with
 one action perturbed, over the primes below 100 and over 2, 3: the
 ``stable_subsequence`` report, each assignment written as "id:capping" per
@@ -12,6 +14,7 @@ slot, and the ``relation_verdict``.  Regenerate it, only when an output
 change is intended, with ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -72,6 +75,18 @@ def ring_outputs() -> dict:
     return out
 
 
+def structure_digests() -> dict:
+    out = {}
+    for k, N in ((3, 7), (4, 8)):
+        ring = Grassmannian(k=k, N=N)
+        labels = ring.basis_labels()
+        table = [[a, b, ring.structure(a, b)] for a in labels for b in labels]
+        out[f"SHA-256 of structure(a, b) over every ordered pair of G({k},{N}) over Q"] = (
+            hashlib.sha256(json.dumps(table).encode()).hexdigest()
+        )
+    return out
+
+
 def _carrier_tables(n: int):
     """Seeded model tables on CP^n as (name, lambdas, rows, monotone data):
     each model genuine, then with one action shifted by an odd multiple of 1/16."""
@@ -123,7 +138,7 @@ def carrier_outputs() -> dict:
 
 
 def golden_outputs() -> dict:
-    return {**ring_outputs(), **carrier_outputs()}
+    return {**ring_outputs(), **structure_digests(), **carrier_outputs()}
 
 
 def test_ring_output_matches_golden():
