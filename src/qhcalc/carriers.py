@@ -3,7 +3,18 @@
 The selector itself is never computed; only the axioms the counting
 arguments use are enforced: recapping equivariance along the ladder, the
 mean-index window per class, and the (weakly) decreasing action ordering.
-Every verdict is decided with exact rational arithmetic.
+Every verdict is decided with exact arithmetic.
+
+The search runs on integers.  Each table is scaled once by the common
+denominator D of its actions, its mean indices and lambda0
+(`OrbitTable.scaled`).  `_cappings` is the search's one copy of the index
+window: the cappings m of a k-th iterate that put its scaled mean index
+k*Delta*D - 2N*D*m inside [(d - 2n)*D, d*D] come from integer floor and ceil
+division, both ends strict for a weakly nondegenerate row.  The assignment
+search, the fundamental-class carrier and the counting check read the scaled
+actions k*a*D - m*lambda0*D of those cappings.  `check_assignment` stays the
+independent checker: it rebuilds each capped orbit with `Fraction`s and
+tests it with `spectra.index_window_check`.
 """
 
 from __future__ import annotations
@@ -12,7 +23,9 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from functools import cached_property
+from operator import itemgetter
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .ladders import Ladder
 from .spectra import (
@@ -26,6 +39,16 @@ from .spectra import (
 
 # A table row is a fixed point: a capped orbit with the trivial capping.
 TableOrbit = CappedOrbit
+
+
+class ScaledTable(NamedTuple):
+    """An orbit table over the common denominator D of its rows' actions and
+    mean indices and of lambda0: each row as (orbit id, action * D,
+    mean index * D, weakly nondegenerate), sorted by id, and lambda0 * D."""
+
+    D: int
+    rows: Tuple[Tuple[str, int, int, bool], ...]
+    lambda0: int
 
 
 @dataclass(frozen=True)
@@ -58,6 +81,17 @@ class OrbitTable:
         """The k-th iterate of a table orbit with m extra copies of A."""
         return recap(iterate(self.orbit(orbit_id), k), m, self.md)
 
+    @cached_property
+    def scaled(self) -> ScaledTable:
+        lambda0 = self.md.lambda0
+        D = math.lcm(lambda0.denominator, *(
+            x.denominator for o in self.orbits for x in (o.action, o.mean_index)))
+        rows = sorted(
+            (o.orbit_id, int(o.action * D), int(o.mean_index * D), o.weakly_nondegenerate)
+            for o in self.orbits
+        )
+        return ScaledTable(D, tuple(rows), int(lambda0 * D))
+
 
 Slot = Tuple[str, int]  # (orbit id, capping)
 
@@ -77,22 +111,24 @@ class CarrierAssignment:
         return tuple(oid for oid, _ in self.slots)
 
 
-def _slot_candidates(table: OrbitTable, deg_hom: int, k: int) -> List[CappedOrbit]:
-    """Capped k-th iterates that pass the index window of a class of
-    homology degree deg_hom, sorted by (orbit id, capping)."""
-    md = table.md
-    two_n_chern = 2 * md.N
-    out: List[CappedOrbit] = []
-    for o in table.orbits:
-        it = iterate(o, k)
-        # only these cappings can bring the mean index into [deg - 2n, deg]
-        m_lo = math.ceil((it.mean_index - deg_hom) / two_n_chern)
-        m_hi = math.floor((it.mean_index - deg_hom + 2 * table.n) / two_n_chern)
-        for m in range(m_lo, m_hi + 1):
-            c = recap(it, m, md)
-            if index_window_check(c, deg_hom, table.n):
-                out.append(c)
-    out.sort(key=lambda c: (c.orbit_id, c.m))
+def _cappings(table: OrbitTable, deg_hom: int, k: int) -> List[Tuple[str, int, int]]:
+    """Every capped k-th iterate in the index window of a class of homology
+    degree deg_hom, as (orbit id, capping m, action * D), in (id, m) order.
+
+    The scaled mean index k*Delta*D - 2N*D*m must lie in [(deg_hom - 2n)*D,
+    deg_hom*D]; every term is an integer, so a strict end moves in by one.
+    """
+    D, rows, lambda0 = table.scaled
+    step = 2 * table.md.N * D
+    out: List[Tuple[str, int, int]] = []
+    for oid, action, mean_index, flag in rows:
+        strict = int(flag)
+        lo = (deg_hom - 2 * table.n) * D + strict
+        hi = deg_hom * D - strict
+        x, a = k * mean_index, k * action
+        # lo <= x - step*m <= hi  <=>  ceil((x - hi)/step) <= m <= floor((x - lo)/step)
+        m_lo, m_hi = -((hi - x) // step), (x - lo) // step
+        out.extend((oid, m, a - m * lambda0) for m in range(m_lo, m_hi + 1))
     return out
 
 
@@ -131,37 +167,43 @@ def _assignments(
 ) -> Iterator[CarrierAssignment]:
     """Admissible assignments at iteration k in slot order, depth first.
 
-    The slot candidates are sorted by (orbit id, capping), so walking them
-    slot by slot visits the assignments in slot order.  A prefix is cut as
-    soon as it repeats a capped orbit, raises the action, or falls below
-    recap(slot 0, nu).action, the floor the period must close on; a full
-    period is kept when `_ordering_ok` closes it on the wrap-around pair.
+    The slot candidates of `_cappings` are in (orbit id, capping) order, so
+    walking them slot by slot visits the assignments in slot order.  A prefix
+    is cut as soon as it repeats a capped orbit, raises the action, or falls
+    below the action of slot 0 recapped by nu, the floor the period must close
+    on; a full period is kept when its last slot lies above the floor, or on
+    it as another capped orbit (the wrap-around pair of `_ordering_ok`).
+    Actions are compared as the scaled integers of `OrbitTable.scaled`.
     """
     if k < 1:
         raise ValueError("iteration order must be >= 1")
-    md, nu = table.md, ladder.nu
-    candidates = [_slot_candidates(table, deg, k) for deg in ladder.hom_degrees]
-    chain: List[CappedOrbit] = []
+    nu = ladder.nu
+    period_drop = nu * table.scaled.lambda0
+    candidates = [
+        [((oid, m), action) for oid, m, action in _cappings(table, deg, k)]
+        for deg in ladder.hom_degrees
+    ]
+    chain: List[Slot] = []
     used: Set[Slot] = set()
 
-    def extend(floor: Optional[Fraction]) -> Iterator[CarrierAssignment]:
+    def extend(floor: Optional[int], last: Optional[int]) -> Iterator[CarrierAssignment]:
         j = len(chain)
         if j == len(candidates):
-            if _ordering_ok(chain, nu, md):
-                yield CarrierAssignment(k=k, slots=tuple((c.orbit_id, c.m) for c in chain))
+            oid, m = chain[0]
+            if last > floor or (last == floor and chain[-1] != (oid, m + nu)):
+                yield CarrierAssignment(k=k, slots=tuple(chain))
             return
-        for c in candidates[j]:
-            key = (c.orbit_id, c.m)
-            if key in used or (j and not floor <= c.action <= chain[-1].action):
+        for key, action in candidates[j]:
+            if key in used or (j and not floor <= action <= last):
                 continue
-            chain.append(c)
+            chain.append(key)
             used.add(key)
             # slot 0 sets the floor
-            yield from extend(floor if j else recap(c, nu, md).action)
+            yield from extend(floor if j else action - period_drop, action)
             chain.pop()
             used.remove(key)
 
-    yield from extend(None)
+    yield from extend(None, None)
 
 
 def admissible_assignments(
@@ -269,14 +311,19 @@ def counting_check(report: StabilityReport, x_id: str, y_id: str) -> CountingVer
     slope = (
         augmented_action(table.orbit(x_id), md) - augmented_action(table.orbit(y_id), md)
     ) / md.lambda0
+    # the carriers' actions and mean indices times D, over the scaled rows
+    D, rows, lambda0 = table.scaled
+    step = 2 * md.N * D
+    row = {oid: (action, mean_index) for oid, action, mean_index, _ in rows}
+    (ax, dx), (ay, dy) = row[x_id], row[y_id]
+    assignments = dict(report.assignments)
     per_k = []
     for k in report.stable_ks:
-        a = report.assignment_for(k)
-        mx = a.slots[a.phi().index(x_id)][1]
-        my = a.slots[a.phi().index(y_id)][1]
-        cx, cy = table.capped(x_id, mx, k), table.capped(y_id, my, k)
-        m_act = Fraction(ell) * (cx.action - cy.action) / (nu * md.lambda0)
-        m_idx = Fraction(ell) * (cx.mean_index - cy.mean_index) / (nu * 2 * md.N)
+        a = assignments[k]
+        phi = a.phi()
+        dm = a.slots[phi.index(x_id)][1] - a.slots[phi.index(y_id)][1]
+        m_act = Fraction(ell * (k * (ax - ay) - dm * lambda0), nu * lambda0)
+        m_idx = Fraction(ell * (k * (dx - dy) - dm * step), nu * step)
         per_k.append((k, m_act, m_idx, m_act - m_idx))
     return CountingVerdict(ok=(slope == 0), slope=slope, bound=bound, per_k=tuple(per_k))
 
@@ -363,9 +410,10 @@ class ObstructionVerdict:
 
 
 def _fundamental_class_carrier(table: OrbitTable, k: int) -> Optional[CappedOrbit]:
-    """Action maximizer among capped orbits with mean index in [0, 2n]."""
-    candidates = _slot_candidates(table, 2 * table.n, k)
-    return min(candidates, key=lambda c: (-c.action, c.orbit_id, c.m), default=None)
+    """Action maximizer among capped orbits with mean index in [0, 2n]; ties
+    go to the smallest (orbit id, capping), the first in `_cappings` order."""
+    best = max(_cappings(table, 2 * table.n, k), key=itemgetter(2), default=None)
+    return None if best is None else table.capped(best[0], best[1], k)
 
 
 def neg_monotone_obstruction(

@@ -296,10 +296,7 @@ def _load_scenario(path):
     data = _load_json(path)
     table = ser.table_from_json(data)
     with ser.reading("scenario"):
-        primes = list(data.get("primes", []))
-    for p in primes:
-        if type(p) is not int:
-            raise ser.ParseError(f"prime {p!r} is not an integer")
+        primes = [ser.json_int(p, "prime") for p in data.get("primes", [])]
     ladder = None
     if "ladder" in data:
         spec = data["ladder"]

@@ -37,6 +37,14 @@ def reading(record: str):
         raise ParseError(f"malformed {record}: {exc}") from exc
 
 
+def json_int(value, name: str) -> int:
+    """An integer field as JSON wrote it.  A bool, a float, a string or a
+    null is a TypeError, which `reading` reports as a malformed record."""
+    if type(value) is not int:
+        raise TypeError(f"{name} {value!r} is not an integer")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # rationals
 
@@ -218,10 +226,11 @@ def ring_from_json(data, field: GroundField = None) -> RingPresentation:
         if field is None:
             field = GroundField.from_spec(data.get("field", "Q"))
         if kind == "cpn":
-            return CPn(n=int(data["n"]), field=field, lambda0=lambda0)
+            return CPn(n=json_int(data["n"], "n"), field=field, lambda0=lambda0)
         if kind == "grassmannian":
             return Grassmannian(
-                k=int(data["k"]), N=int(data["N"]), field=field, lambda0=lambda0
+                k=json_int(data["k"], "k"), N=json_int(data["N"], "N"),
+                field=field, lambda0=lambda0,
             )
     raise ParseError(f"unknown ring kind {kind!r}")
 
@@ -277,7 +286,7 @@ def decomposition_from_json(ring: RingPresentation, data) -> Decomposition:
     with reading("decomposition"):
         u0 = class_from_str(ring, data["u0"])
         factors = tuple(class_from_str(ring, f) for f in data["factors"])
-        nu = int(data["nu"])
+        nu = json_int(data["nu"], "nu")
     return Decomposition(u0=u0, factors=factors, nu=nu)
 
 
@@ -299,10 +308,10 @@ def orbit_from_json(data) -> CappedOrbit:
     with reading("orbit record"):
         return CappedOrbit(
             orbit_id=data["id"],
-            m=int(data.get("m", 0)),
+            m=json_int(data.get("m", 0), "m"),
             action=frac_from_str(data["action"]),
             mean_index=frac_from_str(data["delta"]),
-            cz_index=None if data.get("cz") is None else int(data["cz"]),
+            cz_index=None if data.get("cz") is None else json_int(data["cz"], "cz"),
             weakly_nondegenerate=bool(data.get("weakly_nondegenerate", False)),
         )
 
@@ -320,7 +329,7 @@ def orbit_to_json(o: CappedOrbit) -> dict:
 
 def monotone_from_json(data) -> MonotoneData:
     with reading("monotone record"):
-        return MonotoneData(N=int(data["N"]), lam=frac_from_str(data["lambda"]))
+        return MonotoneData(N=json_int(data["N"], "N"), lam=frac_from_str(data["lambda"]))
 
 
 def monotone_to_json(md: MonotoneData) -> dict:
@@ -331,7 +340,7 @@ def table_from_json(data) -> OrbitTable:
     with reading("scenario"):
         md = monotone_from_json(data["monotone"])
         orbits = tuple(orbit_from_json(o) for o in data["orbits"])
-        n = int(data["n"])
+        n = json_int(data["n"], "n")
     return OrbitTable(md=md, n=n, orbits=orbits)
 
 

@@ -5,15 +5,20 @@ many variables (monomial expansion via semistandard tableaux) and peels the
 product back into the Schur basis, which shares no code with the package's
 walk over Littlewood-Richardson tableaux.
 
-The carrier oracle builds the whole Cartesian product of the slot candidates
-and filters it, with no pruning: it shares the candidate windows and the
-ordering rule with the package, not the search.
+The carrier oracle finds each slot's candidates with `Fraction`s, from
+spectra's public `iterate`, `recap` and `index_window_check`, then builds the
+whole Cartesian product of the slot candidates and filters it, with no
+pruning.  It shares the ordering rule `_ordering_ok` with the package's
+checker, and no candidate code with the search, which runs on the scaled
+integers of `OrbitTable.scaled`.
 """
 
+import math
 from functools import lru_cache
 from itertools import product
 
-from qhcalc.carriers import CarrierAssignment, _ordering_ok, _slot_candidates
+from qhcalc.carriers import CarrierAssignment, _ordering_ok
+from qhcalc.spectra import index_window_check, iterate, recap
 
 
 @lru_cache(maxsize=None)
@@ -78,13 +83,32 @@ def lr_coefficients_oracle(lam, mu, rows):
     return {k: v for k, v in result.items() if v}
 
 
+def slot_candidates(table, deg_hom, k):
+    """Capped k-th iterates that pass the index window of a class of
+    homology degree deg_hom, sorted by (orbit id, capping)."""
+    md = table.md
+    two_n_chern = 2 * md.N
+    out = []
+    for o in table.orbits:
+        it = iterate(o, k)
+        # only these cappings can bring the mean index into [deg - 2n, deg]
+        m_lo = math.ceil((it.mean_index - deg_hom) / two_n_chern)
+        m_hi = math.floor((it.mean_index - deg_hom + 2 * table.n) / two_n_chern)
+        for m in range(m_lo, m_hi + 1):
+            c = recap(it, m, md)
+            if index_window_check(c, deg_hom, table.n):
+                out.append(c)
+    out.sort(key=lambda c: (c.orbit_id, c.m))
+    return out
+
+
 def brute_force_assignments(table, ladder, k):
     """Every admissible assignment at iteration k, by full enumeration.
 
     The candidates are sorted by (orbit id, capping), so the product, and the
     list, is in slot order.
     """
-    candidates = [_slot_candidates(table, deg, k) for deg in ladder.hom_degrees]
+    candidates = [slot_candidates(table, deg, k) for deg in ladder.hom_degrees]
     out = []
     for combo in product(*candidates):
         slots = tuple((c.orbit_id, c.m) for c in combo)

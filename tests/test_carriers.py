@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from qhcalc.carriers import (
     CarrierAssignment,
+    _cappings,
+    _fundamental_class_carrier,
     OrbitTable,
     TableOrbit,
     admissible_assignments,
@@ -22,7 +24,7 @@ from qhcalc.models import CPnQuadraticModel, cpn_fixed_points
 from qhcalc.rings import CPn, Grassmannian
 from qhcalc.spectra import CappedOrbit, MonotoneData
 
-from oracles import brute_force_assignments
+from oracles import brute_force_assignments, slot_candidates
 
 PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
           67, 71, 73, 79, 83, 89, 97]
@@ -104,6 +106,60 @@ def test_search_matches_brute_force(case):
     report = stable_subsequence(table, ladder, ks)
     assert report.assignments == tuple((k, expected[k][0]) for k in ks if expected[k])
     assert report.failures == tuple(k for k in ks if not expected[k])
+
+
+@st.composite
+def window_edge_tables(draw):
+    """An orbit table, a ladder and a few primes, with every row's iterated,
+    capped mean index exactly on an end of a slot's index window, or of the
+    fundamental class's, at one of the primes.
+
+    lambda0 is 4/3 or 5/2 with either sign, the actions have the coprime
+    denominators 7, 11 and 13 and are drawn from a pool of two, so that
+    actions tie; the flags are random and the ids unsorted.
+    """
+    n, n_chern, ladder = draw(st.sampled_from(ORACLE_LADDERS))
+    lambda0 = draw(st.sampled_from([1, -1])) * draw(st.sampled_from(
+        [Fraction(4, 3), Fraction(5, 2)]))
+    ks = sorted(draw(st.lists(st.sampled_from([2, 3, 5, 7, 11, 13]), min_size=1,
+                              max_size=3, unique=True)))
+    actions = draw(st.lists(
+        st.builds(Fraction, st.integers(-40, 40), st.sampled_from([7, 11, 13])),
+        min_size=2, max_size=2,
+    ))
+    count = draw(st.integers(1, n + 2))
+    ids = draw(st.permutations([f"x{i}" for i in range(count)]))
+    rows = []
+    for oid in ids:
+        k = draw(st.sampled_from(ks))
+        deg = draw(st.sampled_from(ladder.hom_degrees + (2 * n,)))
+        end = draw(st.sampled_from([deg, deg - 2 * n]))
+        m = draw(st.integers(-2, 2))
+        # k * delta - 2N * m == end: the capping m of the k-th iterate sits on the end
+        delta = Fraction(end + 2 * n_chern * m, k)
+        rows.append(TableOrbit(oid, draw(st.sampled_from(actions)), delta, draw(st.booleans())))
+    md = MonotoneData(N=n_chern, lam=lambda0 / n_chern)
+    return OrbitTable(md=md, n=n, orbits=tuple(rows)), ladder, ks
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(window_edge_tables())
+def test_window_edges_match_oracle(case):
+    table, ladder, ks = case
+    D = table.scaled.D
+    for k in ks:
+        for deg in set(ladder.hom_degrees) | {2 * table.n}:
+            expected = slot_candidates(table, deg, k)
+            assert [(oid, m, Fraction(a, D)) for oid, m, a in _cappings(table, deg, k)] == [
+                (c.orbit_id, c.m, c.action) for c in expected
+            ]
+        assert admissible_assignments(table, ladder, k) == brute_force_assignments(
+            table, ladder, k
+        )
+        assert _fundamental_class_carrier(table, k) == min(
+            slot_candidates(table, 2 * table.n, k),
+            key=lambda c: (-c.action, c.orbit_id, c.m), default=None,
+        )
 
 
 def test_one_orbit_type():

@@ -322,3 +322,60 @@ def test_malformed_json_value_is_usage_error(workdir, record, argv, cause):
     assert proc.returncode == 64, proc.stderr
     assert cause in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+_ORBIT = {"id": "x0", "action": "1/2", "delta": "2"}
+_RING_BASIS = ["ring", "basis", "--ring", "in.json", "--degree", "4"]
+_DEC_VERIFY = ["ladders", "verify", "--ring", "cp2.json", "--dec", "in.json"]
+_ITERATE = ["spectra", "iterate", "--orbit", "in.json", "--k", "2"]
+
+
+def _scenario_with(path, value):
+    """scenario_payload() with the value at the key path replaced."""
+    payload = scenario_payload()
+    *parents, key = path
+    record = payload
+    for p in parents:
+        record = record[p]
+    record[key] = value
+    return payload
+
+
+@pytest.mark.parametrize("record, argv, cause", [
+    ({**_CPN, "n": 2.5}, _RING_BASIS, "malformed ring spec: n 2.5 is not an integer"),
+    ({**_CPN, "n": True}, _RING_BASIS, "malformed ring spec: n True is not an integer"),
+    ({**_CPN, "n": "2"}, _RING_BASIS, "malformed ring spec: n '2' is not an integer"),
+    ({"kind": "grassmannian", "k": 2.0, "N": 4}, _RING_BASIS,
+     "malformed ring spec: k 2.0 is not an integer"),
+    ({"kind": "grassmannian", "k": 2, "N": "4"}, _RING_BASIS,
+     "malformed ring spec: N '4' is not an integer"),
+    ({"kind": "product", "factors": [_CPN, {**_CPN, "n": 1.5}]}, _RING_BASIS,
+     "malformed ring spec: n 1.5 is not an integer"),
+    ({"u0": "1", "factors": ["u"] * 3, "nu": 1.9}, _DEC_VERIFY,
+     "malformed decomposition: nu 1.9 is not an integer"),
+    ({"u0": "1", "factors": ["u"] * 3, "nu": True}, _DEC_VERIFY,
+     "malformed decomposition: nu True is not an integer"),
+    ({**_ORBIT, "m": 1.5}, _ITERATE, "malformed orbit record: m 1.5 is not an integer"),
+    ({**_ORBIT, "cz": "1"}, _ITERATE, "malformed orbit record: cz '1' is not an integer"),
+    (_scenario_with(["monotone", "N"], True), _SCENARIO,
+     "malformed monotone record: N True is not an integer"),
+    (_scenario_with(["n"], 1.0), _SCENARIO, "malformed scenario: n 1.0 is not an integer"),
+    (_scenario_with(["orbits", 0, "m"], False), _SCENARIO,
+     "malformed orbit record: m False is not an integer"),
+    (_scenario_with(["ladder", "ring", "n"], 1.0), _SCENARIO,
+     "malformed ring spec: n 1.0 is not an integer"),
+    (_scenario_with(["ladder", "decomposition", "nu"], 1.5), _SCENARIO,
+     "malformed decomposition: nu 1.5 is not an integer"),
+    (_scenario_with(["primes"], [2, True, 5]), _SCENARIO,
+     "malformed scenario: prime True is not an integer"),
+], ids=["ring n 2.5", "ring n true", "ring n string", "grassmannian k 2.0",
+        "grassmannian N string", "product factor n 1.5", "decomposition nu 1.9",
+        "decomposition nu true", "orbit m 1.5", "orbit cz string", "monotone N true",
+        "table n 1.0", "table orbit m false", "scenario ring n 1.0",
+        "scenario decomposition nu 1.5", "scenario prime true"])
+def test_integer_field_must_be_json_integer(workdir, record, argv, cause):
+    (workdir / "in.json").write_text(json.dumps(record))
+    proc = run_cli(*argv, cwd=workdir)
+    assert proc.returncode == 64, proc.stderr
+    assert cause in proc.stderr
+    assert "Traceback" not in proc.stderr

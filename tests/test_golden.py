@@ -10,22 +10,35 @@ labels of G(3,7) and G(4,8) over Q, as JSON.  It also holds the carrier
 search on seeded quadratic-model tables of CP^1..CP^4, each genuine and with
 one action perturbed, over the primes below 100 and over 2, 3: the
 ``stable_subsequence`` report, each assignment written as "id:capping" per
-slot, and the ``relation_verdict``.  Regenerate it, only when an output
-change is intended, with ``PYTHONPATH=src python tests/test_golden.py``.
+slot, the ``relation_verdict``, and the ``counting_check`` of every ordered
+pair of distinct orbits in the stable image.  Last, the
+``neg_monotone_obstruction`` verdict over the same primes on seeded negative
+monotone tables, criterion 9's one-orbit tables and degenerate ones, under
+three monotone data.  Regenerate it, only when an output change is intended,
+with ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction
 from pathlib import Path
 
-from qhcalc.carriers import OrbitTable, TableOrbit, relation_verdict, stable_subsequence
+from qhcalc.carriers import (
+    OrbitTable,
+    TableOrbit,
+    counting_check,
+    neg_monotone_obstruction,
+    relation_verdict,
+    stable_subsequence,
+)
 from qhcalc.ladders import Decomposition, build_ladder, search_decompositions
 from qhcalc.models import CPnQuadraticModel, cpn_fixed_points
 from qhcalc.qalgebra import GroundField
 from qhcalc.rings import CPn, Grassmannian, kunneth
 from qhcalc.serialize import class_to_str, decomposition_to_json
+from qhcalc.spectra import MonotoneData
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "ring_golden.json"
 ELL_MAX, NU_MAX = 3, 2
@@ -36,6 +49,13 @@ PRIME_SETS = (
     ("primes 2, 3", [2, 3]),
 )
 MODELS_PER_N = 3
+# lambda0 = -1, -5/2, -4/3
+NEGMON_DATA = (
+    MonotoneData(N=1, lam=Fraction(-1)),
+    MonotoneData(N=2, lam=Fraction(-5, 4)),
+    MonotoneData(N=3, lam=Fraction(-4, 9)),
+)
+NEGMON_TABLES = 4
 
 
 def _product_rings():
@@ -116,7 +136,12 @@ def carrier_outputs() -> dict:
             for primes_name, primes in PRIME_SETS:
                 report = stable_subsequence(table, ladder, primes)
                 verdict = relation_verdict(table, ladder, primes)
-                out[f"carriers on CP^{n}, u^{n + 1} = q, {primes_name}, {name}"] = {
+                scenario = f"CP^{n}, u^{n + 1} = q, {primes_name}, {name}"
+                out[f"counting checks on {scenario}"] = {
+                    f"{x_id} vs {y_id}": _counting_json(counting_check(report, x_id, y_id))
+                    for x_id, y_id in itertools.permutations(sorted(set(report.phi)), 2)
+                }
+                out[f"carriers on {scenario}"] = {
                     "lambdas": [str(x) for x in lams],
                     "actions": [str(action) for _, action, _ in rows],
                     "stable_subsequence": {
@@ -137,8 +162,49 @@ def carrier_outputs() -> dict:
     return out
 
 
+def _counting_json(verdict) -> dict:
+    return {
+        "ok": verdict.ok,
+        "slope": str(verdict.slope),
+        "bound": str(verdict.bound),
+        "per_k": [[k, *(str(x) for x in counts)] for k, *counts in verdict.per_k],
+    }
+
+
+def _negmon_tables():
+    """Seeded negative monotone tables on a 2-dimensional manifold as
+    (name, table): criterion 9's one-orbit tables, whose mean index is
+    positive, and degenerate tables, whose mean indices are all zero."""
+    rng = random.Random("golden negative monotone")
+    for md in NEGMON_DATA:
+        for i in range(NEGMON_TABLES):
+            orbits = (TableOrbit("x", Fraction(rng.randint(-9, 9), rng.randint(1, 5)),
+                                 Fraction(rng.choice([1, 3, 5, 7, 9]), 2)),)
+            yield f"N = {md.N}, lambda = {md.lam}, criterion 9 table {i}", md, orbits
+        for i in range(NEGMON_TABLES):
+            orbits = tuple(TableOrbit(f"x{j}", Fraction(rng.randint(-9, 9), 3), Fraction(0))
+                           for j in range(rng.randint(1, 3)))
+            yield f"N = {md.N}, lambda = {md.lam}, degenerate table {i}", md, orbits
+
+
+def neg_monotone_outputs() -> dict:
+    out = {}
+    for name, md, orbits in _negmon_tables():
+        table = OrbitTable(md=md, n=1, orbits=orbits)
+        for primes_name, primes in PRIME_SETS:
+            verdict = neg_monotone_obstruction(table, primes)
+            out[f"negative monotone obstruction, {primes_name}, {name}"] = {
+                "orbits": [[o.orbit_id, str(o.action), str(o.mean_index)] for o in orbits],
+                "status": verdict.status,
+                "witness": [str(w) for w in verdict.witness],
+                "details": list(verdict.details),
+            }
+    return out
+
+
 def golden_outputs() -> dict:
-    return {**ring_outputs(), **structure_digests(), **carrier_outputs()}
+    return {**ring_outputs(), **structure_digests(), **carrier_outputs(),
+            **neg_monotone_outputs()}
 
 
 def test_ring_output_matches_golden():
