@@ -28,8 +28,6 @@ from .models import (
     CPnQuadraticModel,
     ProductModel,
     cpn_fixed_points,
-    product_model,
-    theorem_consistency_report,
     verify_equal_augmented_actions,
 )
 from .carriers import (

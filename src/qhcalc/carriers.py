@@ -227,9 +227,6 @@ class StabilityReport:
     phi: Tuple[str, ...]
     failures: Tuple[int, ...] = ()
 
-    def assignment_for(self, k: int) -> CarrierAssignment:
-        return dict(self.assignments)[k]
-
 
 def _increasing(primes: Sequence[int]) -> Tuple[int, ...]:
     """The iterations as a tuple; each verdict reads them in increasing order."""

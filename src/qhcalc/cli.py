@@ -267,8 +267,8 @@ def models_cpn(lambdas, verify):
               help="factor lambda lists separated by ';', e.g. '0,1;0,1'")
 def models_product(factors):
     parts = [p for p in factors.split(";") if p.strip()]
-    model = models_mod.product_model(
-        [models_mod.CPnQuadraticModel(lambdas=_parse_lambdas(p)) for p in parts]
+    model = models_mod.ProductModel(
+        factors=tuple(models_mod.CPnQuadraticModel(lambdas=_parse_lambdas(p)) for p in parts)
     )
     _emit(_model_report(model), {"cmd": "models product", "factors": factors})
 
@@ -296,7 +296,8 @@ def _load_scenario(path):
     data = _load_json(path)
     table = ser.table_from_json(data)
     with ser.reading("scenario"):
-        primes = [ser.json_int(p, "prime") for p in data.get("primes", [])]
+        primes = ser.json_list(data.get("primes", []), "primes")
+        primes = [ser.json_int(p, "prime") for p in primes]
     ladder = None
     if "ladder" in data:
         spec = data["ladder"]

@@ -1,21 +1,31 @@
 """Explicit Hamiltonian models: quadratic flows on CP^n and their products.
 
 The quadratic Hamiltonian with pairwise-distinct rational coefficients
-lambda_0..lambda_n has exactly n+1 fixed points (the coordinate axes); with
-the trivial capping, x_j has action lambda_j and mean index
-2*((n+1)*lambda_j - sum(lambda_i)), so every fixed point carries the same
-augmented action sum(lambda_i)/(n+1).
+lambda_0..lambda_n has exactly n+1 fixed points (the coordinate axes).  The
+axis x_j rotates with angles lambda_j - lambda_i, i != j, and everything in
+its row follows from those angles by one rule (``_fixed_point``): the mean
+index is twice their sum, the Conley-Zehnder index is defined and the row
+flagged nondegenerate exactly when no angle is an integer.  With the trivial
+capping x_j has action lambda_j and mean index 2*((n+1)*lambda_j -
+sum(lambda_i)), so every fixed point carries the same augmented action
+sum(lambda_i)/(n+1).
+
+A product of such models with equal n (equal monotonicity constants
+1/(n+1)) has one fixed point per tuple of factor axes: the ids join with
+``*``, the actions add and the angles concatenate, so mean indices and
+Conley-Zehnder indices add, the flags AND, and the common augmented action
+is the sum of the factors'.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, product
 from typing import List, Sequence, Tuple
 
 from .spectra import (
     CappedOrbit,
-    DegenerateAngleError,
     MonotoneData,
     augmented_action,
     cz_index_split,
@@ -43,13 +53,20 @@ class CPnQuadraticModel:
     def monotone_data(self) -> MonotoneData:
         return MonotoneData(N=self.n + 1, lam=Fraction(1, self.n + 1))
 
+    @property
+    def factors(self) -> Tuple["CPnQuadraticModel", ...]:
+        return (self,)
+
 
 @dataclass(frozen=True)
 class ProductModel:
+    """A product of CP^n models; a factor that is itself a product is
+    replaced by its factors."""
+
     factors: Tuple[CPnQuadraticModel, ...]
 
     def __post_init__(self):
-        facs = tuple(self.factors)
+        facs = tuple(chain.from_iterable(f.factors for f in self.factors))
         if not facs:
             raise ValueError("need at least one factor")
         lam = facs[0].monotone_data.lam
@@ -67,129 +84,75 @@ class ProductModel:
 
     @property
     def monotone_data(self) -> MonotoneData:
-        lam = self.factors[0].monotone_data.lam
-        from math import gcd
-        from functools import reduce
-
-        n_chern = reduce(gcd, (f.monotone_data.N for f in self.factors))
-        return MonotoneData(N=n_chern, lam=lam)
+        # every factor has the same n, hence the same N and lambda
+        return self.factors[0].monotone_data
 
 
 @dataclass(frozen=True)
 class ModelReport:
     ok: bool
-    common_value: Fraction = None
-    details: Tuple[str, ...] = ()
+    common_value: Fraction
+    details: Tuple[str, ...]
+
+
+def _axes(model: CPnQuadraticModel) -> List[Tuple[str, Fraction, Tuple[Fraction, ...]]]:
+    """(id, action, rotation angles) of each fixed point x_j."""
+    lams = model.lambdas
+    return [
+        (f"x{j}", lj, tuple(lj - li for i, li in enumerate(lams) if i != j))
+        for j, lj in enumerate(lams)
+    ]
+
+
+def _fixed_point(orbit_id: str, action: Fraction, angles: Sequence[Fraction]) -> CappedOrbit:
+    """The trivially capped row of a fixed point with these rotation angles."""
+    nondegenerate = all(a.denominator != 1 for a in angles)
+    return CappedOrbit(
+        orbit_id=orbit_id,
+        m=0,
+        action=action,
+        mean_index=mean_index_split(angles),
+        cz_index=cz_index_split(angles) if nondegenerate else None,
+        weakly_nondegenerate=nondegenerate,
+    )
 
 
 def cpn_fixed_points(model: CPnQuadraticModel) -> List[CappedOrbit]:
     """Fixed points x_0..x_n with the trivial capping."""
     n = model.n
-    lams = model.lambdas
-    total = sum(lams)
+    total = sum(model.lambdas)
     orbits = []
-    for j, lj in enumerate(lams):
-        angles = tuple(lj - li for i, li in enumerate(lams) if i != j)
-        delta = mean_index_split(angles)
-        assert delta == 2 * ((n + 1) * lj - total)
-        try:
-            cz = cz_index_split(angles)
-        except DegenerateAngleError:
-            cz = None
-        orbits.append(
-            CappedOrbit(
-                orbit_id=f"x{j}",
-                m=0,
-                action=lj,
-                mean_index=delta,
-                cz_index=cz,
-                weakly_nondegenerate=all(a != int(a) for a in angles),
-            )
-        )
+    for axis in _axes(model):
+        o = _fixed_point(*axis)
+        assert o.mean_index == 2 * ((n + 1) * o.action - total)
+        orbits.append(o)
     return orbits
 
 
-def product_fixed_points(model: ProductModel) -> List[CappedOrbit]:
-    """Cartesian products of factor fixed points; actions and indices add."""
-    tables = [cpn_fixed_points(f) for f in model.factors]
-    combos: List[CappedOrbit] = [
-        CappedOrbit(orbit_id="", action=Fraction(0), mean_index=Fraction(0))
-    ]
-    for table in tables:
-        new = []
-        for base in combos:
-            for o in table:
-                oid = o.orbit_id if not base.orbit_id else f"{base.orbit_id}*{o.orbit_id}"
-                new.append(
-                    CappedOrbit(
-                        orbit_id=oid,
-                        action=base.action + o.action,
-                        mean_index=base.mean_index + o.mean_index,
-                        cz_index=None,
-                        weakly_nondegenerate=base.weakly_nondegenerate
-                        and o.weakly_nondegenerate
-                        if base.orbit_id
-                        else o.weakly_nondegenerate,
-                    )
-                )
-        combos = new
-    return combos
-
-
 def fixed_points(model) -> List[CappedOrbit]:
-    if isinstance(model, ProductModel):
-        return product_fixed_points(model)
-    return cpn_fixed_points(model)
+    """One fixed point per tuple of factor axes, in lexicographic order."""
+    rows = []
+    for axes in product(*(_axes(f) for f in model.factors)):
+        ids, actions, angles = zip(*axes)
+        rows.append(_fixed_point("*".join(ids), sum(actions), tuple(chain.from_iterable(angles))))
+    return rows
 
 
 def verify_equal_augmented_actions(model, orbits=None) -> ModelReport:
-    """Check that every fixed point has the same augmented action.
+    """Check every fixed point against the augmented action the model
+    predicts, sum(lambda_i)/(n+1) summed over its factors.
 
     An explicit orbit table may be supplied (e.g. a perturbed one); the
-    default is the model's own fixed points.
+    default is the model's own fixed points.  Each orbit whose augmented
+    action differs is named.
     """
     md = model.monotone_data
     if orbits is None:
         orbits = fixed_points(model)
-    values = [(o.orbit_id, augmented_action(o, md)) for o in orbits]
-    expected = values[0][1]
-    if isinstance(model, CPnQuadraticModel):
-        expected = sum(model.lambdas) / (model.n + 1)
-    bad = [(oid, v) for oid, v in values if v != expected]
-    if bad:
-        return ModelReport(
-            ok=False,
-            common_value=expected,
-            details=tuple(f"{oid}: augmented action {v} != {expected}" for oid, v in bad),
-        )
-    return ModelReport(ok=True, common_value=expected)
-
-
-def product_model(models: Sequence[CPnQuadraticModel]) -> ProductModel:
-    return ProductModel(factors=tuple(models))
-
-
-def theorem_consistency_report(model, ring, dec) -> ModelReport:
-    """At least ell distinct fixed points share the common augmented action."""
-    orbits = fixed_points(model)
-    eq_report = verify_equal_augmented_actions(model, orbits)
-    if not eq_report.ok:
-        return ModelReport(
-            ok=False,
-            common_value=eq_report.common_value,
-            details=("augmented actions are not all equal",) + eq_report.details,
-        )
-    common = eq_report.common_value
-    sharing = {o.orbit_id for o in orbits}  # the report is ok: all share the value
-    ell = dec.ell
-    if len(sharing) >= ell:
-        return ModelReport(
-            ok=True,
-            common_value=common,
-            details=(f"{len(sharing)} fixed points share the value, ell = {ell}",),
-        )
-    return ModelReport(
-        ok=False,
-        common_value=common,
-        details=(f"only {len(sharing)} fixed points share the value, ell = {ell}",),
+    expected = sum(sum(f.lambdas) / (f.n + 1) for f in model.factors)
+    details = tuple(
+        f"{o.orbit_id}: augmented action {v} != {expected}"
+        for o in orbits
+        if (v := augmented_action(o, md)) != expected
     )
+    return ModelReport(ok=not details, common_value=expected, details=details)

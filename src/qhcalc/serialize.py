@@ -7,7 +7,6 @@ factors of a product ring.  All rationals travel as "a/b" strings in JSON.
 
 from __future__ import annotations
 
-import json
 import re
 from contextlib import contextmanager
 from fractions import Fraction
@@ -18,6 +17,7 @@ from .rings import CPn, Grassmannian, ProductRing, RingPresentation
 from .spectra import CappedOrbit, MonotoneData
 from .ladders import Decomposition
 from .carriers import OrbitTable
+from .models import CPnQuadraticModel, ProductModel
 
 
 class ParseError(ValueError):
@@ -42,6 +42,21 @@ def json_int(value, name: str) -> int:
     null is a TypeError, which `reading` reports as a malformed record."""
     if type(value) is not int:
         raise TypeError(f"{name} {value!r} is not an integer")
+    return value
+
+
+def json_bool(value, name: str) -> bool:
+    """A flag as JSON wrote it: only true or false."""
+    if type(value) is not bool:
+        raise TypeError(f"{name} {value!r} is not a bool")
+    return value
+
+
+def json_list(value, name: str) -> list:
+    """An array field as JSON wrote it.  A string, whose characters would
+    otherwise be read one by one, an object or a number is a TypeError."""
+    if type(value) is not list:
+        raise TypeError(f"{name} {value!r} is not an array")
     return value
 
 
@@ -216,13 +231,12 @@ def ring_from_json(data, field: GroundField = None) -> RingPresentation:
     ``"field"``, if it has one, is the default of its factors and must agree
     with every factor's field.
     """
-    if isinstance(data, str):
-        data = json.loads(data)
     with reading("ring spec"):
         kind = data["kind"]
         lambda0 = frac_from_str(data.get("lambda0", "1"))
         if kind == "product":
-            return _product_from_json(data["factors"], field, data.get("field"))
+            factors = json_list(data["factors"], "factors")
+            return _product_from_json(factors, field, data.get("field"))
         if field is None:
             field = GroundField.from_spec(data.get("field", "Q"))
         if kind == "cpn":
@@ -281,11 +295,11 @@ def ring_to_json(ring: RingPresentation) -> dict:
 
 
 def decomposition_from_json(ring: RingPresentation, data) -> Decomposition:
-    if isinstance(data, str):
-        data = json.loads(data)
     with reading("decomposition"):
         u0 = class_from_str(ring, data["u0"])
-        factors = tuple(class_from_str(ring, f) for f in data["factors"])
+        factors = tuple(
+            class_from_str(ring, f) for f in json_list(data["factors"], "factors")
+        )
         nu = json_int(data["nu"], "nu")
     return Decomposition(u0=u0, factors=factors, nu=nu)
 
@@ -303,8 +317,6 @@ def decomposition_to_json(dec: Decomposition) -> dict:
 
 
 def orbit_from_json(data) -> CappedOrbit:
-    if isinstance(data, str):
-        data = json.loads(data)
     with reading("orbit record"):
         return CappedOrbit(
             orbit_id=data["id"],
@@ -312,7 +324,9 @@ def orbit_from_json(data) -> CappedOrbit:
             action=frac_from_str(data["action"]),
             mean_index=frac_from_str(data["delta"]),
             cz_index=None if data.get("cz") is None else json_int(data["cz"], "cz"),
-            weakly_nondegenerate=bool(data.get("weakly_nondegenerate", False)),
+            weakly_nondegenerate=json_bool(
+                data.get("weakly_nondegenerate", False), "weakly_nondegenerate"
+            ),
         )
 
 
@@ -339,32 +353,25 @@ def monotone_to_json(md: MonotoneData) -> dict:
 def table_from_json(data) -> OrbitTable:
     with reading("scenario"):
         md = monotone_from_json(data["monotone"])
-        orbits = tuple(orbit_from_json(o) for o in data["orbits"])
+        orbits = tuple(orbit_from_json(o) for o in json_list(data["orbits"], "orbits"))
         n = json_int(data["n"], "n")
     return OrbitTable(md=md, n=n, orbits=orbits)
 
 
 def model_from_json(data):
-    from .models import CPnQuadraticModel, ProductModel
-
-    if isinstance(data, str):
-        data = json.loads(data)
+    """A CP^n model or a product of models; nested products flatten."""
     with reading("model spec"):
         kind = data["kind"]
         if kind == "cpn":
-            return CPnQuadraticModel(
-                lambdas=tuple(frac_from_str(x) for x in data["lambdas"])
-            )
+            lambdas = json_list(data["lambdas"], "lambdas")
+            return CPnQuadraticModel(lambdas=tuple(frac_from_str(x) for x in lambdas))
         if kind == "product":
-            return ProductModel(
-                factors=tuple(model_from_json(f) for f in data["factors"])
-            )
+            factors = json_list(data["factors"], "factors")
+            return ProductModel(factors=tuple(model_from_json(f) for f in factors))
     raise ParseError(f"unknown model kind {kind!r}")
 
 
 def model_to_json(model) -> dict:
-    from .models import ProductModel
-
     if isinstance(model, ProductModel):
         return {
             "kind": "product",

@@ -222,8 +222,9 @@ class TestStableSubsequence:
         # the stable subsequence is the larger residue class
         assert len(report.stable_ks) >= len(primes) // 2
         assert set(report.phi) == {"x0", "x1"}
+        assignments = dict(report.assignments)
         for k in report.stable_ks:
-            assert report.assignment_for(k).phi() == report.phi
+            assert assignments[k].phi() == report.phi
 
     def test_pigeonhole_length_bound(self):
         table = model_table(0, Fraction(1, 8), Fraction(3, 8))

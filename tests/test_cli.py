@@ -197,6 +197,17 @@ class TestSpectraAndModels:
                        cwd=workdir)
         assert result_of(proc)["action"] == "5/2"
 
+    def test_models_verify_nested_product(self, workdir):
+        cp1 = {"kind": "cpn", "lambdas": ["0", "1/3"]}
+        nested = {"kind": "product", "factors": [{"kind": "product", "factors": [cp1, cp1]}, cp1]}
+        (workdir / "model.json").write_text(json.dumps(nested))
+        proc = run_cli("models", "verify", "--model", "model.json", cwd=workdir)
+        flat = run_cli("models", "product", "--factors", "0,1/3;0,1/3;0,1/3", cwd=workdir)
+        assert result_of(proc) == result_of(flat)
+        orbits = result_of(proc)["orbits"]
+        assert [o["cz"] for o in orbits] == [-3, -1, -1, 1, -1, 1, 1, 3]
+        assert result_of(proc)["equal_augmented_actions"] is True
+
     def test_deterministic_output(self, workdir):
         a = run_cli("models", "cpn", "--lambdas", "0,1,3", cwd=workdir)
         b = run_cli("models", "cpn", "--lambdas", "0,1,3", cwd=workdir)
@@ -374,6 +385,57 @@ def _scenario_with(path, value):
         "table n 1.0", "table orbit m false", "scenario ring n 1.0",
         "scenario decomposition nu 1.5", "scenario prime true"])
 def test_integer_field_must_be_json_integer(workdir, record, argv, cause):
+    (workdir / "in.json").write_text(json.dumps(record))
+    proc = run_cli(*argv, cwd=workdir)
+    assert proc.returncode == 64, proc.stderr
+    assert cause in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+_CP1_FILE = ["--ring", "cp1.json"]
+
+
+@pytest.mark.parametrize("record, argv, cause", [
+    ({**_ORBIT, "weakly_nondegenerate": "false"}, ["spectra", "iterate", "--orbit", "in.json",
+                                                   "--k", "1"],
+     "malformed orbit record: weakly_nondegenerate 'false' is not a bool"),
+    ({**_ORBIT, "weakly_nondegenerate": None}, _ITERATE,
+     "malformed orbit record: weakly_nondegenerate None is not a bool"),
+    ({**_ORBIT, "weakly_nondegenerate": 1}, _ITERATE,
+     "malformed orbit record: weakly_nondegenerate 1 is not a bool"),
+    (_scenario_with(["orbits", 0, "weakly_nondegenerate"], "true"), _SCENARIO,
+     "malformed orbit record: weakly_nondegenerate 'true' is not a bool"),
+    (json.dumps(_ORBIT), _ITERATE, "malformed orbit record"),
+    (json.dumps({"kind": "cpn", "lambdas": ["0", "1"]}), _MODEL, "malformed model spec"),
+    ({"kind": "product", "factors": [json.dumps({"kind": "cpn", "lambdas": ["0", "1"]})]},
+     _MODEL, "malformed model spec"),
+    ({"kind": "product", "factors": [json.dumps(_CPN)]}, _RING_BASIS, "malformed ring spec"),
+    (_scenario_with(["ladder", "ring"], json.dumps(_CPN)), _SCENARIO, "malformed ring spec"),
+    (_scenario_with(["ladder", "decomposition"],
+                    json.dumps({"u0": "1", "factors": ["u", "u"], "nu": 1})),
+     _SCENARIO, "malformed decomposition"),
+    (_scenario_with(["orbits", 0], json.dumps(scenario_payload()["orbits"][0])), _SCENARIO,
+     "malformed orbit record"),
+    ({"u0": "1", "factors": "uu", "nu": 1},
+     ["ladders", "verify", *_CP1_FILE, "--dec", "in.json"],
+     "malformed decomposition: factors 'uu' is not an array"),
+    ({"kind": "cpn", "lambdas": "01"}, _MODEL,
+     "malformed model spec: lambdas '01' is not an array"),
+    ({"kind": "product", "factors": "12"}, _MODEL,
+     "malformed model spec: factors '12' is not an array"),
+    ({"kind": "product", "factors": "12"}, _RING_BASIS,
+     "malformed ring spec: factors '12' is not an array"),
+    (_scenario_with(["orbits"], "12"), _SCENARIO,
+     "malformed scenario: orbits '12' is not an array"),
+    (_scenario_with(["primes"], "2357"), _SCENARIO,
+     "malformed scenario: primes '2357' is not an array"),
+], ids=["orbit flag string, k 1", "orbit flag null", "orbit flag 1", "scenario orbit flag string",
+        "orbit file string", "model file string", "model factor string", "ring factor string",
+        "scenario ring string", "scenario decomposition string", "scenario orbit string",
+        "decomposition factors string", "model lambdas string", "model factors string",
+        "ring factors string", "scenario orbits string", "scenario primes string"])
+def test_string_is_not_a_record_array_or_bool(workdir, record, argv, cause):
+    (workdir / "cp1.json").write_text(json.dumps(_CPN))
     (workdir / "in.json").write_text(json.dumps(record))
     proc = run_cli(*argv, cwd=workdir)
     assert proc.returncode == 64, proc.stderr

@@ -11,11 +11,15 @@ search on seeded quadratic-model tables of CP^1..CP^4, each genuine and with
 one action perturbed, over the primes below 100 and over 2, 3: the
 ``stable_subsequence`` report, each assignment written as "id:capping" per
 slot, the ``relation_verdict``, and the ``counting_check`` of every ordered
-pair of distinct orbits in the stable image.  Last, the
+pair of distinct orbits in the stable image.  Then the
 ``neg_monotone_obstruction`` verdict over the same primes on seeded negative
 monotone tables, criterion 9's one-orbit tables and degenerate ones, under
-three monotone data.  Regenerate it, only when an output change is intended,
-with ``PYTHONPATH=src python tests/test_golden.py``.
+three monotone data.  Last, for seeded quadratic models on CP^1..CP^5 and
+products of one to three of them, the ``orbit_to_json`` rows of
+``fixed_points`` and the ``verify_equal_augmented_actions`` report, as
+``models cpn --verify`` and ``models verify`` print them.  Regenerate it,
+only when an output change is intended, with
+``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 import hashlib
@@ -34,10 +38,16 @@ from qhcalc.carriers import (
     stable_subsequence,
 )
 from qhcalc.ladders import Decomposition, build_ladder, search_decompositions
-from qhcalc.models import CPnQuadraticModel, cpn_fixed_points
+from qhcalc.models import (
+    CPnQuadraticModel,
+    ProductModel,
+    cpn_fixed_points,
+    fixed_points,
+    verify_equal_augmented_actions,
+)
 from qhcalc.qalgebra import GroundField
 from qhcalc.rings import CPn, Grassmannian, kunneth
-from qhcalc.serialize import class_to_str, decomposition_to_json
+from qhcalc.serialize import class_to_str, decomposition_to_json, model_to_json, orbit_to_json
 from qhcalc.spectra import MonotoneData
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "ring_golden.json"
@@ -202,9 +212,46 @@ def neg_monotone_outputs() -> dict:
     return out
 
 
+def _models():
+    """Seeded quadratic models as (name, model): three on each of CP^1..CP^5,
+    then products of one to three factors on CP^1, CP^2 and CP^3.  Over the
+    denominators 1 and 2 some coefficient differences are integers, so
+    degenerate axes occur."""
+    rng = random.Random("golden models")
+
+    def cpn(n):
+        den = rng.choice([1, 2, 7, 11, 16, 25])
+        lams = tuple(Fraction(x, den) for x in rng.sample(range(-12, 13), n + 1))
+        return CPnQuadraticModel(lambdas=lams)
+
+    for n in range(1, 6):
+        for i in range(MODELS_PER_N):
+            yield f"CP^{n} model {i}", cpn(n)
+    for n in range(1, 4):
+        for count in range(1, 4):
+            yield f"product of {count} CP^{n} models", ProductModel(
+                factors=tuple(cpn(n) for _ in range(count))
+            )
+
+
+def model_outputs() -> dict:
+    out = {}
+    for name, model in _models():
+        orbits = fixed_points(model)
+        report = verify_equal_augmented_actions(model, orbits)
+        out[f"models, {name}"] = {
+            "model": model_to_json(model),
+            "orbits": [orbit_to_json(o) for o in orbits],
+            "equal_augmented_actions": report.ok,
+            "common_value": str(report.common_value),
+            "details": list(report.details),
+        }
+    return out
+
+
 def golden_outputs() -> dict:
     return {**ring_outputs(), **structure_digests(), **carrier_outputs(),
-            **neg_monotone_outputs()}
+            **neg_monotone_outputs(), **model_outputs()}
 
 
 def test_ring_output_matches_golden():

@@ -1,17 +1,18 @@
+import itertools
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qhcalc.ladders import Decomposition
-from qhcalc.rings import CPn
 from qhcalc.models import (
     CPnQuadraticModel,
+    ProductModel,
     cpn_fixed_points,
     fixed_points,
-    product_model,
-    theorem_consistency_report,
     verify_equal_augmented_actions,
 )
 from qhcalc.spectra import augmented_action, iterate, recap
@@ -102,14 +103,14 @@ class TestEqualAugmentedActions:
 
 class TestProductModel:
     def test_two_cp1_factors(self):
-        pm = product_model([model(0, 1), model(0, 1)])
+        pm = ProductModel(factors=(model(0, 1), model(0, 1)))
         orbits = fixed_points(pm)
         assert len(orbits) == 4
         md = pm.monotone_data
         assert all(augmented_action(o, md) == Fraction(1) for o in orbits)
 
     def test_single_factor_identity(self):
-        pm = product_model([model(0, 1)])
+        pm = ProductModel(factors=(model(0, 1),))
         got = {(o.orbit_id, o.action, o.mean_index) for o in fixed_points(pm)}
         want = {
             (o.orbit_id, o.action, o.mean_index) for o in cpn_fixed_points(model(0, 1))
@@ -118,7 +119,7 @@ class TestProductModel:
 
     def test_mismatched_monotonicity_rejected(self):
         with pytest.raises(ValueError):
-            product_model([model(0, 1), model(0, 1, 2)])
+            ProductModel(factors=(model(0, 1), model(0, 1, 2)))
 
     def test_equal_actions_preserved(self):
         rng = random.Random(43)
@@ -130,37 +131,68 @@ class TestProductModel:
                     b = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
                 return model(a, b)
 
-            pm = product_model([rand_cp1(), rand_cp1()])
+            pm = ProductModel(factors=(rand_cp1(), rand_cp1()))
             assert verify_equal_augmented_actions(pm).ok
 
 
 class TestTheoremConsistency:
-    def _cp2_dec(self, ell):
-        ring = CPn(n=2)
-        if ell == 3:
-            return ring, Decomposition(
-                u0=ring.one(), factors=(ring.basis_class(1),) * 3, nu=1
-            )
-        return ring, Decomposition(
-            u0=ring.one(), factors=(ring.basis_class(1),) * ell, nu=1
-        )
-
-    def test_cp2_full_decomposition(self):
-        ring, dec = self._cp2_dec(3)
-        report = theorem_consistency_report(model(0, 1, 3), ring, dec)
-        assert report.ok
-
-    def test_cp2_sub_decomposition(self):
-        ring = CPn(n=2)
-        dec = Decomposition(u0=ring.basis_class(1), factors=(ring.basis_class(2),), nu=0)
-        # only ell matters for the count; use a 1-factor stub
-        report = theorem_consistency_report(model(0, 1, 3), ring, dec)
-        assert report.ok
-
     def test_adversarial_orbits_fail(self):
-        ring, dec = self._cp2_dec(3)
         m = model(0, 1, 3)
         orbits = cpn_fixed_points(m)
         bad = [replace(orbits[0], action=orbits[0].action + 1)] + orbits[1:]
         report = verify_equal_augmented_actions(m, bad)
         assert not report.ok
+
+
+def cpn_models(n):
+    """CP^n models whose coefficients have denominators 1, 2, 3 or 5, so
+    that some rotation angles are integers."""
+    coefficient = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 5]))
+    return st.lists(coefficient, min_size=n + 1, max_size=n + 1, unique=True).map(
+        lambda lams: CPnQuadraticModel(lambdas=tuple(lams))
+    )
+
+
+factor_lists = st.integers(1, 3).flatmap(
+    lambda n: st.lists(cpn_models(n), min_size=1, max_size=3)
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(factor_lists, st.sampled_from([Fraction(-1, 3), Fraction(1, 16), Fraction(2)]))
+def test_product_rows_from_concatenated_angles(factors, shift):
+    assert fixed_points(ProductModel(factors=factors[:1])) == cpn_fixed_points(factors[0])
+
+    pm = ProductModel(factors=tuple(factors))
+    rows = fixed_points(pm)
+    combos = list(itertools.product(*(list(enumerate(f.lambdas)) for f in factors)))
+    factor_rows = list(itertools.product(*(cpn_fixed_points(f) for f in factors)))
+    assert len(rows) == len(combos) == len(factor_rows)
+    for row, combo, parts in zip(rows, combos, factor_rows):
+        angles = [
+            lj - li
+            for (j, lj), f in zip(combo, factors)
+            for i, li in enumerate(f.lambdas)
+            if i != j
+        ]
+        nondegenerate = all(a.denominator != 1 for a in angles)
+        assert row.orbit_id == "*".join(f"x{j}" for j, _ in combo)
+        assert row.m == 0
+        assert row.action == sum(lj for _, lj in combo)
+        assert row.mean_index == 2 * sum(angles)
+        assert row.weakly_nondegenerate == nondegenerate
+        if nondegenerate:
+            assert row.cz_index == sum(2 * math.floor(a) + 1 for a in angles)
+            assert row.cz_index == sum(p.cz_index for p in parts)
+        else:
+            assert row.cz_index is None
+
+    report = verify_equal_augmented_actions(pm)
+    assert report.ok and not report.details
+    assert report.common_value == sum(sum(f.lambdas) / (f.n + 1) for f in factors)
+    for i, row in enumerate(rows):
+        perturbed = rows[:i] + [replace(row, action=row.action + shift)] + rows[i + 1:]
+        report = verify_equal_augmented_actions(pm, perturbed)
+        assert not report.ok
+        assert [d.split(":")[0] for d in report.details] == [row.orbit_id]
+
