@@ -3,7 +3,10 @@
 The selector itself is never computed; only the axioms the counting
 arguments use are enforced: recapping equivariance along the ladder, the
 mean-index window per class, and the (weakly) decreasing action ordering.
-Every verdict is decided with exact arithmetic.
+Every verdict is decided with exact arithmetic.  The action-index relation
+(`relation_verdict`) and the negative-monotone obstruction
+(`neg_monotone_obstruction`) both return one `Verdict`: a status, a
+witness and human-readable details.
 
 The search runs on integers.  Each table is scaled once by the common
 denominator D of its actions, its mean indices and lambda0
@@ -326,19 +329,22 @@ def counting_check(report: StabilityReport, x_id: str, y_id: str) -> CountingVer
 
 
 @dataclass(frozen=True)
-class RelationVerdict:
-    status: str  # "consistent" | "contradiction"
+class Verdict:
+    """The verdict of `relation_verdict` ("consistent" or "contradiction")
+    or of `neg_monotone_obstruction` ("contradiction" or "no_obstruction")."""
+
+    status: str
     witness: Tuple = ()
     details: Tuple[str, ...] = ()
 
 
 def relation_verdict(
     table: OrbitTable, ladder: Ladder, primes: Sequence[int]
-) -> RelationVerdict:
+) -> Verdict:
     """All pairs in the stable image must share the augmented action."""
     report = stable_subsequence(table, ladder, primes)
     if report.failures:
-        return RelationVerdict(
+        return Verdict(
             status="contradiction",
             witness=("no admissible assignment", report.failures),
             details=tuple(
@@ -347,7 +353,7 @@ def relation_verdict(
             ),
         )
     if not report.stable_ks:
-        return RelationVerdict(
+        return Verdict(
             status="contradiction",
             witness=("empty stable subsequence",),
         )
@@ -355,7 +361,7 @@ def relation_verdict(
     for x_id, y_id in itertools.combinations(image, 2):
         verdict = counting_check(report, x_id, y_id)
         if not verdict.ok:
-            return RelationVerdict(
+            return Verdict(
                 status="contradiction",
                 witness=(x_id, y_id, verdict.slope),
                 details=(
@@ -363,7 +369,7 @@ def relation_verdict(
                     f"counts diverge with slope {verdict.slope} per iteration",
                 ),
             )
-    return RelationVerdict(status="consistent")
+    return Verdict(status="consistent")
 
 
 @dataclass(frozen=True)
@@ -399,13 +405,6 @@ def distinctness_check(
     return DistinctnessVerdict(status="distinct", mechanism=mechanism)
 
 
-@dataclass(frozen=True)
-class ObstructionVerdict:
-    status: str  # "contradiction" | "no_obstruction"
-    witness: Tuple = ()
-    details: Tuple[str, ...] = ()
-
-
 def _fundamental_class_carrier(table: OrbitTable, k: int) -> Optional[CappedOrbit]:
     """Action maximizer among capped orbits with mean index in [0, 2n]; ties
     go to the smallest (orbit id, capping), the first in `_cappings` order."""
@@ -415,7 +414,7 @@ def _fundamental_class_carrier(table: OrbitTable, k: int) -> Optional[CappedOrbi
 
 def neg_monotone_obstruction(
     table: OrbitTable, primes: Sequence[int]
-) -> ObstructionVerdict:
+) -> Verdict:
     """Run the finite-orbit contradiction for negative monotone data.
 
     The carrier of the fundamental class at iteration k_i is a capping of an
@@ -434,7 +433,7 @@ def neg_monotone_obstruction(
         if found is not None:
             carriers.append((k, found))
     if not carriers:
-        return ObstructionVerdict(
+        return Verdict(
             status="no_obstruction",
             details=("no feasible fundamental-class carrier at any iteration",),
         )
@@ -445,7 +444,7 @@ def neg_monotone_obstruction(
     stable = [(k, c) for k, c in carriers if c.orbit_id == stable_id]
     k1, carrier1 = stable[0]
     if carrier1.mean_index == 0:
-        return ObstructionVerdict(
+        return Verdict(
             status="no_obstruction",
             details=(
                 "degenerate branch: stable carrier has zero mean index at k1",
@@ -463,7 +462,7 @@ def neg_monotone_obstruction(
         l_i = k_i // k1
         nu_i = carrier_i.m - l_i * carrier1.m
         if nu_i * i_omega > c0:
-            return ObstructionVerdict(
+            return Verdict(
                 status="contradiction",
                 witness=(k_i, nu_i),
                 details=(
@@ -472,7 +471,7 @@ def neg_monotone_obstruction(
                     "carry the fundamental class at all iterations",
                 ),
             )
-    return ObstructionVerdict(
+    return Verdict(
         status="no_obstruction",
         details=("bound not exceeded within the supplied iterations",),
     )

@@ -34,7 +34,13 @@ class Inconclusive(click.ClickException):
     exit_code = EXIT_INCONCLUSIVE
 
 
-def _emit(result, invocation: dict):
+def _emit(result):
+    """Print the envelope of the running command.  The invocation is the
+    command's name and every parameter, defaults included, under its Python
+    name without a trailing ``_`` (``class_`` records as ``"class"``)."""
+    ctx = click.get_current_context()
+    invocation = {"cmd": f"{ctx.parent.command.name} {ctx.command.name}"}
+    invocation.update((name.rstrip("_"), value) for name, value in ctx.params.items())
     envelope = {"invocation": invocation, "result": result}
     click.echo(json.dumps(envelope, indent=2, sort_keys=True))
 
@@ -49,9 +55,9 @@ def _load_json(path: str) -> dict:
         raise click.UsageError(f"malformed JSON in {path}: {exc}")
 
 
-def _load_ring(path: str, field_spec: str = None):
-    field = GroundField.from_spec(field_spec) if field_spec else None
-    return ser.ring_from_json(_load_json(path), field=field)
+def _load_ring(path: str, field: str = None):
+    ground = GroundField.from_spec(field) if field else None
+    return ser.ring_from_json(_load_json(path), field=ground)
 
 
 @click.group()
@@ -69,41 +75,33 @@ def ring():
 
 
 @ring.command("mul")
-@click.option("--ring", "ring_path", required=True)
-@click.option("--a", "a_lit", required=True)
-@click.option("--b", "b_lit", required=True)
-@click.option("--field", "field_spec", default=None)
-def ring_mul(ring_path, a_lit, b_lit, field_spec):
-    r = _load_ring(ring_path, field_spec)
-    a = ser.class_from_str(r, a_lit)
-    b = ser.class_from_str(r, b_lit)
-    out = ser.class_to_str(r.quantum_product(a, b))
-    _emit(out, {"cmd": "ring mul", "ring": ring_path, "a": a_lit, "b": b_lit,
-                "field": field_spec})
+@click.option("--ring", required=True)
+@click.option("--a", required=True)
+@click.option("--b", required=True)
+@click.option("--field", default=None)
+def ring_mul(ring, a, b, field):
+    r = _load_ring(ring, field)
+    product = r.quantum_product(ser.class_from_str(r, a), ser.class_from_str(r, b))
+    _emit(ser.class_to_str(product))
 
 
 @ring.command("power")
-@click.option("--ring", "ring_path", required=True)
-@click.option("--class", "cls_lit", required=True)
+@click.option("--ring", required=True)
+@click.option("--class", "class_", required=True)
 @click.option("--d", required=True, type=int)
-@click.option("--field", "field_spec", default=None)
-def ring_power(ring_path, cls_lit, d, field_spec):
-    r = _load_ring(ring_path, field_spec)
-    u = ser.class_from_str(r, cls_lit)
-    out = ser.class_to_str(u ** d)
-    _emit(out, {"cmd": "ring power", "ring": ring_path, "class": cls_lit,
-                "d": d, "field": field_spec})
+@click.option("--field", default=None)
+def ring_power(ring, class_, d, field):
+    r = _load_ring(ring, field)
+    _emit(ser.class_to_str(ser.class_from_str(r, class_) ** d))
 
 
 @ring.command("basis")
-@click.option("--ring", "ring_path", required=True)
+@click.option("--ring", required=True)
 @click.option("--degree", required=True, type=int)
-@click.option("--field", "field_spec", default=None)
-def ring_basis(ring_path, degree, field_spec):
-    r = _load_ring(ring_path, field_spec)
-    labels = [ser.class_to_str(r.basis_class(lbl)) for lbl in r.basis(degree)]
-    _emit(labels, {"cmd": "ring basis", "ring": ring_path, "degree": degree,
-                   "field": field_spec})
+@click.option("--field", default=None)
+def ring_basis(ring, degree, field):
+    r = _load_ring(ring, field)
+    _emit([ser.class_to_str(r.basis_class(lbl)) for lbl in r.basis(degree)])
 
 
 # ---------------------------------------------------------------------------
@@ -116,63 +114,57 @@ def ladders():
 
 
 @ladders.command("search")
-@click.option("--ring", "ring_path", required=True)
+@click.option("--ring", required=True)
 @click.option("--ell-max", required=True, type=int)
 @click.option("--nu-max", default=2, type=int)
-@click.option("--out", "out_path", default=None)
-def ladders_search(ring_path, ell_max, nu_max, out_path):
-    r = _load_ring(ring_path)
+@click.option("--out", default=None)
+def ladders_search(ring, ell_max, nu_max, out):
+    r = _load_ring(ring)
     decs = ladders_mod.search_decompositions(r, ell_max, nu_max)
     payload = [ser.decomposition_to_json(d) for d in decs]
-    if out_path:
-        Path(out_path).write_text(json.dumps(payload, indent=2))
-    _emit(payload, {"cmd": "ladders search", "ring": ring_path,
-                    "ell_max": ell_max, "nu_max": nu_max, "out": out_path})
+    if out:
+        Path(out).write_text(json.dumps(payload, indent=2))
+    _emit(payload)
 
 
 @ladders.command("verify")
-@click.option("--ring", "ring_path", required=True)
-@click.option("--dec", "dec_path", required=True)
-def ladders_verify(ring_path, dec_path):
-    r = _load_ring(ring_path)
-    dec = ser.decomposition_from_json(r, _load_json(dec_path))
-    report = ladders_mod.verify_decomposition(r, dec)
-    _emit({"valid": report.valid, "reasons": list(report.reasons)},
-          {"cmd": "ladders verify", "ring": ring_path, "dec": dec_path})
+@click.option("--ring", required=True)
+@click.option("--dec", required=True)
+def ladders_verify(ring, dec):
+    r = _load_ring(ring)
+    report = ladders_mod.verify_decomposition(r, ser.decomposition_from_json(r, _load_json(dec)))
+    _emit({"valid": report.valid, "reasons": list(report.reasons)})
     if not report.valid:
         raise Contradiction("decomposition invalid: " + "; ".join(report.reasons))
 
 
 @ladders.command("build")
-@click.option("--ring", "ring_path", required=True)
-@click.option("--dec", "dec_path", required=True)
-def ladders_build(ring_path, dec_path):
-    r = _load_ring(ring_path)
-    dec = ser.decomposition_from_json(r, _load_json(dec_path))
-    ladder = ladders_mod.build_ladder(r, dec)
+@click.option("--ring", required=True)
+@click.option("--dec", required=True)
+def ladders_build(ring, dec):
+    r = _load_ring(ring)
+    ladder = ladders_mod.build_ladder(r, ser.decomposition_from_json(r, _load_json(dec)))
     _emit({
         "window": [ser.class_to_str(v) for v in ladder.window],
         "hom_degrees": list(ladder.hom_degrees),
         "nu": ladder.nu,
         "ell": ladder.ell,
-    }, {"cmd": "ladders build", "ring": ring_path, "dec": dec_path})
+    })
 
 
 @ladders.command("case2")
-@click.option("--ring", "ring_path", required=True)
-@click.option("--class", "cls_lit", default=None)
+@click.option("--ring", required=True)
+@click.option("--class", "class_", default=None)
 @click.option("--orbits", required=True, type=int)
-def ladders_case2(ring_path, cls_lit, orbits):
-    invocation = {"cmd": "ladders case2", "ring": ring_path, "class": cls_lit,
-                  "orbits": orbits}
-    r = _load_ring(ring_path)
-    u = ser.class_from_str(r, cls_lit) if cls_lit else r.first_chern_generator()
+def ladders_case2(ring, class_, orbits):
+    r = _load_ring(ring)
+    u = ser.class_from_str(r, class_) if class_ else r.first_chern_generator()
     try:
         params = ladders_mod.case_ii_parameters(r, u, orbits)
     except ladders_mod.PowerVanishesError as exc:
-        _emit({"error": str(exc), "vanishing_exponent": exc.exponent}, invocation)
+        _emit({"error": str(exc), "vanishing_exponent": exc.exponent})
         raise Contradiction(str(exc))
-    _emit({"d": params.d, "ell": params.ell}, invocation)
+    _emit({"d": params.d, "ell": params.ell})
 
 
 # ---------------------------------------------------------------------------
@@ -184,43 +176,36 @@ def spectra():
     """Action, index, and augmented-action calculus."""
 
 
-def _orbit_and_md(orbit_path, n_chern, lam):
-    orbit = ser.orbit_from_json(_load_json(orbit_path))
-    md = MonotoneData(N=n_chern, lam=ser.frac_from_str(lam))
+def _orbit_and_md(path, chern, lam):
+    orbit = ser.orbit_from_json(_load_json(path))
+    md = MonotoneData(N=chern, lam=ser.frac_from_str(lam))
     return orbit, md
 
 
 @spectra.command("recap")
-@click.option("--orbit", "orbit_path", required=True)
+@click.option("--orbit", required=True)
 @click.option("--m", required=True, type=int)
-@click.option("--chern", "n_chern", required=True, type=int)
-@click.option("--lam", required=True)
-def spectra_recap(orbit_path, m, n_chern, lam):
-    orbit, md = _orbit_and_md(orbit_path, n_chern, lam)
-    out = recap(orbit, m, md)
-    _emit(ser.orbit_to_json(out),
-          {"cmd": "spectra recap", "orbit": orbit_path, "m": m,
-           "chern": n_chern, "lambda": lam})
+@click.option("--chern", required=True, type=int)
+@click.option("--lam", "lambda_", required=True)
+def spectra_recap(orbit, m, chern, lambda_):
+    x, md = _orbit_and_md(orbit, chern, lambda_)
+    _emit(ser.orbit_to_json(recap(x, m, md)))
 
 
 @spectra.command("iterate")
-@click.option("--orbit", "orbit_path", required=True)
+@click.option("--orbit", required=True)
 @click.option("--k", required=True, type=int)
-def spectra_iterate(orbit_path, k):
-    orbit = ser.orbit_from_json(_load_json(orbit_path))
-    _emit(ser.orbit_to_json(iterate(orbit, k)),
-          {"cmd": "spectra iterate", "orbit": orbit_path, "k": k})
+def spectra_iterate(orbit, k):
+    _emit(ser.orbit_to_json(iterate(ser.orbit_from_json(_load_json(orbit)), k)))
 
 
 @spectra.command("augmented")
-@click.option("--orbit", "orbit_path", required=True)
-@click.option("--chern", "n_chern", required=True, type=int)
-@click.option("--lam", required=True)
-def spectra_augmented(orbit_path, n_chern, lam):
-    orbit, md = _orbit_and_md(orbit_path, n_chern, lam)
-    _emit(ser.frac_to_str(augmented_action(orbit, md)),
-          {"cmd": "spectra augmented", "orbit": orbit_path,
-           "chern": n_chern, "lambda": lam})
+@click.option("--orbit", required=True)
+@click.option("--chern", required=True, type=int)
+@click.option("--lam", "lambda_", required=True)
+def spectra_augmented(orbit, chern, lambda_):
+    x, md = _orbit_and_md(orbit, chern, lambda_)
+    _emit(ser.frac_to_str(augmented_action(x, md)))
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +244,7 @@ def models_cpn(lambdas, verify):
     if not verify:
         payload.pop("equal_augmented_actions")
         payload.pop("details")
-    _emit(payload, {"cmd": "models cpn", "lambdas": lambdas, "verify": verify})
+    _emit(payload)
 
 
 @models.command("product")
@@ -270,15 +255,14 @@ def models_product(factors):
     model = models_mod.ProductModel(
         factors=tuple(models_mod.CPnQuadraticModel(lambdas=_parse_lambdas(p)) for p in parts)
     )
-    _emit(_model_report(model), {"cmd": "models product", "factors": factors})
+    _emit(_model_report(model))
 
 
 @models.command("verify")
-@click.option("--model", "model_path", required=True)
-def models_verify(model_path):
-    model = ser.model_from_json(_load_json(model_path))
-    payload = _model_report(model)
-    _emit(payload, {"cmd": "models verify", "model": model_path})
+@click.option("--model", required=True)
+def models_verify(model):
+    payload = _model_report(ser.model_from_json(_load_json(model)))
+    _emit(payload)
     if not payload["equal_augmented_actions"]:
         raise Contradiction("augmented actions are not all equal")
 
@@ -316,51 +300,47 @@ def _load_scenario(path):
     return table, ladder, primes
 
 
-@carriers.command("assignments")
-@click.option("--scenario", "scenario_path", required=True)
-@click.option("--k", required=True, type=int)
-def carriers_assignments(scenario_path, k):
-    table, ladder, _ = _load_scenario(scenario_path)
-    if ladder is None:
-        raise click.UsageError("scenario has no 'ladder' entry")
-    assignments = carriers_mod.admissible_assignments(table, ladder, k)
-    _emit([
-        {"k": a.k, "slots": [[oid, m] for oid, m in a.slots]} for a in assignments
-    ], {"cmd": "carriers assignments", "scenario": scenario_path, "k": k})
-
-
-@carriers.command("verify")
-@click.option("--scenario", "scenario_path", required=True)
-def carriers_verify(scenario_path):
-    table, ladder, primes = _load_scenario(scenario_path)
-    if ladder is None:
-        raise click.UsageError("scenario has no 'ladder' entry")
-    if not primes:
-        raise click.UsageError("scenario has no 'primes' entry")
-    verdict = carriers_mod.relation_verdict(table, ladder, primes)
+def _emit_verdict(verdict: carriers_mod.Verdict):
+    """Print a carrier verdict; a contradiction exits 2."""
     _emit({
         "status": verdict.status,
         "witness": [str(w) for w in verdict.witness],
         "details": list(verdict.details),
-    }, {"cmd": "carriers verify", "scenario": scenario_path})
+    })
     if verdict.status == "contradiction":
         raise Contradiction("; ".join(verdict.details) or "contradiction")
 
 
+@carriers.command("assignments")
+@click.option("--scenario", required=True)
+@click.option("--k", required=True, type=int)
+def carriers_assignments(scenario, k):
+    table, ladder, _ = _load_scenario(scenario)
+    if ladder is None:
+        raise click.UsageError("scenario has no 'ladder' entry")
+    assignments = carriers_mod.admissible_assignments(table, ladder, k)
+    _emit([{"k": a.k, "slots": [[oid, m] for oid, m in a.slots]} for a in assignments])
+
+
+@carriers.command("verify")
+@click.option("--scenario", required=True)
+def carriers_verify(scenario):
+    table, ladder, primes = _load_scenario(scenario)
+    if ladder is None:
+        raise click.UsageError("scenario has no 'ladder' entry")
+    if not primes:
+        raise click.UsageError("scenario has no 'primes' entry")
+    _emit_verdict(carriers_mod.relation_verdict(table, ladder, primes))
+
+
 @carriers.command("negmon")
-@click.option("--scenario", "scenario_path", required=True)
-def carriers_negmon(scenario_path):
-    table, _, primes = _load_scenario(scenario_path)
+@click.option("--scenario", required=True)
+def carriers_negmon(scenario):
+    table, _, primes = _load_scenario(scenario)
     if not primes:
         raise click.UsageError("scenario has no 'primes' entry")
     verdict = carriers_mod.neg_monotone_obstruction(table, primes)
-    _emit({
-        "status": verdict.status,
-        "witness": [str(w) for w in verdict.witness],
-        "details": list(verdict.details),
-    }, {"cmd": "carriers negmon", "scenario": scenario_path})
-    if verdict.status == "contradiction":
-        raise Contradiction("; ".join(verdict.details))
+    _emit_verdict(verdict)
     if any("degenerate" in d for d in verdict.details):
         raise Inconclusive("; ".join(verdict.details))
 
@@ -383,7 +363,7 @@ def main(argv=None):
     except (ladders_mod.InvalidDecompositionError, ladders_mod.LadderChainError) as exc:
         click.echo(f"invalid ladder: {exc}", err=True)
         sys.exit(EXIT_CONTRADICTION)
-    except (ser.ParseError, ValueError, KeyError) as exc:
+    except (ValueError, KeyError) as exc:  # serialize.ParseError is a ValueError
         click.echo(f"input error: {exc}", err=True)
         sys.exit(EXIT_USAGE)
     sys.exit(EXIT_OK)

@@ -52,6 +52,14 @@ def json_bool(value, name: str) -> bool:
     return value
 
 
+def json_str(value, name: str) -> str:
+    """A string field as JSON wrote it; a number, a null or an array is a
+    TypeError."""
+    if type(value) is not str:
+        raise TypeError(f"{name} {value!r} is not a string")
+    return value
+
+
 def json_list(value, name: str) -> list:
     """An array field as JSON wrote it.  A string, whose characters would
     otherwise be read one by one, an object or a number is a TypeError."""
@@ -65,8 +73,10 @@ def json_list(value, name: str) -> list:
 
 
 def frac_from_str(text) -> Fraction:
+    """A rational written as a string, e.g. "a/b".  A JSON number is a
+    TypeError: a float such as 0.1 is not the rational it approximates."""
     try:
-        return Fraction(str(text))
+        return Fraction(json_str(text, "rational"))
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational {text!r}: {exc}") from exc
 
@@ -319,7 +329,7 @@ def decomposition_to_json(dec: Decomposition) -> dict:
 def orbit_from_json(data) -> CappedOrbit:
     with reading("orbit record"):
         return CappedOrbit(
-            orbit_id=data["id"],
+            orbit_id=json_str(data["id"], "id"),
             m=json_int(data.get("m", 0), "m"),
             action=frac_from_str(data["action"]),
             mean_index=frac_from_str(data["delta"]),

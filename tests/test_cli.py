@@ -303,6 +303,69 @@ class TestCarriers:
         assert proc.returncode == 3, proc.stderr
 
 
+_NEGMON = {
+    "monotone": {"N": 1, "lambda": "-1"},
+    "n": 1,
+    "orbits": [{"id": "x", "action": "1/3", "delta": "1/2"}],
+    "primes": [2, 3, 5, 7, 11, 13],
+}
+
+
+@pytest.mark.parametrize("argv, code, invocation", [
+    (["ring", "mul", "--ring", "cp2.json", "--a", "u", "--b", "u^2"], 0,
+     {"cmd": "ring mul", "ring": "cp2.json", "a": "u", "b": "u^2", "field": None}),
+    (["ring", "power", "--ring", "g24.json", "--class", "s[1]", "--d", "3", "--field", "Fp:2"],
+     0, {"cmd": "ring power", "ring": "g24.json", "class": "s[1]", "d": 3, "field": "Fp:2"}),
+    (["ring", "basis", "--ring", "g24.json", "--degree", "2"], 0,
+     {"cmd": "ring basis", "ring": "g24.json", "degree": 2, "field": None}),
+    (["ladders", "search", "--ring", "cp2.json", "--ell-max", "3"], 0,
+     {"cmd": "ladders search", "ring": "cp2.json", "ell_max": 3, "nu_max": 2, "out": None}),
+    (["ladders", "verify", "--ring", "cp2.json", "--dec", "dec.json"], 0,
+     {"cmd": "ladders verify", "ring": "cp2.json", "dec": "dec.json"}),
+    (["ladders", "build", "--ring", "cp2.json", "--dec", "dec.json"], 0,
+     {"cmd": "ladders build", "ring": "cp2.json", "dec": "dec.json"}),
+    (["ladders", "case2", "--ring", "g24.json", "--orbits", "6"], 0,
+     {"cmd": "ladders case2", "ring": "g24.json", "class": None, "orbits": 6}),
+    (["ladders", "case2", "--ring", "g24f2.json", "--class", "s[1]", "--orbits", "6"], 2,
+     {"cmd": "ladders case2", "ring": "g24f2.json", "class": "s[1]", "orbits": 6}),
+    (["spectra", "recap", "--orbit", "orbit.json", "--m", "-1", "--chern", "2", "--lam", "1/2"],
+     0, {"cmd": "spectra recap", "orbit": "orbit.json", "m": -1, "chern": 2, "lambda": "1/2"}),
+    (["spectra", "iterate", "--orbit", "orbit.json", "--k", "5"], 0,
+     {"cmd": "spectra iterate", "orbit": "orbit.json", "k": 5}),
+    (["spectra", "augmented", "--orbit", "orbit.json", "--chern", "2", "--lam", "1/2"], 0,
+     {"cmd": "spectra augmented", "orbit": "orbit.json", "chern": 2, "lambda": "1/2"}),
+    (["models", "cpn", "--lambdas", "0,1,3"], 0,
+     {"cmd": "models cpn", "lambdas": "0,1,3", "verify": False}),
+    (["models", "product", "--factors", "0,1;0,1"], 0,
+     {"cmd": "models product", "factors": "0,1;0,1"}),
+    (["models", "verify", "--model", "model.json"], 0,
+     {"cmd": "models verify", "model": "model.json"}),
+    (["carriers", "assignments", "--scenario", "s.json", "--k", "3"], 0,
+     {"cmd": "carriers assignments", "scenario": "s.json", "k": 3}),
+    (["carriers", "verify", "--scenario", "s.json"], 0,
+     {"cmd": "carriers verify", "scenario": "s.json"}),
+    (["carriers", "negmon", "--scenario", "neg.json"], 2,
+     {"cmd": "carriers negmon", "scenario": "neg.json"}),
+], ids=["ring mul", "ring power", "ring basis", "ladders search", "ladders verify",
+        "ladders build", "ladders case2", "ladders case2 vanishing power", "spectra recap",
+        "spectra iterate", "spectra augmented", "models cpn", "models product", "models verify",
+        "carriers assignments", "carriers verify", "carriers negmon"])
+def test_invocation_records_every_parameter(workdir, argv, code, invocation):
+    (workdir / "g24f2.json").write_text(
+        json.dumps({"kind": "grassmannian", "k": 2, "N": 4, "field": "Fp:2"})
+    )
+    (workdir / "dec.json").write_text(json.dumps({"u0": "1", "factors": ["u"] * 3, "nu": 1}))
+    (workdir / "orbit.json").write_text(
+        json.dumps({"id": "x0", "action": "1/2", "delta": "-2"})
+    )
+    (workdir / "model.json").write_text(json.dumps({"kind": "cpn", "lambdas": ["0", "1/3"]}))
+    (workdir / "s.json").write_text(json.dumps(scenario_payload()))
+    (workdir / "neg.json").write_text(json.dumps(_NEGMON))
+    proc = run_cli(*argv, cwd=workdir)
+    assert proc.returncode == code, proc.stderr
+    assert json.loads(proc.stdout)["invocation"] == invocation
+
+
 _CPN = {"kind": "cpn", "n": 1, "field": "Q"}
 _SCENARIO = ["carriers", "verify", "--scenario", "in.json"]
 _MODEL = ["models", "verify", "--model", "in.json"]
@@ -324,9 +387,34 @@ _MODEL = ["models", "verify", "--model", "in.json"]
     ([{"kind": "cpn", "lambdas": ["0", "1"]}], _MODEL, "malformed model spec"),
     ([{"id": "x0", "action": "1/2", "delta": "2"}],
      ["spectra", "iterate", "--orbit", "in.json", "--k", "2"], "malformed orbit record"),
+    ({**scenario_payload(), "orbits": [{"id": 5, "action": "0", "delta": "-1/4"},
+                                       {"id": "x1", "action": "1/8", "delta": "1/4"}]},
+     _SCENARIO, "malformed orbit record: id 5 is not a string"),
+    ({"id": None, "action": "1/2", "delta": "2"},
+     ["spectra", "iterate", "--orbit", "in.json", "--k", "2"],
+     "malformed orbit record: id None is not a string"),
+    ({"id": ["x"], "action": "1/2", "delta": "2"},
+     ["spectra", "iterate", "--orbit", "in.json", "--k", "2"],
+     "malformed orbit record: id ['x'] is not a string"),
+    ({"id": "x0", "action": 0.1, "delta": "2"},
+     ["spectra", "iterate", "--orbit", "in.json", "--k", "2"],
+     "malformed orbit record: rational 0.1 is not a string"),
+    ({**scenario_payload(), "orbits": [{"id": "x0", "action": "0", "delta": -0.25},
+                                       {"id": "x1", "action": "1/8",
+                                        "delta": 0.3333333333333333}]},
+     _SCENARIO, "malformed orbit record: rational -0.25 is not a string"),
+    ({**scenario_payload(), "monotone": {"N": 2, "lambda": 0.5}}, _SCENARIO,
+     "malformed monotone record: rational 0.5 is not a string"),
+    ({"kind": "cpn", "lambdas": [0, 0.1]}, _MODEL,
+     "malformed model spec: rational 0 is not a string"),
+    ({**_CPN, "lambda0": 1}, ["ring", "basis", "--ring", "in.json", "--degree", "0"],
+     "malformed ring spec: rational 1 is not a string"),
 ], ids=["ring n null", "product factors 5", "scenario primes 5", "scenario ladder 5",
         "scenario monotone null", "scenario n null", "scenario prime 2.5",
-        "decomposition factors 5", "model lambdas 5", "model list", "orbit list"])
+        "decomposition factors 5", "model lambdas 5", "model list", "orbit list",
+        "scenario orbit id 5", "orbit id null", "orbit id array", "orbit action 0.1",
+        "scenario orbit delta float", "monotone lambda 0.5", "model lambdas numbers",
+        "ring lambda0 1"])
 def test_malformed_json_value_is_usage_error(workdir, record, argv, cause):
     (workdir / "in.json").write_text(json.dumps(record))
     proc = run_cli(*argv, cwd=workdir)
