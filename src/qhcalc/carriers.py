@@ -224,7 +224,6 @@ def admissible_assignments(
 class StabilityReport:
     table: OrbitTable
     ladder: Ladder
-    primes: Tuple[int, ...]
     assignments: Tuple[Tuple[int, CarrierAssignment], ...]
     stable_ks: Tuple[int, ...]
     phi: Tuple[str, ...]
@@ -232,8 +231,11 @@ class StabilityReport:
 
 
 def _increasing(primes: Sequence[int]) -> Tuple[int, ...]:
-    """The iterations as a tuple; each verdict reads them in increasing order."""
+    """The iterations as a tuple: at least one, each >= 1, and strictly
+    increasing, the order in which both verdicts read them."""
     primes = tuple(primes)
+    if not primes or primes[0] < 1:
+        raise ValueError("iteration order must be >= 1")
     if any(b <= a for a, b in zip(primes, primes[1:])):
         raise ValueError("primes must be strictly increasing")
     return primes
@@ -269,7 +271,6 @@ def stable_subsequence(
     return StabilityReport(
         table=table,
         ladder=ladder,
-        primes=primes,
         assignments=tuple(chosen),
         stable_ks=stable,
         phi=phi,
@@ -351,11 +352,6 @@ def relation_verdict(
                 f"k={k}: no carrier assignment satisfies the constraints"
                 for k in report.failures
             ),
-        )
-    if not report.stable_ks:
-        return Verdict(
-            status="contradiction",
-            witness=("empty stable subsequence",),
         )
     image = sorted(set(report.phi))
     for x_id, y_id in itertools.combinations(image, 2):

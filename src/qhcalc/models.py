@@ -119,14 +119,7 @@ def _fixed_point(orbit_id: str, action: Fraction, angles: Sequence[Fraction]) ->
 
 def cpn_fixed_points(model: CPnQuadraticModel) -> List[CappedOrbit]:
     """Fixed points x_0..x_n with the trivial capping."""
-    n = model.n
-    total = sum(model.lambdas)
-    orbits = []
-    for axis in _axes(model):
-        o = _fixed_point(*axis)
-        assert o.mean_index == 2 * ((n + 1) * o.action - total)
-        orbits.append(o)
-    return orbits
+    return fixed_points(model)
 
 
 def fixed_points(model) -> List[CappedOrbit]:

@@ -9,8 +9,8 @@ a nonzero coefficient.  Structure constants are integers independent of the
 ground field; those of G(k,N) are computed once over Z and cached under the
 unordered pair of labels, since c^nu_{lam,mu} = c^nu_{mu,lam}, with the
 smaller label as the content.  A product recombines its factors' tables on
-each call.  A product ring is its two factors: its ground field and lambda0
-come from theirs.
+each call.  A product ring is its flat tuple of factors, one label entry per
+factor: its ground field and lambda0 come from theirs.
 
 Basis labels are checked once, where they enter, by each ring's
 ``normalize_label``; past that point partitions are normalised tuples and no
@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, product
 from typing import Dict, List, Tuple
 
 from .qalgebra import GroundField, QuantumClass, RingMismatchError
@@ -205,8 +206,8 @@ class RingPresentation:
     def one(self) -> QuantumClass:
         return self.basis_class(self.unit_label())
 
-    def basis_class(self, label, m: int = 0, coeff=1) -> QuantumClass:
-        return QuantumClass.build(self, {(label, m): coeff})
+    def basis_class(self, label, m: int = 0) -> QuantumClass:
+        return QuantumClass.build(self, {(label, m): 1})
 
     def zero(self) -> QuantumClass:
         return QuantumClass._assemble(self, {})
@@ -333,75 +334,88 @@ class Grassmannian(RingPresentation):
 class ProductRing(RingPresentation):
     """Monotone product via the quantum Kunneth formula.
 
-    Both factors must carry the same monotonicity constant and ground field,
-    which the product takes; its minimal Chern number is N = gcd(N_left,
-    N_right), so lambda0 = monotonicity * N.  Factor q-powers convert by the
-    ratios N_left/N and N_right/N.
+    A product is its tuple of factors: a factor that is itself a product is
+    replaced by its own factors, so a label is one tuple with one entry per
+    factor.  The factors must share the monotonicity constant and the ground
+    field, which the product takes; its minimal Chern number is the gcd N of
+    theirs, so lambda0 = monotonicity * N, and a factor's q-powers convert by
+    its ratio N_f/N.
     """
 
-    left: RingPresentation
-    right: RingPresentation
+    factors: Tuple[RingPresentation, ...]
     field: GroundField = dc_field(init=False)
     lambda0: Fraction = dc_field(init=False)
 
     def __post_init__(self):
-        if self.left.monotonicity != self.right.monotonicity:
-            raise ValueError(
-                "mismatched monotonicity constants: "
-                f"{self.left.monotonicity} vs {self.right.monotonicity}"
-            )
-        if self.left.field != self.right.field:
-            raise ValueError(
-                "factors must share the ground field: "
-                f"{self.left.field.spec()} vs {self.right.field.spec()}"
-            )
-        object.__setattr__(self, "field", self.left.field)
-        object.__setattr__(self, "lambda0", self.left.monotonicity * self.N_chern)
+        facs = tuple(chain.from_iterable(
+            f.factors if isinstance(f, ProductRing) else (f,) for f in self.factors
+        ))
+        if len(facs) < 2:
+            raise ValueError("a product ring needs at least two factors")
+        first = facs[0]
+        for f in facs[1:]:
+            if f.monotonicity != first.monotonicity:
+                raise ValueError(
+                    "mismatched monotonicity constants: "
+                    f"{first.monotonicity} vs {f.monotonicity}"
+                )
+            if f.field != first.field:
+                raise ValueError(
+                    "factors must share the ground field: "
+                    f"{first.field.spec()} vs {f.field.spec()}"
+                )
+        object.__setattr__(self, "factors", facs)
+        object.__setattr__(self, "field", first.field)
+        object.__setattr__(self, "lambda0", first.monotonicity * self.N_chern)
         super().__post_init__()
 
     @property
     def complex_dim(self) -> int:
-        return self.left.complex_dim + self.right.complex_dim
+        return sum(f.complex_dim for f in self.factors)
 
     @property
     def N_chern(self) -> int:
-        return math.gcd(self.left.N_chern, self.right.N_chern)
+        return math.gcd(*(f.N_chern for f in self.factors))
 
     def unit_label(self):
-        return (self.left.unit_label(), self.right.unit_label())
+        return tuple(f.unit_label() for f in self.factors)
 
     def basis_labels(self):
-        return [
-            (a, b) for a in self.left.basis_labels() for b in self.right.basis_labels()
-        ]
+        return list(product(*(f.basis_labels() for f in self.factors)))
 
     def normalize_label(self, label):
-        a, b = label
-        return (self.left.normalize_label(a), self.right.normalize_label(b))
+        label = tuple(label)
+        if len(label) != len(self.factors):
+            raise ValueError(f"label {label} needs one entry per factor")
+        return tuple(f.normalize_label(a) for f, a in zip(self.factors, label))
 
     def label_degree(self, label) -> int:
-        a, b = label
-        return self.left.label_degree(a) + self.right.label_degree(b)
+        return sum(f.label_degree(a) for f, a in zip(self.factors, label))
 
     def label_key(self, label):
-        a, b = label
-        return (self.left.label_key(a), self.right.label_key(b))
+        return tuple(f.label_key(a) for f, a in zip(self.factors, label))
 
     def structure(self, la, lb):
-        ra = self.left.N_chern // self.N_chern
-        rb = self.right.N_chern // self.N_chern
+        N = self.N_chern
+        ratios = [f.N_chern // N for f in self.factors]
+        tables = [f.structure(a, b) for f, a, b in zip(self.factors, la, lb)]
         out: StructTable = {}
-        for (l1, m1), n1 in self.left.structure(la[0], lb[0]):
-            for (l2, m2), n2 in self.right.structure(la[1], lb[1]):
-                key = ((l1, l2), m1 * ra + m2 * rb)
-                out[key] = out.get(key, 0) + n1 * n2
+        for terms in product(*tables):
+            key = (
+                tuple(lbl for (lbl, _), _ in terms),
+                sum(m * r for ((_, m), _), r in zip(terms, ratios)),
+            )
+            out[key] = out.get(key, 0) + math.prod(n for _, n in terms)
         return tuple(sorted(kv for kv in out.items() if kv[1] != 0))
 
     def first_chern_generator(self) -> QuantumClass:
-        one_a, one_b = self.left.unit_label(), self.right.unit_label()
-        ua = {((la, one_b), m): c for (la, m), c in self.left.first_chern_generator().terms}
-        ub = {((one_a, lb), m): c for (lb, m), c in self.right.first_chern_generator().terms}
-        return QuantumClass._assemble(self, ua) + QuantumClass._assemble(self, ub)
+        """The sum of each factor's generator tensored with the others' units."""
+        units, N = self.unit_label(), self.N_chern
+        return QuantumClass._assemble(self, {
+            (units[:i] + (lbl,) + units[i + 1:], m * f.N_chern // N): c
+            for i, f in enumerate(self.factors)
+            for (lbl, m), c in f.first_chern_generator().terms
+        })
 
 
 # ---------------------------------------------------------------------------
@@ -470,4 +484,4 @@ def quantum_pieri(ring: Grassmannian, lam, p: int) -> QuantumClass:
 
 
 def kunneth(ring_a: RingPresentation, ring_b: RingPresentation) -> ProductRing:
-    return ProductRing(left=ring_a, right=ring_b)
+    return ProductRing(factors=(ring_a, ring_b))

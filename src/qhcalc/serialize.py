@@ -1,8 +1,9 @@
 """Parsing and formatting: class literals, JSON ring/orbit/scenario records.
 
 Class literal syntax: ``1``, ``u``, ``u^3``, ``s[2,1]``, ``q^2*s[1]``,
-``3/2*u``, sums joined with `` + `` / `` - ``, and ``ox`` between tensor
-factors of a product ring.  All rationals travel as "a/b" strings in JSON.
+``3/2*u``, sums joined with `` + `` / `` - ``, and one ``ox`` between each
+pair of tensor factors of a product ring.  All rationals travel as "a/b"
+strings in JSON.
 """
 
 from __future__ import annotations
@@ -125,13 +126,13 @@ def _split_terms(text: str) -> List[Tuple[int, str]]:
 def _parse_base_label(ring: RingPresentation, text: str):
     text = text.strip()
     if isinstance(ring, ProductRing):
-        parts = [p.strip() for p in text.split("ox")]
-        if len(parts) != 2:
-            raise ParseError(f"product label needs exactly one 'ox': {text!r}")
-        return (
-            _parse_base_label(ring.left, parts[0]),
-            _parse_base_label(ring.right, parts[1]),
-        )
+        parts = text.split("ox")
+        if len(parts) != len(ring.factors):
+            raise ParseError(
+                f"a label of {len(ring.factors)} factors needs "
+                f"{len(ring.factors) - 1} 'ox': {text!r}"
+            )
+        return tuple(_parse_base_label(f, p) for f, p in zip(ring.factors, parts))
     if text == "1":
         return ring.unit_label()
     m = _U_RE.match(text)
@@ -194,10 +195,7 @@ def class_from_str(ring: RingPresentation, text: str) -> QuantumClass:
 
 def _label_to_str(ring: RingPresentation, label) -> str:
     if isinstance(ring, ProductRing):
-        return (
-            f"{_label_to_str(ring.left, label[0])} ox "
-            f"{_label_to_str(ring.right, label[1])}"
-        )
+        return " ox ".join(_label_to_str(f, a) for f, a in zip(ring.factors, label))
     if isinstance(ring, CPn):
         if label == 0:
             return "1"
@@ -260,7 +258,8 @@ def ring_from_json(data, field: GroundField = None) -> RingPresentation:
 
 
 def _product_from_json(factor_records, field: GroundField, spec) -> RingPresentation:
-    """A product of the factor records; ``spec`` is the product's own field."""
+    """The product of the factor records, flat, or the one factor of a
+    one-factor record; ``spec`` is the product's own field."""
     if not factor_records:
         raise ParseError("product ring spec has no factors")
     top = None if field is not None or spec is None else GroundField.from_spec(spec)
@@ -275,10 +274,7 @@ def _product_from_json(factor_records, field: GroundField, spec) -> RingPresenta
                 f"{factor.field.spec()}"
             )
         factors.append(factor)
-    ring = factors[0]
-    for f in factors[1:]:
-        ring = ProductRing(left=ring, right=f)
-    return ring
+    return factors[0] if len(factors) == 1 else ProductRing(factors=tuple(factors))
 
 
 def ring_to_json(ring: RingPresentation) -> dict:
@@ -295,7 +291,7 @@ def ring_to_json(ring: RingPresentation) -> dict:
         }
     return {
         "kind": "product",
-        "factors": [ring_to_json(ring.left), ring_to_json(ring.right)],
+        "factors": [ring_to_json(f) for f in ring.factors],
         "field": ring.field.spec(),
     }
 

@@ -42,10 +42,6 @@ class MonotoneData:
         return self.lam * self.N
 
     @property
-    def sign(self) -> str:
-        return "monotone" if self.lam > 0 else "negative monotone"
-
-    @property
     def I_omega_A(self) -> Fraction:
         return -self.lambda0
 

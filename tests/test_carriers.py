@@ -237,6 +237,19 @@ class TestStableSubsequence:
         with pytest.raises(ValueError):
             stable_subsequence(table, cpn_ladder(1), [5, 3])
 
+    @pytest.mark.parametrize("primes", [[], [0, 3, 5], [-7, 3, 5]])
+    def test_iterations_below_one_rejected(self, primes):
+        """Both verdicts need at least one iteration, each k >= 1."""
+        table = model_table(0, Fraction(1, 8))
+        with pytest.raises(ValueError, match="iteration order must be >= 1"):
+            relation_verdict(table, cpn_ladder(1), primes)
+        negmon = OrbitTable(
+            md=MonotoneData(N=1, lam=Fraction(-1)), n=1,
+            orbits=(TableOrbit("x", Fraction(1, 3), Fraction(1, 2), True),),
+        )
+        with pytest.raises(ValueError, match="iteration order must be >= 1"):
+            neg_monotone_obstruction(negmon, primes)
+
 
 class TestCountingCheck:
     def test_consistent_model_zero_slope(self):

@@ -99,6 +99,21 @@ class TestRing:
                        cwd=workdir)
         assert result_of(proc) == "0"
 
+    def test_three_factor_product_literals(self, workdir):
+        cp1 = {"kind": "cpn", "n": 1}
+        (workdir / "p.json").write_text(
+            json.dumps({"kind": "product", "factors": [cp1, cp1, cp1]})
+        )
+        basis = run_cli("ring", "basis", "--ring", "p.json", "--degree", "2", cwd=workdir)
+        assert result_of(basis) == ["1 ox 1 ox u", "1 ox u ox 1", "u ox 1 ox 1"]
+        proc = run_cli("ring", "mul", "--ring", "p.json", "--a", "u ox 1 ox 1",
+                       "--b", "1 ox u ox 1", cwd=workdir)
+        assert result_of(proc) == "u ox u ox 1"
+        proc = run_cli("ring", "mul", "--ring", "p.json", "--a", "u ox 1",
+                       "--b", "1 ox u ox 1", cwd=workdir)
+        assert proc.returncode == 64, proc.stderr
+        assert "a label of 3 factors needs 2 'ox': 'u ox 1'" in proc.stderr
+
     def test_product_field_disagreeing_with_factor_is_usage_error(self, workdir):
         (workdir / "p.json").write_text(json.dumps({
             "kind": "product", "field": "Q",
@@ -290,6 +305,20 @@ class TestCarriers:
         proc = run_cli("carriers", "negmon", "--scenario", "s.json", cwd=workdir)
         assert proc.returncode == 64, proc.stderr
         assert "primes must be strictly increasing" in proc.stderr
+
+    @pytest.mark.parametrize("primes", [[0, 3, 5, 7, 11, 13], [-7, 3, 5]])
+    def test_negmon_iteration_below_one_is_usage_error(self, workdir, primes):
+        payload = {
+            "monotone": {"N": 1, "lambda": "-1"},
+            "n": 1,
+            "orbits": [{"id": "x", "action": "1/3", "delta": "1/2",
+                        "weakly_nondegenerate": True}],
+            "primes": primes,
+        }
+        (workdir / "s.json").write_text(json.dumps(payload))
+        proc = run_cli("carriers", "negmon", "--scenario", "s.json", cwd=workdir)
+        assert proc.returncode == 64, proc.stderr
+        assert "iteration order must be >= 1" in proc.stderr
 
     def test_negmon_degenerate_inconclusive(self, workdir):
         payload = {

@@ -2,11 +2,12 @@
 
 The file holds ``class_to_str`` of every ordered basis product of G(2,5) over
 Q and F_3, of G(3,6) over Q, and of the Kunneth products CP^1 x CP^1 over Q
-and F_2 and G(2,4) x CP^3 over Q and F_3; the powers c_1^d, d <= 8, of the
-first Chern generator of those products; ``decomposition_to_json`` of the
-decomposition search on CP^2 and G(2,4); and the SHA-256 of the
-structure constants ``structure(a, b)`` of every ordered pair of basis
-labels of G(3,7) and G(4,8) over Q, as JSON.  It also holds the carrier
+and F_2, G(2,4) x CP^3 over Q and F_3, CP^1 x CP^1 x CP^1 over Q and
+CP^1 x CP^3 x CP^1 over F_3 (lambda0 = 2 on CP^3, so the factors' N differ);
+the powers c_1^d, d <= 8, of the first Chern generator of those products;
+``decomposition_to_json`` of the decomposition search on CP^2 and G(2,4);
+and the SHA-256 of the structure constants ``structure(a, b)`` of every
+ordered pair of basis labels of G(3,7) and G(4,8) over Q, as JSON.  It also holds the carrier
 search on seeded quadratic-model tables of CP^1..CP^4, each genuine and with
 one action perturbed, over the primes below 100 and over 2, 3: the
 ``stable_subsequence`` report, each assignment written as "id:capping" per
@@ -76,6 +77,11 @@ def _product_rings():
         ("G(2,4) x CP^3 over Q", kunneth(Grassmannian(k=2, N=4), CPn(n=3))),
         ("G(2,4) x CP^3 over F_3",
          kunneth(Grassmannian(k=2, N=4, field=f3), CPn(n=3, field=f3))),
+        ("CP^1 x CP^1 x CP^1 over Q", kunneth(kunneth(CPn(n=1), CPn(n=1)), CPn(n=1))),
+        # N = gcd(2, 4, 2): the CP^3 factor's q-powers count double
+        ("CP^1 x CP^3(lambda0=2) x CP^1 over F_3",
+         kunneth(kunneth(CPn(n=1, field=f3), CPn(n=3, field=f3, lambda0=2)),
+                 CPn(n=1, field=f3))),
     )
 
 

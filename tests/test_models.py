@@ -153,6 +153,19 @@ def cpn_models(n):
     )
 
 
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.integers(1, 5).flatmap(cpn_models))
+def test_cpn_rows_closed_form(m):
+    """With the trivial capping x_j has action lambda_j and mean index
+    2*((n+1)*lambda_j - sum(lambda))."""
+    rows = cpn_fixed_points(m)
+    assert [o.orbit_id for o in rows] == [f"x{j}" for j in range(m.n + 1)]
+    total = sum(m.lambdas)
+    for o, lj in zip(rows, m.lambdas):
+        assert o.action == lj
+        assert o.mean_index == 2 * ((m.n + 1) * lj - total)
+
+
 factor_lists = st.integers(1, 3).flatmap(
     lambda n: st.lists(cpn_models(n), min_size=1, max_size=3)
 )

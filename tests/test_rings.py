@@ -241,7 +241,7 @@ class TestKunneth:
         f3 = GroundField(3)
         left = CPn(n=1, field=f3, lambda0=Fraction(4))
         right = Grassmannian(k=2, N=4, field=f3, lambda0=Fraction(8))
-        ring = ProductRing(left=left, right=right)
+        ring = ProductRing(factors=(left, right))
         assert ring == kunneth(left, right)
         assert (ring.field, ring.N_chern, ring.lambda0, ring.monotonicity) == (
             f3, 2, Fraction(4), Fraction(2)
@@ -251,13 +251,37 @@ class TestKunneth:
         ) + ring.basis_class((0, (1,)))
         for setting in ({"lambda0": 5}, {"field": f3}):
             with pytest.raises(TypeError):
-                ProductRing(left=CPn(n=1), right=CPn(n=1), **setting)
+                ProductRing(factors=(CPn(n=1), CPn(n=1)), **setting)
 
     def test_mismatched_monotonicity_rejected(self):
         with pytest.raises(ValueError):
             kunneth(
                 CPn(n=1, lambda0=Fraction(1)), CPn(n=2, lambda0=Fraction(2))
             )
+
+    def test_products_flatten(self):
+        """However a product is nested, it is its flat tuple of factors, and
+        each factor's q-powers convert by N_f/N."""
+        a, b, c = CPn(n=1), CPn(n=3, lambda0=2), CPn(n=1)
+        flat = ProductRing(factors=(a, b, c))
+        assert kunneth(kunneth(a, b), c) == kunneth(a, kunneth(b, c)) == flat
+        assert flat.factors == (a, b, c)
+        assert (flat.N_chern, flat.complex_dim, flat.lambda0) == (2, 5, Fraction(1))
+        assert flat.unit_label() == (0, 0, 0)
+        assert len(flat.basis_labels()) == 16
+        # u^4 = q in CP^3, whose N is twice the product's
+        assert flat.basis_class((0, 1, 0)) ** 4 == flat.basis_class((0, 0, 0), m=2)
+        assert flat.basis_class((1, 0, 0)) ** 2 == flat.basis_class((0, 0, 0), m=1)
+        assert flat.first_chern_generator() == sum(
+            (flat.basis_class(lbl) for lbl in ((1, 0, 0), (0, 1, 0), (0, 0, 1))),
+            flat.zero(),
+        )
+        with pytest.raises(ValueError):
+            flat.normalize_label((0, 0))
+        for factors in ((), (a,)):
+            with pytest.raises(ValueError):
+                ProductRing(factors=factors)
+        assert ProductRing(factors=(kunneth(a, b),)) == kunneth(a, b)
 
     def test_g24_times_p3_generator_powers(self):
         ring = kunneth(

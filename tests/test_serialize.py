@@ -36,6 +36,11 @@ def _rings(field):
         kunneth(CPn(n=1, field=field), CPn(n=1, field=field)),
         # CP^3 and G(2,4) share N = 4 and so the monotonicity constant
         kunneth(CPn(n=3, field=field), Grassmannian(k=2, N=4, field=field)),
+        # N = gcd(2, 4, 2): three factors, unequal N
+        kunneth(
+            kunneth(CPn(n=1, field=field), CPn(n=3, field=field, lambda0=2)),
+            CPn(n=1, field=field),
+        ),
     ]
 
 
@@ -79,10 +84,29 @@ def test_ring_record_round_trip():
         cp3 = CPn(n=3, field=field, lambda0=Fraction(4, 3))
         for ring in (cp1, cp2, g24, Grassmannian(k=3, N=6, field=field, lambda0=-5),
                      kunneth(cp1, cp2), kunneth(cp3, g24), kunneth(kunneth(cp1, cp2), cp1),
-                     ProductRing(left=cp3, right=g24)):
+                     ProductRing(factors=(cp3, g24))):
             record = json.loads(json.dumps(ring_to_json(ring)))
             assert ring_from_json(record) == ring
             assert ring_to_json(ring_from_json(record)) == record
+
+
+def test_product_records_read_flat():
+    """A flat record writes back as written; left-nested, right-nested and
+    flat records read as one ring."""
+    cp1 = {"kind": "cpn", "n": 1, "field": "Fp:3", "lambda0": "1"}
+    cp3 = {"kind": "cpn", "n": 3, "field": "Fp:3", "lambda0": "2"}
+    flat = {"kind": "product", "factors": [cp1, cp3, cp1], "field": "Fp:3"}
+    ring = ring_from_json(flat)
+    assert ring_to_json(ring) == flat
+    left = {"kind": "product", "factors": [{"kind": "product", "factors": [cp1, cp3]}, cp1]}
+    right = {"kind": "product", "factors": [cp1, {"kind": "product", "factors": [cp3, cp1]}]}
+    assert ring_from_json(left) == ring_from_json(right) == ring
+    assert [ring_to_json(f) for f in ring.factors] == [cp1, cp3, cp1]
+    u = class_from_str(ring, "u ox 1 ox 1")
+    assert class_to_str(u * class_from_str(ring, "1 ox u^3 ox u")) == "u ox u^3 ox u"
+    for text in ("u ox 1", "u ox 1 ox 1 ox 1"):
+        with pytest.raises(ValueError, match="a label of 3 factors needs 2 'ox'"):
+            class_from_str(ring, text)
 
 
 orbits = st.builds(

@@ -25,10 +25,6 @@ class TestMonotoneData:
             md = MonotoneData(N=N, lam=lam)
             assert md.I_omega_A == (lam / 2) * md.I_c1_A
 
-    def test_sign(self):
-        assert CP1.sign == "monotone"
-        assert MonotoneData(N=1, lam=Fraction(-1)).sign == "negative monotone"
-
     def test_zero_lambda_rejected(self):
         with pytest.raises(ValueError):
             MonotoneData(N=2, lam=Fraction(0))
