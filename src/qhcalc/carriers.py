@@ -15,9 +15,10 @@ window: the cappings m of a k-th iterate that put its scaled mean index
 k*Delta*D - 2N*D*m inside [(d - 2n)*D, d*D] come from integer floor and ceil
 division, both ends strict for a weakly nondegenerate row.  The assignment
 search, the fundamental-class carrier and the counting check read the scaled
-actions k*a*D - m*lambda0*D of those cappings.  `check_assignment` stays the
-independent checker: it rebuilds each capped orbit with `Fraction`s and
-tests it with `spectra.index_window_check`.
+actions k*a*D - m*lambda0*D of those cappings; so does the negative-monotone
+verdict, which turns them into `Fraction`s only in its printed details.
+`check_assignment` stays the independent checker: it rebuilds each capped
+orbit with `Fraction`s and tests it with `spectra.index_window_check`.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .ladders import Ladder
 from .spectra import (
@@ -79,10 +80,6 @@ class OrbitTable:
             if o.orbit_id == orbit_id:
                 return o
         raise KeyError(orbit_id)
-
-    def capped(self, orbit_id: str, m: int, k: int) -> CappedOrbit:
-        """The k-th iterate of a table orbit with m extra copies of A."""
-        return recap(iterate(self.orbit(orbit_id), k), m, self.md)
 
     @cached_property
     def scaled(self) -> ScaledTable:
@@ -156,7 +153,7 @@ def check_assignment(table: OrbitTable, ladder: Ladder, a: CarrierAssignment) ->
         return False
     capped = []
     for (oid, m), deg in zip(a.slots, ladder.hom_degrees):
-        c = table.capped(oid, m, a.k)
+        c = recap(iterate(table.orbit(oid), a.k), m, table.md)
         if not index_window_check(c, deg, table.n):
             return False
         capped.append(c)
@@ -227,7 +224,7 @@ class StabilityReport:
     assignments: Tuple[Tuple[int, CarrierAssignment], ...]
     stable_ks: Tuple[int, ...]
     phi: Tuple[str, ...]
-    failures: Tuple[int, ...] = ()
+    failures: Tuple[int, ...]
 
 
 def _increasing(primes: Sequence[int]) -> Tuple[int, ...]:
@@ -241,15 +238,25 @@ def _increasing(primes: Sequence[int]) -> Tuple[int, ...]:
     return primes
 
 
+def _most_frequent(pairs) -> Tuple:
+    """The key that the most iterations k of the (k, key) pairs share, ties
+    to the smallest key, and those ks in order; ((), ()) for no pairs."""
+    groups = {}
+    for k, key in pairs:
+        groups.setdefault(key, []).append(k)
+    key = min(groups, key=lambda p: (-len(groups[p]), p), default=())
+    return key, tuple(groups.get(key, ()))
+
+
 def stable_subsequence(
     table: OrbitTable, ladder: Ladder, primes: Sequence[int]
 ) -> StabilityReport:
     """Follow the first admissible assignment along the iterations.
 
     At each k the first assignment in slot order, the first one the search
-    of `_assignments` finds, is chosen; k with none are failures.  The ks are
-    grouped by the orbit ids phi of their choice, and the largest group (ties
-    to the smallest phi) is the stable subsequence.
+    of `_assignments` finds, is chosen; k with none are failures.  The ks
+    sharing the most frequent orbit ids phi of their choice are the stable
+    subsequence.
     """
     primes = _increasing(primes)
     chosen: List[Tuple[int, CarrierAssignment]] = []
@@ -260,14 +267,7 @@ def stable_subsequence(
             failures.append(k)
             continue
         chosen.append((k, first))
-    groups: Dict[Tuple[str, ...], List[int]] = {}
-    for k, a in chosen:
-        groups.setdefault(a.phi(), []).append(k)
-    if groups:
-        phi = min(groups, key=lambda p: (-len(groups[p]), p))
-        stable = tuple(groups[phi])
-    else:
-        phi, stable = (), ()
+    phi, stable = _most_frequent((k, a.phi()) for k, a in chosen)
     return StabilityReport(
         table=table,
         ladder=ladder,
@@ -401,11 +401,11 @@ def distinctness_check(
     return DistinctnessVerdict(status="distinct", mechanism=mechanism)
 
 
-def _fundamental_class_carrier(table: OrbitTable, k: int) -> Optional[CappedOrbit]:
-    """Action maximizer among capped orbits with mean index in [0, 2n]; ties
-    go to the smallest (orbit id, capping), the first in `_cappings` order."""
-    best = max(_cappings(table, 2 * table.n, k), key=itemgetter(2), default=None)
-    return None if best is None else table.capped(best[0], best[1], k)
+def _fundamental_class_carrier(table: OrbitTable, k: int) -> Optional[Tuple[str, int, int]]:
+    """Action maximizer among capped k-th iterates with mean index in [0, 2n],
+    as (orbit id, capping m, action * D); ties go to the smallest (orbit id,
+    capping), the first in `_cappings` order."""
+    return max(_cappings(table, 2 * table.n, k), key=itemgetter(2), default=None)
 
 
 def neg_monotone_obstruction(
@@ -422,24 +422,22 @@ def neg_monotone_obstruction(
     md = table.md
     if md.lam >= 0:
         raise ValueError("negative monotone data required")
-    primes = _increasing(primes)
-    carriers: List[Tuple[int, CappedOrbit]] = []
-    for k in primes:
+    carriers = {}
+    for k in _increasing(primes):
         found = _fundamental_class_carrier(table, k)
         if found is not None:
-            carriers.append((k, found))
+            carriers[k] = found
     if not carriers:
         return Verdict(
             status="no_obstruction",
             details=("no feasible fundamental-class carrier at any iteration",),
         )
-    counts: Dict[str, int] = {}
-    for _, c in carriers:
-        counts[c.orbit_id] = counts.get(c.orbit_id, 0) + 1
-    stable_id = min(counts, key=lambda i: (-counts[i], i))
-    stable = [(k, c) for k, c in carriers if c.orbit_id == stable_id]
-    k1, carrier1 = stable[0]
-    if carrier1.mean_index == 0:
+    x_id, stable = _most_frequent((k, c[0]) for k, c in carriers.items())
+    D, rows, lambda0 = table.scaled
+    a_x, delta_x = next((a, d) for oid, a, d, _ in rows if oid == x_id)
+    k1 = stable[0]
+    m1 = carriers[k1][1]
+    if k1 * delta_x == 2 * md.N * D * m1:
         return Verdict(
             status="no_obstruction",
             details=(
@@ -447,23 +445,21 @@ def neg_monotone_obstruction(
             ),
         )
     # sub-additivity constant: max over remainders r < k1 of c(r) - r * a_x
-    x = table.orbit(stable_id)
-    c0 = Fraction(0)
+    c0 = 0
     for r in range(1, k1):
         found = _fundamental_class_carrier(table, r)
         if found is not None:
-            c0 = max(c0, found.action - iterate(x, r).action)
-    i_omega = md.I_omega_A
-    for k_i, carrier_i in stable[1:]:
-        l_i = k_i // k1
-        nu_i = carrier_i.m - l_i * carrier1.m
-        if nu_i * i_omega > c0:
+            c0 = max(c0, found[2] - r * a_x)
+    for k_i in stable[1:]:
+        nu_i = carriers[k_i][1] - (k_i // k1) * m1
+        # nu_i * I_omega(A) = -nu_i * lambda0
+        if -nu_i * lambda0 > c0:
             return Verdict(
                 status="contradiction",
                 witness=(k_i, nu_i),
                 details=(
-                    f"nu_{k_i} * I_omega(A) = {nu_i * i_omega} exceeds the "
-                    f"sub-additivity bound {c0}; a finite orbit set cannot "
+                    f"nu_{k_i} * I_omega(A) = {Fraction(-nu_i * lambda0, D)} exceeds the "
+                    f"sub-additivity bound {Fraction(c0, D)}; a finite orbit set cannot "
                     "carry the fundamental class at all iterations",
                 ),
             )

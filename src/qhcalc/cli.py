@@ -280,8 +280,8 @@ def _load_scenario(path):
     data = _load_json(path)
     table = ser.table_from_json(data)
     with ser.reading("scenario"):
-        primes = ser.json_list(data.get("primes", []), "primes")
-        primes = [ser.json_int(p, "prime") for p in primes]
+        primes = ser.json_typed(data.get("primes", []), list, "primes")
+        primes = [ser.json_typed(p, int, "prime") for p in primes]
     ladder = None
     if "ladder" in data:
         spec = data["ladder"]
@@ -360,7 +360,7 @@ def main(argv=None):
         sys.exit(EXIT_USAGE)
     except click.exceptions.Abort:
         sys.exit(EXIT_USAGE)
-    except (ladders_mod.InvalidDecompositionError, ladders_mod.LadderChainError) as exc:
+    except ladders_mod.InvalidDecompositionError as exc:
         click.echo(f"invalid ladder: {exc}", err=True)
         sys.exit(EXIT_CONTRADICTION)
     except (ValueError, KeyError) as exc:  # serialize.ParseError is a ValueError

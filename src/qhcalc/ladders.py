@@ -4,14 +4,19 @@ A decomposition is verified against four conditions: the exact product
 relation, nu > 0, positive-degree factors, and the interior degree bound
 |u1| + ... + |u_{l-1}| < 2N.  Its ladder is the q^nu-periodic sequence
 v_j with v_0 = u0 and v_j = v_{j-1} * u_j, stored on one period window and
-extended in both directions by index arithmetic.
+extended in both directions by index arithmetic.  The window is the
+verification's walk u0, u0*u1, ..., u0*u1*...*u_{l-1}.  Its homology degrees
+strictly decrease into the next period with no check of their own: each step
+is a positive factor degree (no v_j of a verified decomposition is 0), and the
+wrap-around step is 2N minus the interior sum.  A Case II window steps by
+|u| > 0, and (l - 1)|u| < 2N for l = floor(2N/|u|).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor
+from math import ceil
 from typing import List, Sequence, Tuple
 
 from .qalgebra import QuantumClass
@@ -19,10 +24,6 @@ from .qalgebra import QuantumClass
 
 class InvalidDecompositionError(ValueError):
     """A ladder was requested from a decomposition that fails verification."""
-
-
-class LadderChainError(ValueError):
-    """The strict homology-degree chain of a ladder window is violated."""
 
 
 class PowerVanishesError(ValueError):
@@ -54,14 +55,14 @@ class Decomposition:
 @dataclass(frozen=True)
 class VerificationReport:
     valid: bool
-    reasons: Tuple[str, ...] = ()
+    reasons: Tuple[str, ...]
 
 
 @dataclass(frozen=True)
 class Ladder:
     window: Tuple[QuantumClass, ...]
     nu: int
-    hom_degrees: Tuple[int, ...] = ()
+    hom_degrees: Tuple[int, ...]
 
     @property
     def ell(self) -> int:
@@ -75,6 +76,12 @@ class CaseTwoParameters:
 
 
 def verify_decomposition(ring, dec: Decomposition) -> VerificationReport:
+    return _verify(ring, dec)[0]
+
+
+def _verify(ring, dec: Decomposition) -> Tuple[VerificationReport, List[QuantumClass]]:
+    """The verification report and the walk [u0, u0*u1, ..., u0*u1*...*ul]
+    of products it checked."""
     if dec.u0.is_zero():
         raise ValueError("u0 must be nonzero")
     for cls in (dec.u0,) + dec.factors:
@@ -83,21 +90,22 @@ def verify_decomposition(ring, dec: Decomposition) -> VerificationReport:
     reasons: List[str] = []
     if dec.nu <= 0:
         reasons.append(f"nu must be positive, got {dec.nu}")
-    for i, f in enumerate(dec.factors, start=1):
-        if f.is_zero() or f.degree() <= 0:
+    degrees = [0 if f.is_zero() else f.degree() for f in dec.factors]
+    for i, deg in enumerate(degrees, start=1):
+        if deg <= 0:
             reasons.append(f"factor u{i} does not have positive degree")
     two_n_chern = 2 * ring.N_chern
-    interior = sum(f.degree() for f in dec.factors[:-1] if not f.is_zero())
+    interior = sum(degrees[:-1])
     if len(dec.factors) >= 2 and interior >= two_n_chern:
         reasons.append(
             f"interior degree sum {interior} is not < 2N = {two_n_chern}"
         )
-    product = dec.u0
+    walk = [dec.u0]
     for f in dec.factors:
-        product = ring.quantum_product(product, f)
-    if product != dec.u0.q_shift(dec.nu):
+        walk.append(ring.quantum_product(walk[-1], f))
+    if walk[-1] != dec.u0.q_shift(dec.nu):
         reasons.append("product does not equal q^nu * u0")
-    return VerificationReport(valid=not reasons, reasons=tuple(reasons))
+    return VerificationReport(valid=not reasons, reasons=tuple(reasons)), walk
 
 
 def search_decompositions(ring, ell_max: int, nu_max: int) -> List[Decomposition]:
@@ -159,25 +167,14 @@ def search_decompositions(ring, ell_max: int, nu_max: int) -> List[Decomposition
 
 
 def build_ladder(ring, dec: Decomposition) -> Ladder:
-    report = verify_decomposition(ring, dec)
+    report, walk = _verify(ring, dec)
     if not report.valid:
         raise InvalidDecompositionError("; ".join(report.reasons))
-    window = [dec.u0]
-    for f in dec.factors[:-1]:
-        window.append(ring.quantum_product(window[-1], f))
-    return _checked_ladder(ring, window, dec.nu)
+    return _ladder(ring, walk[:-1], dec.nu)
 
 
-def _checked_ladder(ring, window, nu: int) -> Ladder:
-    """The ladder on one period window, after checking that the homology
-    degrees strictly decrease across the window and into the next period."""
+def _ladder(ring, window, nu: int) -> Ladder:
     hom = tuple(ring.convert_grading(v.degree()) for v in window)
-    chain = hom + (hom[0] - 2 * ring.N_chern,)
-    for a, b in zip(chain, chain[1:]):
-        if not a > b:
-            raise LadderChainError(
-                f"homology degrees not strictly decreasing: {a} -> {b}"
-            )
     return Ladder(window=tuple(window), nu=nu, hom_degrees=hom)
 
 
@@ -186,16 +183,20 @@ def ladder_class(ladder: Ladder, j: int) -> QuantumClass:
     return ladder.window[pos].q_shift(ladder.nu * block)
 
 
-def case_ii_parameters(ring, u: QuantumClass, n_orbits: int) -> CaseTwoParameters:
+def _case_ii_degree(ring, u: QuantumClass) -> Tuple[int, int]:
+    """|u| and the Case II ladder length ell = floor(2N/|u|), which is >= 1
+    only when |u| <= 2N."""
     deg = u.degree()
-    two_n = 2 * ring.complex_dim
-    if deg <= 0 or deg >= two_n:
-        raise ValueError(f"need 0 < |u| < 2n, got |u| = {deg}")
+    if not 0 < deg < 2 * ring.complex_dim or deg > 2 * ring.N_chern:
+        raise ValueError(f"need 0 < |u| < 2n and |u| <= 2N, got |u| = {deg}")
+    return deg, 2 * ring.N_chern // deg
+
+
+def case_ii_parameters(ring, u: QuantumClass, n_orbits: int) -> CaseTwoParameters:
+    deg, ell = _case_ii_degree(ring, u)
     if n_orbits < 1:
         raise ValueError("n_orbits must be >= 1")
-    two_n_chern = 2 * ring.N_chern
-    d = ceil(Fraction(two_n_chern * n_orbits, deg)) + 1
-    ell = floor(Fraction(two_n_chern, deg))
+    d = ceil(Fraction(2 * ring.N_chern * n_orbits, deg)) + 1
     p = ring.one()
     for r in range(1, d + 1):
         p = ring.quantum_product(p, u)
@@ -222,10 +223,8 @@ def pigeonhole_pair(carrier_orbit_ids: Sequence, ring, u: QuantumClass) -> Tuple
 
 
 def case_ii_ladder(ring, u: QuantumClass, s_minus: int, s_plus: int) -> Ladder:
-    deg = u.degree()
-    two_n_chern = 2 * ring.N_chern
-    ell = floor(Fraction(two_n_chern, deg))
-    nu_frac = Fraction((s_plus - s_minus) * deg, two_n_chern)
+    deg, ell = _case_ii_degree(ring, u)
+    nu_frac = Fraction((s_plus - s_minus) * deg, 2 * ring.N_chern)
     if nu_frac.denominator != 1:
         raise NonIntegralNuError(
             f"nu = {nu_frac} is not an integer; the non-degeneracy hypothesis "
@@ -241,4 +240,4 @@ def case_ii_ladder(ring, u: QuantumClass, s_minus: int, s_plus: int) -> Ladder:
         if v.is_zero():
             raise PowerVanishesError(s_minus + j)
         window.append(v)
-    return _checked_ladder(ring, window, int(nu_frac))
+    return _ladder(ring, window, int(nu_frac))

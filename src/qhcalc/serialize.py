@@ -38,34 +38,16 @@ def reading(record: str):
         raise ParseError(f"malformed {record}: {exc}") from exc
 
 
-def json_int(value, name: str) -> int:
-    """An integer field as JSON wrote it.  A bool, a float, a string or a
-    null is a TypeError, which `reading` reports as a malformed record."""
-    if type(value) is not int:
-        raise TypeError(f"{name} {value!r} is not an integer")
-    return value
+_JSON_TYPES = {int: "an integer", bool: "a bool", str: "a string", list: "an array"}
 
 
-def json_bool(value, name: str) -> bool:
-    """A flag as JSON wrote it: only true or false."""
-    if type(value) is not bool:
-        raise TypeError(f"{name} {value!r} is not a bool")
-    return value
-
-
-def json_str(value, name: str) -> str:
-    """A string field as JSON wrote it; a number, a null or an array is a
-    TypeError."""
-    if type(value) is not str:
-        raise TypeError(f"{name} {value!r} is not a string")
-    return value
-
-
-def json_list(value, name: str) -> list:
-    """An array field as JSON wrote it.  A string, whose characters would
-    otherwise be read one by one, an object or a number is a TypeError."""
-    if type(value) is not list:
-        raise TypeError(f"{name} {value!r} is not an array")
+def json_typed(value, kind: type, name: str):
+    """A field of type kind exactly as JSON wrote it: a bool is not an
+    integer, and a string, whose characters would otherwise be read one by
+    one, is not an array.  Anything else is a TypeError, which `reading`
+    reports as a malformed record."""
+    if type(value) is not kind:
+        raise TypeError(f"{name} {value!r} is not {_JSON_TYPES[kind]}")
     return value
 
 
@@ -77,7 +59,7 @@ def frac_from_str(text) -> Fraction:
     """A rational written as a string, e.g. "a/b".  A JSON number is a
     TypeError: a float such as 0.1 is not the rational it approximates."""
     try:
-        return Fraction(json_str(text, "rational"))
+        return Fraction(json_typed(text, str, "rational"))
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational {text!r}: {exc}") from exc
 
@@ -243,15 +225,15 @@ def ring_from_json(data, field: GroundField = None) -> RingPresentation:
         kind = data["kind"]
         lambda0 = frac_from_str(data.get("lambda0", "1"))
         if kind == "product":
-            factors = json_list(data["factors"], "factors")
+            factors = json_typed(data["factors"], list, "factors")
             return _product_from_json(factors, field, data.get("field"))
         if field is None:
             field = GroundField.from_spec(data.get("field", "Q"))
         if kind == "cpn":
-            return CPn(n=json_int(data["n"], "n"), field=field, lambda0=lambda0)
+            return CPn(n=json_typed(data["n"], int, "n"), field=field, lambda0=lambda0)
         if kind == "grassmannian":
             return Grassmannian(
-                k=json_int(data["k"], "k"), N=json_int(data["N"], "N"),
+                k=json_typed(data["k"], int, "k"), N=json_typed(data["N"], int, "N"),
                 field=field, lambda0=lambda0,
             )
     raise ParseError(f"unknown ring kind {kind!r}")
@@ -304,9 +286,9 @@ def decomposition_from_json(ring: RingPresentation, data) -> Decomposition:
     with reading("decomposition"):
         u0 = class_from_str(ring, data["u0"])
         factors = tuple(
-            class_from_str(ring, f) for f in json_list(data["factors"], "factors")
+            class_from_str(ring, f) for f in json_typed(data["factors"], list, "factors")
         )
-        nu = json_int(data["nu"], "nu")
+        nu = json_typed(data["nu"], int, "nu")
     return Decomposition(u0=u0, factors=factors, nu=nu)
 
 
@@ -325,13 +307,13 @@ def decomposition_to_json(dec: Decomposition) -> dict:
 def orbit_from_json(data) -> CappedOrbit:
     with reading("orbit record"):
         return CappedOrbit(
-            orbit_id=json_str(data["id"], "id"),
-            m=json_int(data.get("m", 0), "m"),
+            orbit_id=json_typed(data["id"], str, "id"),
+            m=json_typed(data.get("m", 0), int, "m"),
             action=frac_from_str(data["action"]),
             mean_index=frac_from_str(data["delta"]),
-            cz_index=None if data.get("cz") is None else json_int(data["cz"], "cz"),
-            weakly_nondegenerate=json_bool(
-                data.get("weakly_nondegenerate", False), "weakly_nondegenerate"
+            cz_index=None if data.get("cz") is None else json_typed(data["cz"], int, "cz"),
+            weakly_nondegenerate=json_typed(
+                data.get("weakly_nondegenerate", False), bool, "weakly_nondegenerate"
             ),
         )
 
@@ -349,7 +331,7 @@ def orbit_to_json(o: CappedOrbit) -> dict:
 
 def monotone_from_json(data) -> MonotoneData:
     with reading("monotone record"):
-        return MonotoneData(N=json_int(data["N"], "N"), lam=frac_from_str(data["lambda"]))
+        return MonotoneData(N=json_typed(data["N"], int, "N"), lam=frac_from_str(data["lambda"]))
 
 
 def monotone_to_json(md: MonotoneData) -> dict:
@@ -359,8 +341,8 @@ def monotone_to_json(md: MonotoneData) -> dict:
 def table_from_json(data) -> OrbitTable:
     with reading("scenario"):
         md = monotone_from_json(data["monotone"])
-        orbits = tuple(orbit_from_json(o) for o in json_list(data["orbits"], "orbits"))
-        n = json_int(data["n"], "n")
+        orbits = tuple(orbit_from_json(o) for o in json_typed(data["orbits"], list, "orbits"))
+        n = json_typed(data["n"], int, "n")
     return OrbitTable(md=md, n=n, orbits=orbits)
 
 
@@ -369,10 +351,10 @@ def model_from_json(data):
     with reading("model spec"):
         kind = data["kind"]
         if kind == "cpn":
-            lambdas = json_list(data["lambdas"], "lambdas")
+            lambdas = json_typed(data["lambdas"], list, "lambdas")
             return CPnQuadraticModel(lambdas=tuple(frac_from_str(x) for x in lambdas))
         if kind == "product":
-            factors = json_list(data["factors"], "factors")
+            factors = json_typed(data["factors"], list, "factors")
             return ProductModel(factors=tuple(model_from_json(f) for f in factors))
     raise ParseError(f"unknown model kind {kind!r}")
 

@@ -11,10 +11,15 @@ whole Cartesian product of the slot candidates and filters it, with no
 pruning.  It shares the ordering rule `_ordering_ok` with the package's
 checker, and no candidate code with the search, which runs on the scaled
 integers of `OrbitTable.scaled`.
+
+The negative-monotone oracle picks each fundamental-class carrier from the
+same `Fraction` slot candidates and runs the whole obstruction on capped
+orbits and `Fraction`s, where the package runs it on scaled integers.
 """
 
 import math
-from functools import lru_cache
+from fractions import Fraction
+from functools import lru_cache, partial
 from itertools import product
 
 from qhcalc.carriers import CarrierAssignment, _ordering_ok
@@ -117,3 +122,40 @@ def brute_force_assignments(table, ladder, k):
         if _ordering_ok(combo, ladder.nu, table.md):
             out.append(CarrierAssignment(k=k, slots=slots))
     return out
+
+
+def fundamental_class_carrier(table, k):
+    """The action maximizer among the capped k-th iterates in the window
+    [0, 2n] of the fundamental class, ties to the smallest (id, capping)."""
+    return min(slot_candidates(table, 2 * table.n, k),
+               key=lambda c: (-c.action, c.orbit_id, c.m), default=None)
+
+
+def neg_monotone_oracle(table, primes):
+    """(status, witness, details) of the negative-monotone obstruction over
+    the increasing iterations primes, every quantity a `Fraction`."""
+    md = table.md
+    carrier = partial(fundamental_class_carrier, table)
+    found = [(k, c) for k in primes if (c := carrier(k)) is not None]
+    if not found:
+        return "no_obstruction", (), (
+            "no feasible fundamental-class carrier at any iteration",)
+    ids = [c.orbit_id for _, c in found]
+    x_id = min(set(ids), key=lambda i: (-ids.count(i), i))
+    stable = [(k, c) for k, c in found if c.orbit_id == x_id]
+    k1, c1 = stable[0]
+    if c1.mean_index == 0:
+        return "no_obstruction", (), (
+            "degenerate branch: stable carrier has zero mean index at k1",)
+    x = next(o for o in table.orbits if o.orbit_id == x_id)
+    c0 = max([Fraction(0)] + [
+        c.action - iterate(x, r).action for r in range(1, k1) if (c := carrier(r)) is not None
+    ])
+    for k, c in stable[1:]:
+        nu = c.m - (k // k1) * c1.m
+        if nu * md.I_omega_A > c0:
+            return "contradiction", (k, nu), (
+                f"nu_{k} * I_omega(A) = {nu * md.I_omega_A} exceeds the "
+                f"sub-additivity bound {c0}; a finite orbit set cannot "
+                "carry the fundamental class at all iterations",)
+    return "no_obstruction", (), ("bound not exceeded within the supplied iterations",)

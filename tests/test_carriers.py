@@ -24,7 +24,12 @@ from qhcalc.models import CPnQuadraticModel, cpn_fixed_points
 from qhcalc.rings import CPn, Grassmannian
 from qhcalc.spectra import CappedOrbit, MonotoneData
 
-from oracles import brute_force_assignments, slot_candidates
+from oracles import (
+    brute_force_assignments,
+    fundamental_class_carrier,
+    neg_monotone_oracle,
+    slot_candidates,
+)
 
 PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
           67, 71, 73, 79, 83, 89, 97]
@@ -156,10 +161,12 @@ def test_window_edges_match_oracle(case):
         assert admissible_assignments(table, ladder, k) == brute_force_assignments(
             table, ladder, k
         )
-        assert _fundamental_class_carrier(table, k) == min(
-            slot_candidates(table, 2 * table.n, k),
-            key=lambda c: (-c.action, c.orbit_id, c.m), default=None,
-        )
+        best = fundamental_class_carrier(table, k)
+        found = _fundamental_class_carrier(table, k)
+        assert (found is None) == (best is None)
+        if found is not None:
+            oid, m, a = found
+            assert (oid, m, Fraction(a, D)) == (best.orbit_id, best.m, best.action)
 
 
 def test_one_orbit_type():
@@ -349,6 +356,40 @@ class TestDistinctness:
         a = CarrierAssignment(k=1, slots=(("x", 0), ("x", 1)))
         verdict = distinctness_check(ladder, a, nondegenerate=False)
         assert verdict.status == "not_distinct"
+
+
+@st.composite
+def neg_monotone_tables(draw):
+    """One to three orbits over lambda0 in {-1, -5/2, -4/3}: actions from a
+    pool of two, so actions tie, mean indices zero or not, and increasing
+    iterations that may start above 1, so that the sub-additivity bound c0
+    reads the carriers at r < k1."""
+    n = draw(st.integers(1, 2))
+    n_chern = draw(st.sampled_from([1, n + 1]))
+    lambda0 = draw(st.sampled_from([Fraction(-1), Fraction(-5, 2), Fraction(-4, 3)]))
+    actions = draw(st.lists(
+        st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 3, 7])),
+        min_size=2, max_size=2,
+    ))
+    deltas = st.builds(Fraction, st.integers(-8, 8), st.sampled_from([1, 2, 3, 5]))
+    rows = tuple(
+        TableOrbit(f"x{i}", draw(st.sampled_from(actions)), draw(deltas), draw(st.booleans()))
+        for i in range(draw(st.integers(1, 3)))
+    )
+    ks = sorted(draw(st.lists(
+        st.sampled_from([1, 2, 3, 4, 5, 7, 9, 11, 13, 17, 19, 23]),
+        min_size=1, max_size=8, unique=True,
+    )))
+    md = MonotoneData(N=n_chern, lam=lambda0 / n_chern)
+    return OrbitTable(md=md, n=n, orbits=rows), ks
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(neg_monotone_tables())
+def test_neg_monotone_matches_oracle(case):
+    table, ks = case
+    verdict = neg_monotone_obstruction(table, ks)
+    assert (verdict.status, verdict.witness, verdict.details) == neg_monotone_oracle(table, ks)
 
 
 class TestNegMonotone:

@@ -171,6 +171,19 @@ class TestLadders:
         assert envelope["result"]["vanishing_exponent"] == 3
         assert envelope["invocation"]["class"] == "s[1]"
 
+    def test_case2_ladder_of_length_zero_is_usage_error(self, workdir):
+        """|s[4,3]| = 14 > 2N = 12 in G(2,6): no Case II ladder, exit 64."""
+        (workdir / "g26.json").write_text(
+            json.dumps({"kind": "grassmannian", "k": 2, "N": 6, "field": "Q"})
+        )
+        proc = run_cli("ladders", "case2", "--ring", "g26.json", "--class", "s[4,3]",
+                       "--orbits", "6", cwd=workdir)
+        assert proc.returncode == 64, proc.stdout
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "input error: need 0 < |u| < 2n and |u| <= 2N, got |u| = 14\n"
+        )
+
     def test_invalid_dec_exit_two(self, workdir):
         (workdir / "dec.json").write_text(
             json.dumps({"u0": "1", "factors": ["u"], "nu": 1})

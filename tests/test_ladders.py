@@ -1,12 +1,13 @@
 import pytest
 
 from qhcalc.qalgebra import GroundField
-from qhcalc.rings import CPn, Grassmannian
+from qhcalc.rings import CPn, Grassmannian, RingPresentation
 from qhcalc.ladders import (
     Decomposition,
     InvalidDecompositionError,
     NonIntegralNuError,
     PowerVanishesError,
+    _case_ii_degree,
     build_ladder,
     case_ii_ladder,
     case_ii_parameters,
@@ -15,6 +16,7 @@ from qhcalc.ladders import (
     search_decompositions,
     verify_decomposition,
 )
+from qhcalc.serialize import class_from_str
 
 
 def cpn_decomposition(n):
@@ -158,6 +160,24 @@ class TestLadder:
                 total = sum(f.degree() for f in dec.factors)
                 assert total == 2 * ring.N_chern * dec.nu
 
+    def test_window_is_the_verification_walk(self, monkeypatch):
+        """The CP^n ladder of u^(n+1) = q costs the n + 1 products of its
+        verification walk and no more."""
+        calls = []
+        product = RingPresentation.quantum_product
+
+        def counting(ring, a, b):
+            calls.append((a, b))
+            return product(ring, a, b)
+
+        monkeypatch.setattr(RingPresentation, "quantum_product", counting)
+        for n in range(1, 5):
+            ring, dec = cpn_decomposition(n)
+            calls.clear()
+            ladder = build_ladder(ring, dec)
+            assert len(calls) == n + 1
+            assert ladder.window == tuple(ring.basis_class(j) for j in range(n + 1))
+
     def test_chain_on_all_found(self):
         for ring in (CPn(n=2), Grassmannian(k=2, N=4), Grassmannian(k=2, N=5)):
             for dec in search_decompositions(ring, 3, 2):
@@ -191,6 +211,22 @@ class TestCaseTwo:
         ring = Grassmannian(k=2, N=4)
         with pytest.raises(ValueError):
             case_ii_parameters(ring, ring.basis_class((2, 2)), 6)
+
+    @pytest.mark.parametrize("ring, literal", [
+        (CPn(n=2), "1"),
+        (CPn(n=2), "q^-1*u^2"),
+        (CPn(n=2), "u^2"),
+        # |s[4,3]| = 14 < 2n = 16 but > 2N = 12: ell would be 0
+        (Grassmannian(k=2, N=6), "s[4,3]"),
+    ], ids=["cp2 1", "cp2 q^-1*u^2", "cp2 u^2", "g26 s[4,3]"])
+    def test_degree_outside_case_ii_rejected(self, ring, literal):
+        """One Case II degree rule, 0 < |u| < 2n and |u| <= 2N, for both the
+        parameters and the ladder."""
+        u = class_from_str(ring, literal)
+        for call in (lambda: case_ii_parameters(ring, u, 3),
+                     lambda: case_ii_ladder(ring, u, 1, 7)):
+            with pytest.raises(ValueError, match=r"need 0 < \|u\| < 2n and \|u\| <= 2N"):
+                call()
 
 
 class TestPigeonhole:
@@ -234,3 +270,33 @@ class TestCaseTwoLadder:
         assert ladder.nu == 1
         assert ladder.ell == 3
         assert ladder.hom_degrees == (2, 0, -2)
+
+    def test_every_case_ii_chain_strictly_decreases(self):
+        """Each Case II window steps down by |u| > 0 and wraps around above
+        hom[0] - 2N, for every valid |u| in CP^1-CP^4, G(2,4), G(2,5), every
+        s_minus < s_plus <= 12 with an integral nu and a wide enough gap."""
+        rings = [CPn(n=n) for n in range(1, 5)] + [
+            Grassmannian(k=2, N=4), Grassmannian(k=2, N=5)]
+        built = 0
+        for ring in rings:
+            for label in ring.basis_labels():
+                u = ring.basis_class(label)
+                try:
+                    deg, ell = _case_ii_degree(ring, u)
+                except ValueError:
+                    continue
+                for s_minus in range(1, 12):
+                    for s_plus in range(s_minus + ell, 13):
+                        if (s_plus - s_minus) * deg % (2 * ring.N_chern):
+                            continue
+                        try:
+                            ladder = case_ii_ladder(ring, u, s_minus, s_plus)
+                        except PowerVanishesError:
+                            continue
+                        chain = ladder.hom_degrees + (
+                            ladder.hom_degrees[0] - 2 * ring.N_chern,
+                        )
+                        assert all(a > b for a, b in zip(chain, chain[1:])), (
+                            ring, label, s_minus, s_plus)
+                        built += 1
+        assert built > 100
