@@ -121,7 +121,8 @@ def search_decompositions(ring, ell_max: int, nu_max: int) -> List[Decomposition
     two_n_chern = 2 * ring.N_chern
     labels = sorted(ring.basis_labels(), key=ring.label_key)
     classes = {lbl: ring.basis_class(lbl) for lbl in labels}
-    pos_labels = [lbl for lbl in labels if ring.label_degree(lbl) > 0]
+    degree = {lbl: ring.label_degree(lbl) for lbl in labels}
+    pos_labels = [lbl for lbl in labels if degree[lbl] > 0]
     found: List[Tuple] = []
     for u0_label in labels:
         u0 = classes[u0_label]
@@ -132,16 +133,14 @@ def search_decompositions(ring, ell_max: int, nu_max: int) -> List[Decomposition
                 nu = total_deg // two_n_chern
                 if 1 <= nu <= nu_max and partial == u0.q_shift(nu):
                     found.append((u0_label, tuple(chain), nu))
-            if ell == ell_max:
+            # all but the last factor must respect the interior bound;
+            # the current last entry becomes interior once we extend
+            new_interior = interior_deg + (degree[chain[-1]] if chain else 0)
+            if ell == ell_max or new_interior >= two_n_chern:
                 return
             for lbl in pos_labels:
-                deg = ring.label_degree(lbl)
+                deg = degree[lbl]
                 if total_deg + deg > two_n_chern * nu_max:
-                    continue
-                # all but the last factor must respect the interior bound;
-                # the current last entry becomes interior once we extend
-                new_interior = interior_deg + (ring.label_degree(chain[-1]) if chain else 0)
-                if new_interior >= two_n_chern:
                     continue
                 step = ring.quantum_product(partial, classes[lbl])
                 if step.is_zero():
@@ -206,9 +205,10 @@ def case_ii_parameters(ring, u: QuantumClass, n_orbits: int) -> CaseTwoParameter
 
 
 def pigeonhole_pair(carrier_orbit_ids: Sequence, ring, u: QuantumClass) -> Tuple[int, int]:
-    """Smallest s_minus, then smallest s_plus, with equal ids and gap > 2N/|u|."""
+    """Smallest s_minus, then smallest s_plus, with equal ids and gap > 2N/|u|,
+    for a u that obeys the Case II degree rule."""
     d = len(carrier_orbit_ids)
-    gap = Fraction(2 * ring.N_chern, u.degree())
+    gap = Fraction(2 * ring.N_chern, _case_ii_degree(ring, u)[0])
     for s_minus in range(1, d + 1):
         for s_plus in range(s_minus + 1, d + 1):
             if (

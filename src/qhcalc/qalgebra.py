@@ -4,13 +4,11 @@ Everything here is exact: rationals are ``fractions.Fraction``, prime-field
 elements are canonical residues in ``[0, p)``.  No floats anywhere.
 
 ``GroundField.coerce`` is the one entry point for scalars from outside
-(``QuantumClass.build``, ``scale``, class literals, ``one``).  The field
-operations ``add``, ``neg`` and ``mul`` take canonical scalars (or, as the
-second factor of ``mul``, an integer structure constant) and return canonical
-scalars, so values stay canonical by construction.  ``QuantumClass.build``
-is the checked entry for outside terms (it normalises labels and coerces
-scalars); ring operations combine canonical terms and assemble them with
-``QuantumClass._assemble``, which only drops zeros and sorts.
+(``QuantumClass.build``, ``scale``, class literals, ``one``).  Past it, ring
+operations combine coefficients with plain ``+``, ``-`` and ``*`` and hand
+the sums to ``QuantumClass._assemble``, the one place that reduces them mod p.
+``QuantumClass.build`` is the checked entry for outside terms (it normalises
+labels and coerces scalars).
 """
 
 from __future__ import annotations
@@ -64,21 +62,10 @@ class GroundField:
         x = Fraction(x)
         if x.denominator % self.p == 0:
             raise ZeroDivisionError(f"denominator {x.denominator} not invertible mod {self.p}")
-        num = x.numerator % self.p
-        den = x.denominator % self.p
-        return (num * pow(den, -1, self.p)) % self.p
+        return x.numerator * pow(x.denominator, -1, self.p) % self.p
 
     def one(self) -> Scalar:
         return self.coerce(1)
-
-    def add(self, a: Scalar, b: Scalar) -> Scalar:
-        return (a + b) % self.p if self.p else a + b
-
-    def neg(self, a: Scalar) -> Scalar:
-        return -a % self.p if self.p else -a
-
-    def mul(self, a: Scalar, b: Scalar) -> Scalar:
-        return a * b % self.p if self.p else a * b
 
     def inv(self, a: Scalar) -> Scalar:
         a = self.coerce(a)
@@ -118,7 +105,8 @@ class QuantumClass:
 
     @classmethod
     def build(cls, ring, mapping: Mapping[TermKey, Scalar]) -> "QuantumClass":
-        """The class of caller-supplied terms: the checked entry."""
+        """The class of caller-supplied terms: the checked entry, which
+        normalises each label and coerces each scalar."""
         field = ring.field
         cleaned = {}
         for (label, m), c in mapping.items():
@@ -126,12 +114,17 @@ class QuantumClass:
             if c == 0:
                 continue
             key = (ring.normalize_label(label), int(m))
-            cleaned[key] = field.add(cleaned.get(key, 0), c)
+            cleaned[key] = cleaned.get(key, 0) + c
         return cls._assemble(ring, cleaned)
 
     @classmethod
     def _assemble(cls, ring, terms: Mapping[TermKey, Scalar]) -> "QuantumClass":
-        """The class of canonical terms: drops zeros and sorts, checks nothing."""
+        """The class of terms with normalised labels and coefficients in the
+        field (integers standing for their residues over F_p): reduces each
+        coefficient mod p, drops zeros and sorts."""
+        p = ring.field.p
+        if p:
+            terms = {key: c % p for key, c in terms.items()}
         ordered = sorted(
             (kv for kv in terms.items() if kv[1] != 0),
             key=lambda kv: (ring.label_key(kv[0][0]), kv[0][1]),
@@ -149,23 +142,20 @@ class QuantumClass:
 
     def __add__(self, other: "QuantumClass") -> "QuantumClass":
         self._check_ring(other)
-        field = self.ring.field
         acc = dict(self.terms)
         for key, c in other.terms:
-            acc[key] = field.add(acc.get(key, 0), c)
+            acc[key] = acc.get(key, 0) + c
         return QuantumClass._assemble(self.ring, acc)
 
     def __neg__(self) -> "QuantumClass":
-        field = self.ring.field
-        return QuantumClass._assemble(self.ring, {k: field.neg(c) for k, c in self.terms})
+        return QuantumClass._assemble(self.ring, {k: -c for k, c in self.terms})
 
     def __sub__(self, other: "QuantumClass") -> "QuantumClass":
         return self + (-other)
 
     def scale(self, c: Scalar) -> "QuantumClass":
-        field = self.ring.field
-        c = field.coerce(c)
-        return QuantumClass._assemble(self.ring, {k: field.mul(v, c) for k, v in self.terms})
+        c = self.ring.field.coerce(c)
+        return QuantumClass._assemble(self.ring, {k: v * c for k, v in self.terms})
 
     def __mul__(self, other: "QuantumClass") -> "QuantumClass":
         return self.ring.quantum_product(self, other)

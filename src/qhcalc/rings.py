@@ -13,9 +13,10 @@ each call.  A product ring is its flat tuple of factors, one label entry per
 factor: its ground field and lambda0 come from theirs.
 
 Basis labels are checked once, where they enter, by each ring's
-``normalize_label``; past that point partitions are normalised tuples and no
-loop re-checks them.  ``partitions_in_box`` enumerates the Grassmannian
-basis.
+``normalize_label``; past that point partitions are normalised tuples, and
+the LR and rim-hook walks take them as they are.  Coefficients are combined
+with plain arithmetic and reduced mod p only when a class is assembled.
+``partitions_in_box`` enumerates the Grassmannian basis.
 """
 
 from __future__ import annotations
@@ -84,10 +85,9 @@ def littlewood_richardson(lam, mu, rows: int) -> Dict[Partition, int]:
     the (i-1)'s in rows < r.  Each leaf is one tableau, so exactly the nu
     with c^nu_{lam,mu} > 0 appear, with their multiplicities, in
     lexicographic order.  The walk's cost grows with mu, so callers that may
-    swap the factors pass the smaller one as mu.
+    swap the factors pass the smaller one as mu.  lam and mu are normalised
+    tuples; only their part counts are checked.
     """
-    lam = normalize_partition(lam)
-    mu = normalize_partition(mu)
     if len(lam) > rows or len(mu) > rows:
         raise ValueError(f"inputs must have at most {rows} parts")
     shape = list(lam) + [0] * (rows - len(lam))
@@ -134,9 +134,9 @@ def rim_hook_reduce(nu, k: int, N: int):
     reduction dies.  Encoded via beta-numbers: beta_i = nu_i + (k - i); a rim
     hook of size N is removable iff some beta_i - N is a fresh beta value, and
     its height is one more than the number of beta values it jumps over.
-    Each removal contributes one q and a sign (-1)^(k - height).
+    Each removal contributes one q and a sign (-1)^(k - height).  nu is a
+    normalised tuple; only its part count is checked.
     """
-    nu = normalize_partition(nu)
     if len(nu) > k:
         raise ValueError(f"partition {nu} has more than {k} parts")
     padded = nu + (0,) * (k - len(nu))
@@ -223,14 +223,13 @@ class RingPresentation:
     def quantum_product(self, a: QuantumClass, b: QuantumClass) -> QuantumClass:
         if a.ring != self or b.ring != self:
             raise RingMismatchError("classes do not belong to this ring")
-        fld = self.field
         acc: dict = {}
         for (la, ma), ca in a.terms:
             for (lb, mb), cb in b.terms:
-                cab = fld.mul(ca, cb)
+                cab = ca * cb
                 for (lc, mc), n in self.structure(la, lb):
                     key = (lc, ma + mb + mc)
-                    acc[key] = fld.add(acc.get(key, 0), fld.mul(cab, n))
+                    acc[key] = acc.get(key, 0) + cab * n
         return QuantumClass._assemble(self, acc)
 
     def convert_grading(self, degree_coh: int) -> int:

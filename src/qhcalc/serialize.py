@@ -157,7 +157,7 @@ def _parse_term(ring: RingPresentation, text: str):
 
 def class_from_str(ring: RingPresentation, text: str) -> QuantumClass:
     """Parse a class literal; labels are normalised as they are parsed and
-    coefficients coerced below, so the terms are assembled as they are."""
+    coefficients coerced below, so the terms go straight to assembly."""
     text = text.strip()
     if not text:
         raise ParseError("empty class literal")
@@ -171,7 +171,7 @@ def class_from_str(ring: RingPresentation, text: str) -> QuantumClass:
             raise ParseError(
                 f"coefficient in term {term!r} is not in {field.spec()}: {exc}"
             ) from exc
-        acc[key] = field.add(acc.get(key, 0), coeff)
+        acc[key] = acc.get(key, 0) + coeff
     return QuantumClass._assemble(ring, acc)
 
 

@@ -220,10 +220,11 @@ class TestCaseTwo:
         (Grassmannian(k=2, N=6), "s[4,3]"),
     ], ids=["cp2 1", "cp2 q^-1*u^2", "cp2 u^2", "g26 s[4,3]"])
     def test_degree_outside_case_ii_rejected(self, ring, literal):
-        """One Case II degree rule, 0 < |u| < 2n and |u| <= 2N, for both the
-        parameters and the ladder."""
+        """One Case II degree rule, 0 < |u| < 2n and |u| <= 2N, for the
+        parameters, the pigeonhole pair and the ladder."""
         u = class_from_str(ring, literal)
         for call in (lambda: case_ii_parameters(ring, u, 3),
+                     lambda: pigeonhole_pair(["x", "y", "x"], ring, u),
                      lambda: case_ii_ladder(ring, u, 1, 7)):
             with pytest.raises(ValueError, match=r"need 0 < \|u\| < 2n and \|u\| <= 2N"):
                 call()

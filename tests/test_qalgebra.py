@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from qhcalc.qalgebra import (
@@ -11,23 +11,16 @@ from qhcalc.qalgebra import (
     QuantumClass,
     RingMismatchError,
 )
-from qhcalc.rings import CPn, Grassmannian
+from qhcalc.rings import CPn, Grassmannian, kunneth
 
 from test_serialize import PROPERTY, quantum_classes
 
 
 Q = GroundField()
-F2 = GroundField(2)
 F5 = GroundField(5)
 
 
 class TestGroundField:
-    def test_rational_add(self):
-        assert Q.add(Fraction(1, 2), Fraction(1, 3)) == Fraction(5, 6)
-
-    def test_char_two(self):
-        assert F2.add(1, 1) == 0
-
     def test_inverse_mod_five(self):
         assert F5.inv(2) == 3
 
@@ -51,27 +44,43 @@ class TestGroundField:
         assert F5.coerce(-1) == 4
 
 
-def _coercible(x: Fraction, p: int) -> bool:
-    return p == 0 or x.denominator % p != 0
-
-
-@settings(derandomize=True, deadline=None, max_examples=300)
-@given(
-    st.sampled_from((0, 2, 3, 5, 7)),
-    st.fractions(min_value=-50, max_value=50, max_denominator=30),
-    st.fractions(min_value=-50, max_value=50, max_denominator=30),
+_REDUCTION_RINGS = (
+    lambda field: CPn(n=3, field=field),
+    lambda field: Grassmannian(k=2, N=5, field=field),
+    lambda field: kunneth(CPn(n=3, field=field), Grassmannian(k=2, N=4, field=field)),
 )
-def test_field_ops_on_canonical_scalars(p, x, y):
-    """add/neg/mul on coerced operands agree with coerce of the rational result."""
-    field = GroundField(p)
-    assume(_coercible(x, p) and _coercible(y, p))
-    a, b = field.coerce(x), field.coerce(y)
-    assert field.add(a, b) == field.coerce(x + y)
-    assert field.neg(a) == field.coerce(-x)
-    assert field.mul(a, b) == field.coerce(x * y)
-    for c in (field.add(a, b), field.neg(a), field.mul(a, b)):
-        assert type(c) is type(field.coerce(0))
-        assert p == 0 or 0 <= c < p
+
+
+@PROPERTY
+@given(st.data())
+def test_reduction_mod_p_commutes_with_ring_operations(data):
+    """Ring operations over F_p reduce mod p only when they assemble a class,
+    so reducing a class over Q to F_p (coercing each coefficient) must commute
+    with +, binary and unary -, * and scale."""
+    p = data.draw(st.sampled_from((2, 3, 5, 7)))
+    make = data.draw(st.sampled_from(_REDUCTION_RINGS))
+    ring_q, ring_p = make(GroundField()), make(GroundField(p))
+    coeff = st.fractions(min_value=-20, max_value=20, max_denominator=12).filter(
+        lambda x: x.denominator % p != 0
+    )
+    terms = st.dictionaries(
+        st.tuples(st.sampled_from(ring_q.basis_labels()), st.integers(-3, 3)),
+        coeff,
+        max_size=5,
+    )
+    a_terms, b_terms, s = data.draw(terms), data.draw(terms), data.draw(coeff)
+
+    def mod_p(x):
+        return QuantumClass.build(ring_p, dict(x.terms))
+
+    a, b = QuantumClass.build(ring_q, a_terms), QuantumClass.build(ring_q, b_terms)
+    a_p, b_p = QuantumClass.build(ring_p, a_terms), QuantumClass.build(ring_p, b_terms)
+    assert mod_p(a) == a_p and mod_p(b) == b_p
+    assert mod_p(a + b) == a_p + b_p
+    assert mod_p(a - b) == a_p - b_p
+    assert mod_p(-a) == -a_p
+    assert mod_p(a * b) == a_p * b_p
+    assert mod_p(a.scale(s)) == a_p.scale(s)
 
 
 class TestQuantumClass:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qhcalc import rings
 from qhcalc.qalgebra import GroundField
 from qhcalc.rings import (
     CPn,
@@ -114,6 +115,23 @@ class TestRimHook:
     def test_too_many_parts_rejected(self):
         with pytest.raises(ValueError):
             rim_hook_reduce((1, 1, 1), 2, 4)
+
+
+def test_structure_fill_trusts_normalised_labels(monkeypatch):
+    """Labels are normalised where they enter the ring, so a cold fill of the
+    G(2,5) and G(3,6) structure tables never normalises a partition again."""
+    calls = []
+    real = rings.normalize_partition
+    monkeypatch.setattr(
+        rings, "normalize_partition", lambda parts: calls.append(parts) or real(parts)
+    )
+    rings._grassmannian_structure.cache_clear()
+    for ring in (Grassmannian(k=2, N=5), Grassmannian(k=3, N=6)):
+        labels = ring.basis_labels()
+        for a in labels:
+            for b in labels:
+                ring.structure(a, b)
+    assert calls == []
 
 
 class TestQuantumPieri:
