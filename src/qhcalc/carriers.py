@@ -10,13 +10,14 @@ witness and human-readable details.
 
 The search runs on integers.  Each table is scaled once by the common
 denominator D of its actions, its mean indices and lambda0
-(`OrbitTable.scaled`).  `_cappings` is the search's one copy of the index
-window: the cappings m of a k-th iterate that put its scaled mean index
-k*Delta*D - 2N*D*m inside [(d - 2n)*D, d*D] come from integer floor and ceil
-division, both ends strict for a weakly nondegenerate row.  The assignment
-search, the fundamental-class carrier and the counting check read the scaled
-actions k*a*D - m*lambda0*D of those cappings; so does the negative-monotone
-verdict, which turns them into `Fraction`s only in its printed details.
+(`OrbitTable.scaled`, its rows keyed by orbit id).  `_cappings` is the
+search's one copy of the index window: the cappings m of a k-th iterate that
+put its scaled mean index k*Delta*D - 2N*D*m inside [(d - 2n)*D, d*D] come
+from integer floor and ceil division, both ends strict for a weakly
+nondegenerate row.  Its candidates ((orbit id, m), k*a*D - m*lambda0*D) are
+the search's (slot, action) pairs; the fundamental-class carrier and the
+negative-monotone verdict read them too, the verdict turning them into
+`Fraction`s only in its printed details.
 `check_assignment` stays the independent checker: it rebuilds each capped
 orbit with `Fraction`s and tests it with `spectra.index_window_check`.
 """
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .ladders import Ladder
 from .spectra import (
@@ -47,11 +48,11 @@ TableOrbit = CappedOrbit
 
 class ScaledTable(NamedTuple):
     """An orbit table over the common denominator D of its rows' actions and
-    mean indices and of lambda0: each row as (orbit id, action * D,
-    mean index * D, weakly nondegenerate), sorted by id, and lambda0 * D."""
+    mean indices and of lambda0: the rows keyed by orbit id, in id order, as
+    (action * D, mean index * D, weakly nondegenerate), and lambda0 * D."""
 
     D: int
-    rows: Tuple[Tuple[str, int, int, bool], ...]
+    rows: Dict[str, Tuple[int, int, bool]]
     lambda0: int
 
 
@@ -68,6 +69,8 @@ class OrbitTable:
             raise ValueError("orbit ids must be unique")
         if not self.orbits:
             raise ValueError("orbit table must be non-empty")
+        if self.n < 1:
+            raise ValueError(f"complex dimension n must be >= 1, got n = {self.n}")
         for o in self.orbits:
             if o.m != 0:
                 raise ValueError(
@@ -86,11 +89,11 @@ class OrbitTable:
         lambda0 = self.md.lambda0
         D = math.lcm(lambda0.denominator, *(
             x.denominator for o in self.orbits for x in (o.action, o.mean_index)))
-        rows = sorted(
-            (o.orbit_id, int(o.action * D), int(o.mean_index * D), o.weakly_nondegenerate)
+        rows = dict(sorted(
+            (o.orbit_id, (int(o.action * D), int(o.mean_index * D), o.weakly_nondegenerate))
             for o in self.orbits
-        )
-        return ScaledTable(D, tuple(rows), int(lambda0 * D))
+        ))
+        return ScaledTable(D, rows, int(lambda0 * D))
 
 
 Slot = Tuple[str, int]  # (orbit id, capping)
@@ -111,24 +114,24 @@ class CarrierAssignment:
         return tuple(oid for oid, _ in self.slots)
 
 
-def _cappings(table: OrbitTable, deg_hom: int, k: int) -> List[Tuple[str, int, int]]:
+def _cappings(table: OrbitTable, deg_hom: int, k: int) -> List[Tuple[Slot, int]]:
     """Every capped k-th iterate in the index window of a class of homology
-    degree deg_hom, as (orbit id, capping m, action * D), in (id, m) order.
+    degree deg_hom, as ((orbit id, capping m), action * D), in (id, m) order.
 
     The scaled mean index k*Delta*D - 2N*D*m must lie in [(deg_hom - 2n)*D,
     deg_hom*D]; every term is an integer, so a strict end moves in by one.
     """
     D, rows, lambda0 = table.scaled
     step = 2 * table.md.N * D
-    out: List[Tuple[str, int, int]] = []
-    for oid, action, mean_index, flag in rows:
+    out: List[Tuple[Slot, int]] = []
+    for oid, (action, mean_index, flag) in rows.items():
         strict = int(flag)
         lo = (deg_hom - 2 * table.n) * D + strict
         hi = deg_hom * D - strict
         x, a = k * mean_index, k * action
         # lo <= x - step*m <= hi  <=>  ceil((x - hi)/step) <= m <= floor((x - lo)/step)
         m_lo, m_hi = -((hi - x) // step), (x - lo) // step
-        out.extend((oid, m, a - m * lambda0) for m in range(m_lo, m_hi + 1))
+        out.extend(((oid, m), a - m * lambda0) for m in range(m_lo, m_hi + 1))
     return out
 
 
@@ -179,10 +182,7 @@ def _assignments(
         raise ValueError("iteration order must be >= 1")
     nu = ladder.nu
     period_drop = nu * table.scaled.lambda0
-    candidates = [
-        [((oid, m), action) for oid, m, action in _cappings(table, deg, k)]
-        for deg in ladder.hom_degrees
-    ]
+    candidates = [_cappings(table, deg, k) for deg in ladder.hom_degrees]
     chain: List[Slot] = []
     used: Set[Slot] = set()
 
@@ -315,8 +315,7 @@ def counting_check(report: StabilityReport, x_id: str, y_id: str) -> CountingVer
     # the carriers' actions and mean indices times D, over the scaled rows
     D, rows, lambda0 = table.scaled
     step = 2 * md.N * D
-    row = {oid: (action, mean_index) for oid, action, mean_index, _ in rows}
-    (ax, dx), (ay, dy) = row[x_id], row[y_id]
+    (ax, dx, _), (ay, dy, _) = rows[x_id], rows[y_id]
     assignments = dict(report.assignments)
     per_k = []
     for k in report.stable_ks:
@@ -401,11 +400,11 @@ def distinctness_check(
     return DistinctnessVerdict(status="distinct", mechanism=mechanism)
 
 
-def _fundamental_class_carrier(table: OrbitTable, k: int) -> Optional[Tuple[str, int, int]]:
+def _fundamental_class_carrier(table: OrbitTable, k: int) -> Optional[Tuple[Slot, int]]:
     """Action maximizer among capped k-th iterates with mean index in [0, 2n],
-    as (orbit id, capping m, action * D); ties go to the smallest (orbit id,
+    as ((orbit id, capping m), action * D); ties go to the smallest (orbit id,
     capping), the first in `_cappings` order."""
-    return max(_cappings(table, 2 * table.n, k), key=itemgetter(2), default=None)
+    return max(_cappings(table, 2 * table.n, k), key=itemgetter(1), default=None)
 
 
 def neg_monotone_obstruction(
@@ -422,21 +421,18 @@ def neg_monotone_obstruction(
     md = table.md
     if md.lam >= 0:
         raise ValueError("negative monotone data required")
-    carriers = {}
-    for k in _increasing(primes):
-        found = _fundamental_class_carrier(table, k)
-        if found is not None:
-            carriers[k] = found
+    maxima = {k: _fundamental_class_carrier(table, k) for k in _increasing(primes)}
+    carriers = {k: c for k, c in maxima.items() if c is not None}
     if not carriers:
         return Verdict(
             status="no_obstruction",
             details=("no feasible fundamental-class carrier at any iteration",),
         )
-    x_id, stable = _most_frequent((k, c[0]) for k, c in carriers.items())
+    x_id, stable = _most_frequent((k, oid) for k, ((oid, _), _) in carriers.items())
     D, rows, lambda0 = table.scaled
-    a_x, delta_x = next((a, d) for oid, a, d, _ in rows if oid == x_id)
+    a_x, delta_x, _ = rows[x_id]
     k1 = stable[0]
-    m1 = carriers[k1][1]
+    (_, m1), _ = carriers[k1]
     if k1 * delta_x == 2 * md.N * D * m1:
         return Verdict(
             status="no_obstruction",
@@ -449,9 +445,10 @@ def neg_monotone_obstruction(
     for r in range(1, k1):
         found = _fundamental_class_carrier(table, r)
         if found is not None:
-            c0 = max(c0, found[2] - r * a_x)
+            c0 = max(c0, found[1] - r * a_x)
     for k_i in stable[1:]:
-        nu_i = carriers[k_i][1] - (k_i // k1) * m1
+        (_, m_i), _ = carriers[k_i]
+        nu_i = m_i - (k_i // k1) * m1
         # nu_i * I_omega(A) = -nu_i * lambda0
         if -nu_i * lambda0 > c0:
             return Verdict(

@@ -284,11 +284,8 @@ def _load_scenario(path):
         primes = [ser.json_typed(p, int, "prime") for p in primes]
     ladder = None
     if "ladder" in data:
-        spec = data["ladder"]
-        if isinstance(spec, str):
-            spec = _load_json(str(Path(path).parent / spec))
         with ser.reading("scenario ladder"):
-            ring_spec, dec_spec = spec["ring"], spec["decomposition"]
+            ring_spec, dec_spec = data["ladder"]["ring"], data["ladder"]["decomposition"]
         ring = ser.ring_from_json(ring_spec)
         ours = (ring.N_chern, ring.monotonicity, ring.complex_dim)
         theirs = (table.md.N, table.md.lam, table.n)

@@ -2,14 +2,16 @@
 
 A decomposition is verified against four conditions: the exact product
 relation, nu > 0, positive-degree factors, and the interior degree bound
-|u1| + ... + |u_{l-1}| < 2N.  Its ladder is the q^nu-periodic sequence
-v_j with v_0 = u0 and v_j = v_{j-1} * u_j, stored on one period window and
-extended in both directions by index arithmetic.  The window is the
-verification's walk u0, u0*u1, ..., u0*u1*...*u_{l-1}.  Its homology degrees
-strictly decrease into the next period with no check of their own: each step
-is a positive factor degree (no v_j of a verified decomposition is 0), and the
-wrap-around step is 2N minus the interior sum.  A Case II window steps by
-|u| > 0, and (l - 1)|u| < 2N for l = floor(2N/|u|).
+|u1| + ... + |u_{l-1}| < 2N.  Its ladder is the q^nu-periodic sequence v_j
+with v_0 = u0 and v_j = v_{j-1} * u_j, stored on one period window and
+extended in both directions by index arithmetic.  One walk of running
+products, `_walk`, gives the verification's u0, u0*u1, ..., u0*u1*...*ul,
+whose first l entries are the window, and the Case II powers u, u^2, ...,
+whose window starts at u^{s_-}.  Its homology degrees strictly decrease into
+the next period with no check of their own: each step is a positive factor
+degree (no v_j of a verified decomposition is 0), and the wrap-around step is
+2N minus the interior sum.  A Case II window steps by |u| > 0, and
+(l - 1)|u| < 2N for l = floor(2N/|u|).
 """
 
 from __future__ import annotations
@@ -100,12 +102,18 @@ def _verify(ring, dec: Decomposition) -> Tuple[VerificationReport, List[QuantumC
         reasons.append(
             f"interior degree sum {interior} is not < 2N = {two_n_chern}"
         )
-    walk = [dec.u0]
-    for f in dec.factors:
-        walk.append(ring.quantum_product(walk[-1], f))
+    walk = _walk(ring, dec.u0, dec.factors)
     if walk[-1] != dec.u0.q_shift(dec.nu):
         reasons.append("product does not equal q^nu * u0")
     return VerificationReport(valid=not reasons, reasons=tuple(reasons)), walk
+
+
+def _walk(ring, v: QuantumClass, factors: Sequence[QuantumClass]) -> List[QuantumClass]:
+    """The running products [v, v*f1, v*f1*f2, ...] of v by the factors."""
+    walk = [v]
+    for f in factors:
+        walk.append(ring.quantum_product(walk[-1], f))
+    return walk
 
 
 def search_decompositions(ring, ell_max: int, nu_max: int) -> List[Decomposition]:
@@ -196,10 +204,8 @@ def case_ii_parameters(ring, u: QuantumClass, n_orbits: int) -> CaseTwoParameter
     if n_orbits < 1:
         raise ValueError("n_orbits must be >= 1")
     d = ceil(Fraction(2 * ring.N_chern * n_orbits, deg)) + 1
-    p = ring.one()
-    for r in range(1, d + 1):
-        p = ring.quantum_product(p, u)
-        if p.is_zero():
+    for r, power in enumerate(_walk(ring, u, [u] * (d - 1)), start=1):
+        if power.is_zero():
             raise PowerVanishesError(r)
     return CaseTwoParameters(d=d, ell=ell)
 
@@ -230,14 +236,10 @@ def case_ii_ladder(ring, u: QuantumClass, s_minus: int, s_plus: int) -> Ladder:
             f"nu = {nu_frac} is not an integer; the non-degeneracy hypothesis "
             "is required to rule this pair out"
         )
-    if s_plus - s_minus - ell + 1 <= 0:
-        raise ValueError("gap too small: need s_plus - s_minus - ell + 1 > 0")
-    window = []
-    v = u ** s_minus
-    for j in range(ell):
-        if j > 0:
-            v = ring.quantum_product(v, u)
+    if s_minus < 1 or s_plus - s_minus - ell + 1 <= 0:
+        raise ValueError("need s_minus >= 1 and a gap s_plus - s_minus - ell + 1 > 0")
+    window = _walk(ring, u, [u] * (s_minus + ell - 2))[s_minus - 1:]
+    for j, v in enumerate(window):
         if v.is_zero():
             raise PowerVanishesError(s_minus + j)
-        window.append(v)
     return _ladder(ring, window, int(nu_frac))

@@ -56,7 +56,8 @@ class CappedOrbit:
 
     It is also the row type of a carrier orbit table
     (``carriers.TableOrbit``): a table row is a fixed point with m = 0, and
-    carriers reach every capped iterate through ``recap`` and ``iterate``.
+    ``carriers.check_assignment`` rebuilds capped iterates with ``recap``
+    and ``iterate``.
     The field order lets a row be written ``CappedOrbit(id, action, delta)``.
     """
 
@@ -68,11 +69,8 @@ class CappedOrbit:
     cz_index: Optional[int] = None
 
     def __post_init__(self):
-        # recap and iterate pass Fractions; skip the copy on that hot path
-        if type(self.action) is not Fraction:
-            object.__setattr__(self, "action", Fraction(self.action))
-        if type(self.mean_index) is not Fraction:
-            object.__setattr__(self, "mean_index", Fraction(self.mean_index))
+        object.__setattr__(self, "action", Fraction(self.action))
+        object.__setattr__(self, "mean_index", Fraction(self.mean_index))
 
 
 def recap(o: CappedOrbit, m: int, md: MonotoneData) -> CappedOrbit:

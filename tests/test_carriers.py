@@ -155,7 +155,7 @@ def test_window_edges_match_oracle(case):
     for k in ks:
         for deg in set(ladder.hom_degrees) | {2 * table.n}:
             expected = slot_candidates(table, deg, k)
-            assert [(oid, m, Fraction(a, D)) for oid, m, a in _cappings(table, deg, k)] == [
+            assert [(oid, m, Fraction(a, D)) for (oid, m), a in _cappings(table, deg, k)] == [
                 (c.orbit_id, c.m, c.action) for c in expected
             ]
         assert admissible_assignments(table, ladder, k) == brute_force_assignments(
@@ -165,7 +165,7 @@ def test_window_edges_match_oracle(case):
         found = _fundamental_class_carrier(table, k)
         assert (found is None) == (best is None)
         if found is not None:
-            oid, m, a = found
+            (oid, m), a = found
             assert (oid, m, Fraction(a, D)) == (best.orbit_id, best.m, best.action)
 
 

@@ -333,6 +333,29 @@ class TestCarriers:
         assert proc.returncode == 64, proc.stderr
         assert "iteration order must be >= 1" in proc.stderr
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_negmon_dimension_below_one_is_usage_error(self, workdir, n):
+        payload = {
+            "monotone": {"N": 1, "lambda": "-1"},
+            "n": n,
+            "orbits": [{"id": "x", "action": "1/3", "delta": "1/2"}],
+            "primes": [2, 3, 5, 7, 11, 13],
+        }
+        (workdir / "s.json").write_text(json.dumps(payload))
+        proc = run_cli("carriers", "negmon", "--scenario", "s.json", cwd=workdir)
+        assert proc.returncode == 64, proc.stderr
+        assert f"complex dimension n must be >= 1, got n = {n}" in proc.stderr
+
+    def test_ladder_file_name_is_not_a_ladder(self, workdir):
+        """A scenario's ladder is an inline record; a string naming a valid
+        ladder file is not read in its place."""
+        payload = scenario_payload()
+        (workdir / "ladder.json").write_text(json.dumps(payload["ladder"]))
+        (workdir / "s.json").write_text(json.dumps({**payload, "ladder": "ladder.json"}))
+        proc = run_cli("carriers", "verify", "--scenario", "s.json", cwd=workdir)
+        assert proc.returncode == 64, proc.stderr
+        assert "malformed scenario ladder" in proc.stderr
+
     def test_negmon_degenerate_inconclusive(self, workdir):
         payload = {
             "monotone": {"N": 1, "lambda": "-1"},

@@ -206,6 +206,11 @@ class TestCaseTwo:
         with pytest.raises(PowerVanishesError) as exc:
             case_ii_parameters(ring, ring.basis_class((1,)), 6)
         assert exc.value.exponent == 3
+        # a ladder names the first vanishing power of its window, from s_minus on
+        for s_minus, s_plus, exponent in [(1, 9, 3), (4, 12, 4)]:
+            with pytest.raises(PowerVanishesError) as exc:
+                case_ii_ladder(ring, ring.basis_class((1,)), s_minus, s_plus)
+            assert exc.value.exponent == exponent
 
     def test_degree_out_of_range(self):
         ring = Grassmannian(k=2, N=4)
@@ -257,6 +262,12 @@ class TestCaseTwoLadder:
         ring = Grassmannian(k=2, N=4)
         with pytest.raises(NonIntegralNuError):
             case_ii_ladder(ring, ring.basis_class((1,)), 1, 6)
+
+    def test_s_minus_below_one_rejected(self):
+        """The window starts at u^{s_minus}, a power in the pigeonhole range."""
+        ring = Grassmannian(k=2, N=4)
+        with pytest.raises(ValueError, match="need s_minus >= 1"):
+            case_ii_ladder(ring, ring.basis_class((1,)), 0, 8)
 
     def test_g24_nu_two(self):
         ring = Grassmannian(k=2, N=4)
