@@ -4,9 +4,10 @@ The selector itself is never computed; only the axioms the counting
 arguments use are enforced: recapping equivariance along the ladder, the
 mean-index window per class, and the (weakly) decreasing action ordering.
 Every verdict is decided with exact arithmetic.  The action-index relation
-(`relation_verdict`) and the negative-monotone obstruction
-(`neg_monotone_obstruction`) both return one `Verdict`: a status, a
-witness and human-readable details.
+(`relation_verdict`, positive monotone data only), the negative-monotone
+obstruction (`neg_monotone_obstruction`) and the distinctness gate
+(`distinctness_check`) each return one `Verdict`: a status, a witness and
+human-readable details.
 
 The search runs on integers.  Each table is scaled once by the common
 denominator D of its actions, its mean indices and lambda0
@@ -42,7 +43,7 @@ from .spectra import (
     recap,
 )
 
-# A table row is a fixed point: a capped orbit with the trivial capping.
+# kept because perfbench calls it; ROADMAP items 8 and 11
 TableOrbit = CappedOrbit
 
 
@@ -285,10 +286,6 @@ class CountingVerdict:
     bound: Fraction
     per_k: Tuple[Tuple[int, Fraction, Fraction, Fraction], ...]
 
-    @property
-    def status(self) -> str:
-        return "consistent" if self.ok else "divergent"
-
 
 def counting_check(report: StabilityReport, x_id: str, y_id: str) -> CountingVerdict:
     """Compare the action-based and index-based orbit counts between x and y.
@@ -330,8 +327,9 @@ def counting_check(report: StabilityReport, x_id: str, y_id: str) -> CountingVer
 
 @dataclass(frozen=True)
 class Verdict:
-    """The verdict of `relation_verdict` ("consistent" or "contradiction")
-    or of `neg_monotone_obstruction` ("contradiction" or "no_obstruction")."""
+    """The verdict of `relation_verdict` ("consistent" or "contradiction"),
+    of `neg_monotone_obstruction` ("contradiction" or "no_obstruction") or
+    of `distinctness_check` ("distinct", "not_distinct" or "inconclusive")."""
 
     status: str
     witness: Tuple = ()
@@ -341,7 +339,11 @@ class Verdict:
 def relation_verdict(
     table: OrbitTable, ladder: Ladder, primes: Sequence[int]
 ) -> Verdict:
-    """All pairs in the stable image must share the augmented action."""
+    """All pairs in the stable image must share the augmented action.  The
+    relations are stated for positive monotone data: with lambda0 < 0 the
+    period floor lies above slot 0, and every search would fail by arithmetic."""
+    if table.md.lam <= 0:
+        raise ValueError("positive monotone data required")
     report = stable_subsequence(table, ladder, primes)
     if report.failures:
         return Verdict(
@@ -367,37 +369,29 @@ def relation_verdict(
     return Verdict(status="consistent")
 
 
-@dataclass(frozen=True)
-class DistinctnessVerdict:
-    status: str  # "distinct" | "not_distinct" | "inconclusive"
-    mechanism: str  # "action" | "index" | "none"
-    witness: Tuple = ()
-
-
 def distinctness_check(
     ladder: Ladder, assignment: CarrierAssignment, nondegenerate: bool
-) -> DistinctnessVerdict:
+) -> Verdict:
     """Certify that the ell assigned orbits are pairwise distinct.
 
     nu = 1 ladders certify via the action chain; nu > 1 needs the
     non-degeneracy hypothesis to run the Conley-Zehnder degree chain.
     """
     if ladder.nu > 1 and not nondegenerate:
-        return DistinctnessVerdict(
-            status="inconclusive",
-            mechanism="none",
-            witness=("non-degeneracy required for nu > 1",),
+        return Verdict(
+            status="inconclusive", details=("non-degeneracy required for nu > 1",)
         )
-    mechanism = "action" if ladder.nu == 1 else "index"
+    chain = "action" if ladder.nu == 1 else "Conley-Zehnder index"
+    details = (f"mechanism: {chain} chain",)
     ids = assignment.phi()
     seen = {}
     for j, oid in enumerate(ids):
         if oid in seen:
-            return DistinctnessVerdict(
-                status="not_distinct", mechanism=mechanism, witness=(seen[oid], j, oid)
+            return Verdict(
+                status="not_distinct", witness=(seen[oid], j, oid), details=details
             )
         seen[oid] = j
-    return DistinctnessVerdict(status="distinct", mechanism=mechanism)
+    return Verdict(status="distinct", details=details)
 
 
 def _fundamental_class_carrier(table: OrbitTable, k: int) -> Optional[Tuple[Slot, int]]:

@@ -126,6 +126,8 @@ def search_decompositions(ring, ell_max: int, nu_max: int) -> List[Decomposition
     """
     if ell_max < 1:
         raise ValueError("ell_max must be >= 1")
+    if nu_max < 1:
+        raise ValueError("nu_max must be >= 1")
     two_n_chern = 2 * ring.N_chern
     labels = sorted(ring.basis_labels(), key=ring.label_key)
     classes = {lbl: ring.basis_class(lbl) for lbl in labels}

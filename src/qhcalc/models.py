@@ -117,6 +117,7 @@ def _fixed_point(orbit_id: str, action: Fraction, angles: Sequence[Fraction]) ->
     )
 
 
+# kept because perfbench calls it; ROADMAP items 8 and 11
 def cpn_fixed_points(model: CPnQuadraticModel) -> List[CappedOrbit]:
     """Fixed points x_0..x_n with the trivial capping."""
     return fixed_points(model)

@@ -192,9 +192,3 @@ class QuantumClass:
         return QuantumClass._assemble(
             self.ring, {(label, e + m): c for (label, e), c in self.terms}
         )
-
-    def __str__(self) -> str:
-        from .serialize import class_to_str
-
-        return class_to_str(self)
-

@@ -482,5 +482,6 @@ def quantum_pieri(ring: Grassmannian, lam, p: int) -> QuantumClass:
 # monotone products
 
 
+# kept because perfbench calls it; ROADMAP items 8 and 11
 def kunneth(ring_a: RingPresentation, ring_b: RingPresentation) -> ProductRing:
     return ProductRing(factors=(ring_a, ring_b))

@@ -55,7 +55,7 @@ class CappedOrbit:
     """A capped periodic orbit with exact action and mean index data.
 
     It is also the row type of a carrier orbit table
-    (``carriers.TableOrbit``): a table row is a fixed point with m = 0, and
+    (``carriers.OrbitTable``): a table row is a fixed point with m = 0, and
     ``carriers.check_assignment`` rebuilds capped iterates with ``recap``
     and ``iterate``.
     The field order lets a row be written ``CappedOrbit(id, action, delta)``.

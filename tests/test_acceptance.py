@@ -14,12 +14,11 @@ from qhcalc.ladders import (
     ladder_class,
     search_decompositions,
 )
-from qhcalc.models import CPnQuadraticModel, cpn_fixed_points
-from qhcalc.spectra import MonotoneData, augmented_action, iterate, recap
+from qhcalc.models import CPnQuadraticModel, fixed_points
+from qhcalc.spectra import CappedOrbit, MonotoneData, augmented_action, iterate, recap
 from qhcalc.carriers import (
     CarrierAssignment,
     OrbitTable,
-    TableOrbit,
     admissible_assignments,
     distinctness_check,
     neg_monotone_obstruction,
@@ -142,7 +141,7 @@ def test_criterion_6_augmented_action_equality():
             model = CPnQuadraticModel(lambdas=tuple(sorted(lams)))
             md = model.monotone_data
             expected = sum(model.lambdas) / (n + 1)
-            orbits = cpn_fixed_points(model)
+            orbits = fixed_points(model)
             assert len(orbits) == n + 1
             probe = rng.choice(orbits)
             for o in orbits:
@@ -156,8 +155,8 @@ def test_criterion_6_augmented_action_equality():
 def _model_orbit_table(lams):
     model = CPnQuadraticModel(lambdas=tuple(lams))
     orbits = tuple(
-        TableOrbit(o.orbit_id, o.action, o.mean_index)
-        for o in cpn_fixed_points(model)
+        CappedOrbit(o.orbit_id, o.action, o.mean_index)
+        for o in fixed_points(model)
     )
     return OrbitTable(md=model.monotone_data, n=model.n, orbits=orbits)
 
@@ -185,7 +184,7 @@ def test_criterion_7_proof_skeleton_soundness():
                     num = rng.choice([x for x in range(-9, 10, 2) if x])
                     delta = Fraction(num, 16)
                     orbits = list(table.orbits)
-                    orbits[idx] = TableOrbit(
+                    orbits[idx] = CappedOrbit(
                         orbits[idx].orbit_id,
                         orbits[idx].action + delta,
                         orbits[idx].mean_index,
@@ -208,7 +207,7 @@ def test_criterion_8_distinctness_gates():
                 for a in admissible_assignments(table, ladder, k):
                     verdict = distinctness_check(ladder, a, nondegenerate=False)
                     assert verdict.status == "distinct"
-                    assert verdict.mechanism == "action"
+                    assert verdict.details == ("mechanism: action chain",)
         # nu > 1: conclusive only with the non-degeneracy hypothesis
         ring = Grassmannian(k=2, N=4)
         ladder2 = case_ii_ladder(ring, ring.basis_class((1,)), 1, 9)
@@ -216,12 +215,12 @@ def test_criterion_8_distinctness_gates():
         assignment = CarrierAssignment(
             k=1, slots=(("a", 0), ("b", 0), ("c", 0), ("d", 0))
         )
-        assert distinctness_check(ladder2, assignment, nondegenerate=False).status == (
-            "inconclusive"
-        )
+        gated = distinctness_check(ladder2, assignment, nondegenerate=False)
+        assert gated.status == "inconclusive"
+        assert gated.details == ("non-degeneracy required for nu > 1",)
         with_flag = distinctness_check(ladder2, assignment, nondegenerate=True)
         assert with_flag.status == "distinct"
-        assert with_flag.mechanism == "index"
+        assert with_flag.details == ("mechanism: Conley-Zehnder index chain",)
 
 
 def test_criterion_9_negative_monotone_obstruction():
@@ -233,7 +232,7 @@ def test_criterion_9_negative_monotone_obstruction():
             table = OrbitTable(
                 md=md, n=1,
                 orbits=(
-                    TableOrbit(
+                    CappedOrbit(
                         "x",
                         Fraction(rng.randint(-9, 9), rng.randint(1, 5)),
                         Fraction(rng.choice([1, 3, 5, 7, 9]), 2),
@@ -247,7 +246,7 @@ def test_criterion_9_negative_monotone_obstruction():
             table = OrbitTable(
                 md=md, n=1,
                 orbits=tuple(
-                    TableOrbit(f"x{i}", Fraction(rng.randint(-9, 9), 3), Fraction(0))
+                    CappedOrbit(f"x{i}", Fraction(rng.randint(-9, 9), 3), Fraction(0))
                     for i in range(rng.randint(1, 3))
                 ),
             )

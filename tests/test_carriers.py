@@ -10,7 +10,6 @@ from qhcalc.carriers import (
     _cappings,
     _fundamental_class_carrier,
     OrbitTable,
-    TableOrbit,
     admissible_assignments,
     check_assignment,
     counting_check,
@@ -20,7 +19,7 @@ from qhcalc.carriers import (
     stable_subsequence,
 )
 from qhcalc.ladders import Decomposition, build_ladder, case_ii_ladder
-from qhcalc.models import CPnQuadraticModel, cpn_fixed_points
+from qhcalc.models import CPnQuadraticModel, fixed_points
 from qhcalc.rings import CPn, Grassmannian
 from qhcalc.spectra import CappedOrbit, MonotoneData
 
@@ -38,8 +37,8 @@ PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
 def model_table(*lams):
     model = CPnQuadraticModel(lambdas=tuple(Fraction(x) for x in lams))
     orbits = tuple(
-        TableOrbit(o.orbit_id, o.action, o.mean_index)
-        for o in cpn_fixed_points(model)
+        CappedOrbit(o.orbit_id, o.action, o.mean_index)
+        for o in fixed_points(model)
     )
     return OrbitTable(md=model.monotone_data, n=model.n, orbits=orbits)
 
@@ -77,7 +76,7 @@ def carrier_searches(draw):
                              unique=True))
         den = draw(st.sampled_from([5, 7, 8, 9, 16]))
         model = CPnQuadraticModel(lambdas=tuple(Fraction(x, den) for x in lams))
-        rows = [(o.action, o.mean_index) for o in cpn_fixed_points(model)]
+        rows = [(o.action, o.mean_index) for o in fixed_points(model)]
         shift = draw(st.sampled_from([0, 0, -3, -1, 1, 3]))
         j = draw(st.integers(0, len(rows) - 1))
         rows[j] = (rows[j][0] + Fraction(shift, 16), rows[j][1])
@@ -93,7 +92,8 @@ def carrier_searches(draw):
     table = OrbitTable(
         md=MonotoneData(N=n_chern, lam=lam), n=n,
         orbits=tuple(
-            TableOrbit(f"x{i}", a, d, flag) for i, ((a, d), flag) in enumerate(zip(rows, flags))
+            CappedOrbit(f"x{i}", a, d, flag)
+            for i, ((a, d), flag) in enumerate(zip(rows, flags))
         ),
     )
     ks = draw(st.lists(st.sampled_from([p for p in PRIMES if p < 30]), min_size=1,
@@ -142,7 +142,7 @@ def window_edge_tables(draw):
         m = draw(st.integers(-2, 2))
         # k * delta - 2N * m == end: the capping m of the k-th iterate sits on the end
         delta = Fraction(end + 2 * n_chern * m, k)
-        rows.append(TableOrbit(oid, draw(st.sampled_from(actions)), delta, draw(st.booleans())))
+        rows.append(CappedOrbit(oid, draw(st.sampled_from(actions)), delta, draw(st.booleans())))
     md = MonotoneData(N=n_chern, lam=lambda0 / n_chern)
     return OrbitTable(md=md, n=n, orbits=tuple(rows)), ladder, ks
 
@@ -170,8 +170,7 @@ def test_window_edges_match_oracle(case):
 
 
 def test_one_orbit_type():
-    assert TableOrbit is CappedOrbit
-    row = TableOrbit("x", Fraction(1, 3), Fraction(2), True)
+    row = CappedOrbit("x", Fraction(1, 3), Fraction(2), True)
     assert (row.action, row.mean_index, row.weakly_nondegenerate, row.m) == (
         Fraction(1, 3), Fraction(2), True, 0
     )
@@ -192,7 +191,7 @@ class TestAdmissibleAssignments:
         md = MonotoneData(N=2, lam=Fraction(1, 2))
         table = OrbitTable(
             md=md, n=1,
-            orbits=(TableOrbit("x", Fraction(0), Fraction(5, 2)),),
+            orbits=(CappedOrbit("x", Fraction(0), Fraction(5, 2)),),
         )
         assert admissible_assignments(table, cpn_ladder(1), 1) == []
 
@@ -201,8 +200,8 @@ class TestAdmissibleAssignments:
         table = OrbitTable(
             md=md, n=1,
             orbits=(
-                TableOrbit("x", Fraction(0), Fraction(0)),
-                TableOrbit("y", Fraction(0), Fraction(0)),
+                CappedOrbit("x", Fraction(0), Fraction(0)),
+                CappedOrbit("y", Fraction(0), Fraction(0)),
             ),
         )
         assignments = admissible_assignments(table, cpn_ladder(1), 1)
@@ -252,7 +251,7 @@ class TestStableSubsequence:
             relation_verdict(table, cpn_ladder(1), primes)
         negmon = OrbitTable(
             md=MonotoneData(N=1, lam=Fraction(-1)), n=1,
-            orbits=(TableOrbit("x", Fraction(1, 3), Fraction(1, 2), True),),
+            orbits=(CappedOrbit("x", Fraction(1, 3), Fraction(1, 2), True),),
         )
         with pytest.raises(ValueError, match="iteration order must be >= 1"):
             neg_monotone_obstruction(negmon, primes)
@@ -277,7 +276,7 @@ class TestCountingCheck:
         delta = Fraction(1, 16)
         base = model_table(0, Fraction(1, 8))
         orbits = (
-            TableOrbit("x0", base.orbits[0].action + delta, base.orbits[0].mean_index),
+            CappedOrbit("x0", base.orbits[0].action + delta, base.orbits[0].mean_index),
             base.orbits[1],
         )
         table = OrbitTable(md=base.md, n=base.n, orbits=orbits)
@@ -307,13 +306,31 @@ class TestRelationVerdict:
     def test_single_orbit_vacuous(self):
         md = MonotoneData(N=2, lam=Fraction(1, 2))
         table = OrbitTable(
-            md=md, n=1, orbits=(TableOrbit("x", Fraction(0), Fraction(0)),)
+            md=md, n=1, orbits=(CappedOrbit("x", Fraction(0), Fraction(0)),)
         )
         verdict = relation_verdict(table, cpn_ladder(1), [2, 3, 5])
         # single orbit can never produce an unequal pair
         assert verdict.status in ("consistent", "contradiction")
         if verdict.status == "contradiction":
             assert verdict.witness[0] == "no admissible assignment"
+
+    def test_negative_monotone_data_rejected(self):
+        """With lambda0 < 0 the period floor lies above slot 0, so every
+        search fails by arithmetic; the verdict refuses such data."""
+        ring = CPn(n=1, lambda0=Fraction(-1))
+        ladder = build_ladder(
+            ring, Decomposition(u0=ring.one(), factors=(ring.basis_class(1),) * 2, nu=1)
+        )
+        table = OrbitTable(
+            md=MonotoneData(N=2, lam=Fraction(-1, 2)), n=1,
+            orbits=(
+                CappedOrbit("x0", Fraction(0), Fraction(-1, 4)),
+                CappedOrbit("x1", Fraction(1, 8), Fraction(1, 4)),
+            ),
+        )
+        assert stable_subsequence(table, ladder, [2, 3, 5]).failures == (2, 3, 5)
+        with pytest.raises(ValueError, match="positive monotone data required"):
+            relation_verdict(table, ladder, [2, 3, 5])
 
     def test_perturbations_contradict(self):
         rng = random.Random(47)
@@ -323,7 +340,7 @@ class TestRelationVerdict:
                 idx = rng.randrange(len(base.orbits))
                 delta = Fraction(rng.choice([-5, -3, -1, 1, 3, 5]), 16)
                 orbits = list(base.orbits)
-                orbits[idx] = TableOrbit(
+                orbits[idx] = CappedOrbit(
                     orbits[idx].orbit_id, orbits[idx].action + delta, orbits[idx].mean_index
                 )
                 table = OrbitTable(md=base.md, n=base.n, orbits=tuple(orbits))
@@ -338,7 +355,7 @@ class TestDistinctness:
         a = admissible_assignments(table, ladder, 5)[0]
         verdict = distinctness_check(ladder, a, nondegenerate=False)
         assert verdict.status == "distinct"
-        assert verdict.mechanism == "action"
+        assert verdict.details == ("mechanism: action chain",)
 
     def test_nu_two_needs_nondegeneracy(self):
         ring = Grassmannian(k=2, N=4)
@@ -347,15 +364,20 @@ class TestDistinctness:
         a = CarrierAssignment(k=1, slots=(("a", 0), ("b", 0), ("c", 0), ("d", 0)))
         inconclusive = distinctness_check(ladder, a, nondegenerate=False)
         assert inconclusive.status == "inconclusive"
+        assert (inconclusive.witness, inconclusive.details) == (
+            (), ("non-degeneracy required for nu > 1",)
+        )
         ok = distinctness_check(ladder, a, nondegenerate=True)
         assert ok.status == "distinct"
-        assert ok.mechanism == "index"
+        assert ok.details == ("mechanism: Conley-Zehnder index chain",)
 
     def test_repeat_detected(self):
         ladder = cpn_ladder(1)
         a = CarrierAssignment(k=1, slots=(("x", 0), ("x", 1)))
         verdict = distinctness_check(ladder, a, nondegenerate=False)
         assert verdict.status == "not_distinct"
+        assert verdict.witness == (0, 1, "x")
+        assert verdict.details == ("mechanism: action chain",)
 
 
 @st.composite
@@ -373,7 +395,7 @@ def neg_monotone_tables(draw):
     ))
     deltas = st.builds(Fraction, st.integers(-8, 8), st.sampled_from([1, 2, 3, 5]))
     rows = tuple(
-        TableOrbit(f"x{i}", draw(st.sampled_from(actions)), draw(deltas), draw(st.booleans()))
+        CappedOrbit(f"x{i}", draw(st.sampled_from(actions)), draw(deltas), draw(st.booleans()))
         for i in range(draw(st.integers(1, 3)))
     )
     ks = sorted(draw(st.lists(
@@ -397,7 +419,7 @@ class TestNegMonotone:
         md = MonotoneData(N=1, lam=Fraction(-1))
         table = OrbitTable(
             md=md, n=1,
-            orbits=(TableOrbit("x", Fraction(1, 3), Fraction(1, 2)),),
+            orbits=(CappedOrbit("x", Fraction(1, 3), Fraction(1, 2)),),
         )
         verdict = neg_monotone_obstruction(table, PRIMES)
         assert verdict.status == "contradiction"
@@ -408,8 +430,8 @@ class TestNegMonotone:
         table = OrbitTable(
             md=md, n=1,
             orbits=(
-                TableOrbit("x", Fraction(1, 5), Fraction(0)),
-                TableOrbit("y", Fraction(0), Fraction(0)),
+                CappedOrbit("x", Fraction(1, 5), Fraction(0)),
+                CappedOrbit("y", Fraction(0), Fraction(0)),
             ),
         )
         verdict = neg_monotone_obstruction(table, PRIMES)
@@ -421,7 +443,7 @@ class TestNegMonotone:
         over [2, 3, 5, 7] this table has no obstruction."""
         table = OrbitTable(
             md=MonotoneData(N=1, lam=Fraction(-1)), n=1,
-            orbits=(TableOrbit("x", Fraction(-6), Fraction(-3, 4)),),
+            orbits=(CappedOrbit("x", Fraction(-6), Fraction(-3, 4)),),
         )
         assert neg_monotone_obstruction(table, [2, 3, 5, 7]).status == "no_obstruction"
         for primes in ([3, 2, 5, 7], [2, 3, 3, 5]):
@@ -431,7 +453,7 @@ class TestNegMonotone:
     def test_positive_lambda_rejected(self):
         md = MonotoneData(N=2, lam=Fraction(1, 2))
         table = OrbitTable(
-            md=md, n=1, orbits=(TableOrbit("x", Fraction(0), Fraction(0)),)
+            md=md, n=1, orbits=(CappedOrbit("x", Fraction(0), Fraction(0)),)
         )
         with pytest.raises(ValueError):
             neg_monotone_obstruction(table, PRIMES)
@@ -443,7 +465,7 @@ class TestNegMonotone:
             table = OrbitTable(
                 md=md, n=1,
                 orbits=(
-                    TableOrbit(
+                    CappedOrbit(
                         "x",
                         Fraction(rng.randint(-5, 5), 7),
                         Fraction(rng.choice([1, 3, 5, 7]), 2),

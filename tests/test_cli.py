@@ -184,6 +184,13 @@ class TestLadders:
             "input error: need 0 < |u| < 2n and |u| <= 2N, got |u| = 14\n"
         )
 
+    def test_search_nu_max_below_one_is_usage_error(self, workdir):
+        proc = run_cli("ladders", "search", "--ring", "cp2.json", "--ell-max", "3",
+                       "--nu-max", "0", cwd=workdir)
+        assert proc.returncode == 64, proc.stdout
+        assert proc.stdout == ""
+        assert proc.stderr == "input error: nu_max must be >= 1\n"
+
     def test_invalid_dec_exit_two(self, workdir):
         (workdir / "dec.json").write_text(
             json.dumps({"u0": "1", "factors": ["u"], "nu": 1})
@@ -287,6 +294,16 @@ class TestCarriers:
         proc = run_cli("carriers", "verify", "--scenario", "s.json", cwd=workdir)
         assert proc.returncode == 64, proc.stderr
         assert named in proc.stderr
+
+    def test_verify_negative_monotone_is_usage_error(self, workdir):
+        payload = scenario_payload()
+        payload["monotone"] = {"N": 2, "lambda": "-1/2"}
+        payload["ladder"]["ring"]["lambda0"] = "-1"
+        (workdir / "s.json").write_text(json.dumps(payload))
+        proc = run_cli("carriers", "verify", "--scenario", "s.json", cwd=workdir)
+        assert proc.returncode == 64, proc.stdout
+        assert proc.stdout == ""
+        assert proc.stderr == "input error: positive monotone data required\n"
 
     def test_assignments(self, workdir):
         (workdir / "s.json").write_text(json.dumps(scenario_payload()))

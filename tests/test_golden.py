@@ -32,7 +32,6 @@ from pathlib import Path
 
 from qhcalc.carriers import (
     OrbitTable,
-    TableOrbit,
     counting_check,
     neg_monotone_obstruction,
     relation_verdict,
@@ -42,14 +41,13 @@ from qhcalc.ladders import Decomposition, build_ladder, search_decompositions
 from qhcalc.models import (
     CPnQuadraticModel,
     ProductModel,
-    cpn_fixed_points,
     fixed_points,
     verify_equal_augmented_actions,
 )
 from qhcalc.qalgebra import GroundField
-from qhcalc.rings import CPn, Grassmannian, kunneth
+from qhcalc.rings import CPn, Grassmannian, ProductRing
 from qhcalc.serialize import class_to_str, decomposition_to_json, model_to_json, orbit_to_json
-from qhcalc.spectra import MonotoneData
+from qhcalc.spectra import CappedOrbit, MonotoneData
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "ring_golden.json"
 ELL_MAX, NU_MAX = 3, 2
@@ -72,16 +70,20 @@ NEGMON_TABLES = 4
 def _product_rings():
     f2, f3 = GroundField(2), GroundField(3)
     return (
-        ("CP^1 x CP^1 over Q", kunneth(CPn(n=1), CPn(n=1))),
-        ("CP^1 x CP^1 over F_2", kunneth(CPn(n=1, field=f2), CPn(n=1, field=f2))),
-        ("G(2,4) x CP^3 over Q", kunneth(Grassmannian(k=2, N=4), CPn(n=3))),
+        ("CP^1 x CP^1 over Q", ProductRing(factors=(CPn(n=1), CPn(n=1)))),
+        ("CP^1 x CP^1 over F_2",
+         ProductRing(factors=(CPn(n=1, field=f2), CPn(n=1, field=f2)))),
+        ("G(2,4) x CP^3 over Q", ProductRing(factors=(Grassmannian(k=2, N=4), CPn(n=3)))),
         ("G(2,4) x CP^3 over F_3",
-         kunneth(Grassmannian(k=2, N=4, field=f3), CPn(n=3, field=f3))),
-        ("CP^1 x CP^1 x CP^1 over Q", kunneth(kunneth(CPn(n=1), CPn(n=1)), CPn(n=1))),
+         ProductRing(factors=(Grassmannian(k=2, N=4, field=f3), CPn(n=3, field=f3)))),
+        ("CP^1 x CP^1 x CP^1 over Q",
+         ProductRing(factors=(ProductRing(factors=(CPn(n=1), CPn(n=1))), CPn(n=1)))),
         # N = gcd(2, 4, 2): the CP^3 factor's q-powers count double
         ("CP^1 x CP^3(lambda0=2) x CP^1 over F_3",
-         kunneth(kunneth(CPn(n=1, field=f3), CPn(n=3, field=f3, lambda0=2)),
-                 CPn(n=1, field=f3))),
+         ProductRing(factors=(
+             ProductRing(factors=(CPn(n=1, field=f3), CPn(n=3, field=f3, lambda0=2))),
+             CPn(n=1, field=f3),
+         ))),
     )
 
 
@@ -131,7 +133,7 @@ def _carrier_tables(n: int):
         den = rng.choice([5, 7, 8, 9, 11, 16])
         lams = tuple(Fraction(x, den) for x in rng.sample(range(-12, 13), n + 1))
         model = CPnQuadraticModel(lambdas=lams)
-        rows = [(o.orbit_id, o.action, o.mean_index) for o in cpn_fixed_points(model)]
+        rows = [(o.orbit_id, o.action, o.mean_index) for o in fixed_points(model)]
         yield f"model {i}, genuine", lams, rows, model.monotone_data
         j = rng.randrange(n + 1)
         oid, action, delta = rows[j]
@@ -148,7 +150,7 @@ def carrier_outputs() -> dict:
             ring, Decomposition(u0=ring.one(), factors=(ring.basis_class(1),) * (n + 1), nu=1)
         )
         for name, lams, rows, md in _carrier_tables(n):
-            table = OrbitTable(md=md, n=n, orbits=tuple(TableOrbit(*row) for row in rows))
+            table = OrbitTable(md=md, n=n, orbits=tuple(CappedOrbit(*row) for row in rows))
             for primes_name, primes in PRIME_SETS:
                 report = stable_subsequence(table, ladder, primes)
                 verdict = relation_verdict(table, ladder, primes)
@@ -194,11 +196,11 @@ def _negmon_tables():
     rng = random.Random("golden negative monotone")
     for md in NEGMON_DATA:
         for i in range(NEGMON_TABLES):
-            orbits = (TableOrbit("x", Fraction(rng.randint(-9, 9), rng.randint(1, 5)),
+            orbits = (CappedOrbit("x", Fraction(rng.randint(-9, 9), rng.randint(1, 5)),
                                  Fraction(rng.choice([1, 3, 5, 7, 9]), 2)),)
             yield f"N = {md.N}, lambda = {md.lam}, criterion 9 table {i}", md, orbits
         for i in range(NEGMON_TABLES):
-            orbits = tuple(TableOrbit(f"x{j}", Fraction(rng.randint(-9, 9), 3), Fraction(0))
+            orbits = tuple(CappedOrbit(f"x{j}", Fraction(rng.randint(-9, 9), 3), Fraction(0))
                            for j in range(rng.randint(1, 3)))
             yield f"N = {md.N}, lambda = {md.lam}, degenerate table {i}", md, orbits
 

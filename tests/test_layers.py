@@ -1,0 +1,54 @@
+"""The module stack of ``qhcalc``: each module imports only the modules below it.
+
+Every import of a package module is collected from the source with ``ast``,
+including imports inside functions, so a lazy upward import fails here too.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import qhcalc
+
+PACKAGE = Path(qhcalc.__file__).resolve().parent
+
+# module -> the package modules it may import; None: any
+ALLOWED = {
+    "__init__": set(),
+    "qalgebra": set(),
+    "spectra": set(),
+    "rings": {"qalgebra"},
+    "ladders": {"qalgebra"},
+    "models": {"spectra"},
+    "carriers": {"ladders", "spectra"},
+    "serialize": {"qalgebra", "rings", "spectra", "ladders", "carriers", "models"},
+    "cli": None,
+}
+
+
+def package_imports(path: Path) -> set:
+    """The package modules that one source file imports, relative or absolute."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            named = [alias.name for alias in node.names]
+            found.update(n.partition(".")[2] or "__init__" for n in named
+                         if n.partition(".")[0] == "qhcalc")
+        elif isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").partition(".")[0] == "qhcalc"
+        ):
+            # from .m import x, from qhcalc.m import x: m; from . import m: m
+            module = node.module if node.level else node.module.partition(".")[2]
+            found.update([module] if module else (alias.name for alias in node.names))
+    return {name.partition(".")[0] for name in found}
+
+
+def test_every_module_has_a_layer():
+    assert {p.stem for p in PACKAGE.glob("*.py")} == set(ALLOWED)
+
+
+@pytest.mark.parametrize("module", sorted(m for m, a in ALLOWED.items() if a is not None))
+def test_module_imports_only_lower_layers(module):
+    imported = package_imports(PACKAGE / f"{module}.py")
+    assert imported <= ALLOWED[module], f"{module} imports {sorted(imported - ALLOWED[module])}"

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from qhcalc.models import (
     CPnQuadraticModel,
     ProductModel,
-    cpn_fixed_points,
     fixed_points,
     verify_equal_augmented_actions,
 )
@@ -24,7 +23,7 @@ def model(*lams):
 
 class TestFixedPoints:
     def test_cp1_zero_one(self):
-        orbits = cpn_fixed_points(model(0, 1))
+        orbits = fixed_points(model(0, 1))
         data = {(o.orbit_id): (o.action, o.mean_index) for o in orbits}
         assert data == {
             "x0": (Fraction(0), Fraction(-2)),
@@ -32,7 +31,7 @@ class TestFixedPoints:
         }
 
     def test_cp2_zero_one_three(self):
-        orbits = cpn_fixed_points(model(0, 1, 3))
+        orbits = fixed_points(model(0, 1, 3))
         assert [o.action for o in orbits] == [Fraction(0), Fraction(1), Fraction(3)]
         assert [o.mean_index for o in orbits] == [
             Fraction(-8),
@@ -43,8 +42,8 @@ class TestFixedPoints:
         assert all(augmented_action(o, md) == Fraction(4, 3) for o in orbits)
 
     def test_shift_invariance(self):
-        base = cpn_fixed_points(model(0, 1, 3))
-        shifted = cpn_fixed_points(model(2, 3, 5))
+        base = fixed_points(model(0, 1, 3))
+        shifted = fixed_points(model(2, 3, 5))
         for a, b in zip(base, shifted):
             assert b.action == a.action + 2
             assert b.mean_index == a.mean_index
@@ -54,7 +53,7 @@ class TestFixedPoints:
             model(1, 1)
 
     def test_cz_present_when_nondegenerate(self):
-        orbits = cpn_fixed_points(model(0, Fraction(1, 8), Fraction(3, 8)))
+        orbits = fixed_points(model(0, Fraction(1, 8), Fraction(3, 8)))
         assert all(o.cz_index is not None for o in orbits)
         assert all(o.weakly_nondegenerate for o in orbits)
 
@@ -72,7 +71,7 @@ class TestEqualAugmentedActions:
 
     def test_perturbed_detected(self):
         m = model(0, 1, 3)
-        orbits = cpn_fixed_points(m)
+        orbits = fixed_points(m)
         bad = [replace(orbits[0], mean_index=orbits[0].mean_index + 1)] + orbits[1:]
         report = verify_equal_augmented_actions(m, bad)
         assert not report.ok
@@ -93,7 +92,7 @@ class TestEqualAugmentedActions:
     def test_recap_and_iterate_invariance(self):
         m = model(0, Fraction(1, 3), Fraction(5, 2))
         md = m.monotone_data
-        for o in cpn_fixed_points(m):
+        for o in fixed_points(m):
             base = augmented_action(o, md)
             for mm in range(-10, 11):
                 assert augmented_action(recap(o, mm, md), md) == base
@@ -113,7 +112,7 @@ class TestProductModel:
         pm = ProductModel(factors=(model(0, 1),))
         got = {(o.orbit_id, o.action, o.mean_index) for o in fixed_points(pm)}
         want = {
-            (o.orbit_id, o.action, o.mean_index) for o in cpn_fixed_points(model(0, 1))
+            (o.orbit_id, o.action, o.mean_index) for o in fixed_points(model(0, 1))
         }
         assert got == want
 
@@ -138,7 +137,7 @@ class TestProductModel:
 class TestTheoremConsistency:
     def test_adversarial_orbits_fail(self):
         m = model(0, 1, 3)
-        orbits = cpn_fixed_points(m)
+        orbits = fixed_points(m)
         bad = [replace(orbits[0], action=orbits[0].action + 1)] + orbits[1:]
         report = verify_equal_augmented_actions(m, bad)
         assert not report.ok
@@ -158,7 +157,7 @@ def cpn_models(n):
 def test_cpn_rows_closed_form(m):
     """With the trivial capping x_j has action lambda_j and mean index
     2*((n+1)*lambda_j - sum(lambda))."""
-    rows = cpn_fixed_points(m)
+    rows = fixed_points(m)
     assert [o.orbit_id for o in rows] == [f"x{j}" for j in range(m.n + 1)]
     total = sum(m.lambdas)
     for o, lj in zip(rows, m.lambdas):
@@ -174,12 +173,12 @@ factor_lists = st.integers(1, 3).flatmap(
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(factor_lists, st.sampled_from([Fraction(-1, 3), Fraction(1, 16), Fraction(2)]))
 def test_product_rows_from_concatenated_angles(factors, shift):
-    assert fixed_points(ProductModel(factors=factors[:1])) == cpn_fixed_points(factors[0])
+    assert fixed_points(ProductModel(factors=factors[:1])) == fixed_points(factors[0])
 
     pm = ProductModel(factors=tuple(factors))
     rows = fixed_points(pm)
     combos = list(itertools.product(*(list(enumerate(f.lambdas)) for f in factors)))
-    factor_rows = list(itertools.product(*(cpn_fixed_points(f) for f in factors)))
+    factor_rows = list(itertools.product(*(fixed_points(f) for f in factors)))
     assert len(rows) == len(combos) == len(factor_rows)
     for row, combo, parts in zip(rows, combos, factor_rows):
         angles = [

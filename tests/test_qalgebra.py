@@ -11,7 +11,7 @@ from qhcalc.qalgebra import (
     QuantumClass,
     RingMismatchError,
 )
-from qhcalc.rings import CPn, Grassmannian, kunneth
+from qhcalc.rings import CPn, Grassmannian, ProductRing
 
 from test_serialize import PROPERTY, quantum_classes
 
@@ -47,7 +47,9 @@ class TestGroundField:
 _REDUCTION_RINGS = (
     lambda field: CPn(n=3, field=field),
     lambda field: Grassmannian(k=2, N=5, field=field),
-    lambda field: kunneth(CPn(n=3, field=field), Grassmannian(k=2, N=4, field=field)),
+    lambda field: ProductRing(
+        factors=(CPn(n=3, field=field), Grassmannian(k=2, N=4, field=field))
+    ),
 )
 
 

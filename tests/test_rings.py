@@ -13,7 +13,6 @@ from qhcalc.rings import (
     Grassmannian,
     ProductRing,
     fits_box,
-    kunneth,
     littlewood_richardson,
     normalize_partition,
     partitions_in_box,
@@ -243,14 +242,16 @@ class TestQuantumProduct:
 
 class TestKunneth:
     def test_p1_times_p1_square(self):
-        ring = kunneth(CPn(n=1, lambda0=Fraction(1)), CPn(n=1, lambda0=Fraction(1)))
+        ring = ProductRing(
+            factors=(CPn(n=1, lambda0=Fraction(1)), CPn(n=1, lambda0=Fraction(1)))
+        )
         u1 = ring.basis_class((1, 0))
         assert ring.quantum_product(u1, u1) == ring.basis_class((0, 0), m=1)
 
     def test_unit_factors(self):
         left = Grassmannian(k=2, N=4, lambda0=Fraction(1))
         right = CPn(n=3, lambda0=Fraction(1))
-        ring = kunneth(left, right)
+        ring = ProductRing(factors=(left, right))
         a = ring.basis_class(((2, 1), 0))
         b = ring.basis_class(((), 2))
         assert ring.quantum_product(a, b) == ring.basis_class(((2, 1), 2))
@@ -260,7 +261,6 @@ class TestKunneth:
         left = CPn(n=1, field=f3, lambda0=Fraction(4))
         right = Grassmannian(k=2, N=4, field=f3, lambda0=Fraction(8))
         ring = ProductRing(factors=(left, right))
-        assert ring == kunneth(left, right)
         assert (ring.field, ring.N_chern, ring.lambda0, ring.monotonicity) == (
             f3, 2, Fraction(4), Fraction(2)
         )
@@ -273,8 +273,8 @@ class TestKunneth:
 
     def test_mismatched_monotonicity_rejected(self):
         with pytest.raises(ValueError):
-            kunneth(
-                CPn(n=1, lambda0=Fraction(1)), CPn(n=2, lambda0=Fraction(2))
+            ProductRing(
+                factors=(CPn(n=1, lambda0=Fraction(1)), CPn(n=2, lambda0=Fraction(2)))
             )
 
     def test_products_flatten(self):
@@ -282,7 +282,11 @@ class TestKunneth:
         each factor's q-powers convert by N_f/N."""
         a, b, c = CPn(n=1), CPn(n=3, lambda0=2), CPn(n=1)
         flat = ProductRing(factors=(a, b, c))
-        assert kunneth(kunneth(a, b), c) == kunneth(a, kunneth(b, c)) == flat
+        assert (
+            ProductRing(factors=(ProductRing(factors=(a, b)), c))
+            == ProductRing(factors=(a, ProductRing(factors=(b, c))))
+            == flat
+        )
         assert flat.factors == (a, b, c)
         assert (flat.N_chern, flat.complex_dim, flat.lambda0) == (2, 5, Fraction(1))
         assert flat.unit_label() == (0, 0, 0)
@@ -299,13 +303,13 @@ class TestKunneth:
         for factors in ((), (a,)):
             with pytest.raises(ValueError):
                 ProductRing(factors=factors)
-        assert ProductRing(factors=(kunneth(a, b),)) == kunneth(a, b)
+        assert ProductRing(factors=(ProductRing(factors=(a, b)),)) == ProductRing(factors=(a, b))
 
     def test_g24_times_p3_generator_powers(self):
-        ring = kunneth(
+        ring = ProductRing(factors=(
             Grassmannian(k=2, N=4, lambda0=Fraction(1)),
             CPn(n=3, lambda0=Fraction(1)),
-        )
+        ))
         assert ring.N_chern == 4
         u = ring.first_chern_generator()
         p = ring.one()
@@ -316,7 +320,7 @@ class TestKunneth:
     def test_structure_constants_factorize(self):
         left = CPn(n=1, lambda0=Fraction(1))
         right = CPn(n=1, lambda0=Fraction(1))
-        ring = kunneth(left, right)
+        ring = ProductRing(factors=(left, right))
         for la in ring.basis_labels():
             for lb in ring.basis_labels():
                 got = dict(ring.structure(la, lb))
@@ -337,7 +341,9 @@ class TestGradingAndGenerator:
         assert CPn(n=4).first_chern_generator() == CPn(n=4).basis_class(1)
         g = Grassmannian(k=2, N=4)
         assert g.first_chern_generator() == g.basis_class((1,))
-        ring = kunneth(CPn(n=1, lambda0=Fraction(1)), CPn(n=1, lambda0=Fraction(1)))
+        ring = ProductRing(
+            factors=(CPn(n=1, lambda0=Fraction(1)), CPn(n=1, lambda0=Fraction(1)))
+        )
         assert ring.first_chern_generator() == ring.basis_class(
             (1, 0)
         ) + ring.basis_class((0, 1))

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qhcalc.models import CPnQuadraticModel, cpn_fixed_points
+from qhcalc.models import CPnQuadraticModel, fixed_points
 from qhcalc.qalgebra import GroundField, QuantumClass
-from qhcalc.rings import CPn, Grassmannian, ProductRing, kunneth
+from qhcalc.rings import CPn, Grassmannian, ProductRing
 from qhcalc.serialize import (
     class_from_str,
     class_to_str,
@@ -33,14 +33,14 @@ def _rings(field):
         Grassmannian(k=2, N=4, field=field),
         Grassmannian(k=2, N=5, field=field),
         Grassmannian(k=3, N=6, field=field),
-        kunneth(CPn(n=1, field=field), CPn(n=1, field=field)),
+        ProductRing(factors=(CPn(n=1, field=field), CPn(n=1, field=field))),
         # CP^3 and G(2,4) share N = 4 and so the monotonicity constant
-        kunneth(CPn(n=3, field=field), Grassmannian(k=2, N=4, field=field)),
+        ProductRing(factors=(CPn(n=3, field=field), Grassmannian(k=2, N=4, field=field))),
         # N = gcd(2, 4, 2): three factors, unequal N
-        kunneth(
-            kunneth(CPn(n=1, field=field), CPn(n=3, field=field, lambda0=2)),
+        ProductRing(factors=(
+            ProductRing(factors=(CPn(n=1, field=field), CPn(n=3, field=field, lambda0=2))),
             CPn(n=1, field=field),
-        ),
+        )),
     ]
 
 
@@ -83,7 +83,8 @@ def test_ring_record_round_trip():
         g24 = Grassmannian(k=2, N=4, field=field, lambda0=Fraction(4, 3))
         cp3 = CPn(n=3, field=field, lambda0=Fraction(4, 3))
         for ring in (cp1, cp2, g24, Grassmannian(k=3, N=6, field=field, lambda0=-5),
-                     kunneth(cp1, cp2), kunneth(cp3, g24), kunneth(kunneth(cp1, cp2), cp1),
+                     ProductRing(factors=(cp1, cp2)), ProductRing(factors=(cp3, g24)),
+                     ProductRing(factors=(ProductRing(factors=(cp1, cp2)), cp1)),
                      ProductRing(factors=(cp3, g24))):
             record = json.loads(json.dumps(ring_to_json(ring)))
             assert ring_from_json(record) == ring
@@ -139,7 +140,7 @@ def test_model_orbits_round_trip_with_flag():
     flags = set()
     for lams in ((0, Fraction(1, 3)), (0, 1), (0, Fraction(1, 8), Fraction(3, 8)),
                  (0, Fraction(1, 5), Fraction(2, 5), Fraction(3, 5)), (0, 1, 3)):
-        for o in cpn_fixed_points(CPnQuadraticModel(lambdas=lams)):
+        for o in fixed_points(CPnQuadraticModel(lambdas=lams)):
             assert orbit_from_json(json.loads(json.dumps(orbit_to_json(o)))) == o
             flags.add(o.weakly_nondegenerate)
     assert flags == {True, False}
