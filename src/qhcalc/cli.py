@@ -2,16 +2,16 @@
 
 Exit codes: 0 ok/consistent, 2 mathematical contradiction found,
 3 inconclusive (a hypothesis gate fired), 64 usage or input error.
+Every command is one row of ``COMMANDS``, from which the parser is built.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 from fractions import Fraction
 from pathlib import Path
-
-import click
 
 from . import carriers as carriers_mod
 from . import ladders as ladders_mod
@@ -26,23 +26,12 @@ EXIT_INCONCLUSIVE = 3
 EXIT_USAGE = 64
 
 
-class Contradiction(click.ClickException):
-    exit_code = EXIT_CONTRADICTION
+class Exit(Exception):
+    """Leave with ``code`` and ``message`` on stderr; a ``result`` is printed first."""
 
-
-class Inconclusive(click.ClickException):
-    exit_code = EXIT_INCONCLUSIVE
-
-
-def _emit(result):
-    """Print the envelope of the running command.  The invocation is the
-    command's name and every parameter, defaults included, under its Python
-    name without a trailing ``_`` (``class_`` records as ``"class"``)."""
-    ctx = click.get_current_context()
-    invocation = {"cmd": f"{ctx.parent.command.name} {ctx.command.name}"}
-    invocation.update((name.rstrip("_"), value) for name, value in ctx.params.items())
-    envelope = {"invocation": invocation, "result": result}
-    click.echo(json.dumps(envelope, indent=2, sort_keys=True))
+    def __init__(self, code: int, message: str, result=None):
+        super().__init__(message)
+        self.code, self.message, self.result = code, message, result
 
 
 def _load_json(path: str) -> dict:
@@ -50,9 +39,9 @@ def _load_json(path: str) -> dict:
         with open(path) as fh:
             return json.load(fh)
     except OSError as exc:
-        raise click.UsageError(f"cannot read {path}: {exc}")
+        raise Exit(EXIT_USAGE, f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
-        raise click.UsageError(f"malformed JSON in {path}: {exc}")
+        raise Exit(EXIT_USAGE, f"malformed JSON in {path}: {exc}")
 
 
 def _load_ring(path: str, field: str = None):
@@ -60,168 +49,98 @@ def _load_ring(path: str, field: str = None):
     return ser.ring_from_json(_load_json(path), field=ground)
 
 
-@click.group()
-def cli():
-    """Exact quantum cohomology and action/index calculus."""
-
-
 # ---------------------------------------------------------------------------
 # ring
 
 
-@cli.group()
-def ring():
-    """Quantum ring computations."""
-
-
-@ring.command("mul")
-@click.option("--ring", required=True)
-@click.option("--a", required=True)
-@click.option("--b", required=True)
-@click.option("--field", default=None)
 def ring_mul(ring, a, b, field):
     r = _load_ring(ring, field)
-    product = r.quantum_product(ser.class_from_str(r, a), ser.class_from_str(r, b))
-    _emit(ser.class_to_str(product))
+    return ser.class_to_str(r.quantum_product(ser.class_from_str(r, a), ser.class_from_str(r, b)))
 
 
-@ring.command("power")
-@click.option("--ring", required=True)
-@click.option("--class", "class_", required=True)
-@click.option("--d", required=True, type=int)
-@click.option("--field", default=None)
 def ring_power(ring, class_, d, field):
     r = _load_ring(ring, field)
-    _emit(ser.class_to_str(ser.class_from_str(r, class_) ** d))
+    return ser.class_to_str(ser.class_from_str(r, class_) ** d)
 
 
-@ring.command("basis")
-@click.option("--ring", required=True)
-@click.option("--degree", required=True, type=int)
-@click.option("--field", default=None)
 def ring_basis(ring, degree, field):
     r = _load_ring(ring, field)
-    _emit([ser.class_to_str(r.basis_class(lbl)) for lbl in r.basis(degree)])
+    return [ser.class_to_str(r.basis_class(lbl)) for lbl in r.basis(degree)]
 
 
 # ---------------------------------------------------------------------------
 # ladders
 
 
-@cli.group()
-def ladders():
-    """Product decompositions and ladders."""
-
-
-@ladders.command("search")
-@click.option("--ring", required=True)
-@click.option("--ell-max", required=True, type=int)
-@click.option("--nu-max", default=2, type=int)
-@click.option("--out", default=None)
 def ladders_search(ring, ell_max, nu_max, out):
     r = _load_ring(ring)
     decs = ladders_mod.search_decompositions(r, ell_max, nu_max)
     payload = [ser.decomposition_to_json(d) for d in decs]
     if out:
         Path(out).write_text(json.dumps(payload, indent=2))
-    _emit(payload)
+    return payload
 
 
-@ladders.command("verify")
-@click.option("--ring", required=True)
-@click.option("--dec", required=True)
 def ladders_verify(ring, dec):
     r = _load_ring(ring)
     report = ladders_mod.verify_decomposition(r, ser.decomposition_from_json(r, _load_json(dec)))
-    _emit({"valid": report.valid, "reasons": list(report.reasons)})
+    payload = {"valid": report.valid, "reasons": list(report.reasons)}
     if not report.valid:
-        raise Contradiction("decomposition invalid: " + "; ".join(report.reasons))
+        raise Exit(EXIT_CONTRADICTION, "decomposition invalid: " + "; ".join(report.reasons),
+                   payload)
+    return payload
 
 
-@ladders.command("build")
-@click.option("--ring", required=True)
-@click.option("--dec", required=True)
 def ladders_build(ring, dec):
     r = _load_ring(ring)
     ladder = ladders_mod.build_ladder(r, ser.decomposition_from_json(r, _load_json(dec)))
-    _emit({
+    return {
         "window": [ser.class_to_str(v) for v in ladder.window],
         "hom_degrees": list(ladder.hom_degrees),
         "nu": ladder.nu,
         "ell": ladder.ell,
-    })
+    }
 
 
-@ladders.command("case2")
-@click.option("--ring", required=True)
-@click.option("--class", "class_", default=None)
-@click.option("--orbits", required=True, type=int)
 def ladders_case2(ring, class_, orbits):
     r = _load_ring(ring)
     u = ser.class_from_str(r, class_) if class_ else r.first_chern_generator()
     try:
         params = ladders_mod.case_ii_parameters(r, u, orbits)
     except ladders_mod.PowerVanishesError as exc:
-        _emit({"error": str(exc), "vanishing_exponent": exc.exponent})
-        raise Contradiction(str(exc))
-    _emit({"d": params.d, "ell": params.ell})
+        raise Exit(EXIT_CONTRADICTION, str(exc),
+                   {"error": str(exc), "vanishing_exponent": exc.exponent})
+    return {"d": params.d, "ell": params.ell}
 
 
 # ---------------------------------------------------------------------------
 # spectra
 
 
-@cli.group()
-def spectra():
-    """Action, index, and augmented-action calculus."""
-
-
-def _orbit_and_md(path, chern, lam):
-    orbit = ser.orbit_from_json(_load_json(path))
-    md = MonotoneData(N=chern, lam=ser.frac_from_str(lam))
-    return orbit, md
-
-
-@spectra.command("recap")
-@click.option("--orbit", required=True)
-@click.option("--m", required=True, type=int)
-@click.option("--chern", required=True, type=int)
-@click.option("--lam", "lambda_", required=True)
 def spectra_recap(orbit, m, chern, lambda_):
-    x, md = _orbit_and_md(orbit, chern, lambda_)
-    _emit(ser.orbit_to_json(recap(x, m, md)))
+    x = ser.orbit_from_json(_load_json(orbit))
+    return ser.orbit_to_json(recap(x, m, MonotoneData(N=chern, lam=ser.frac_from_str(lambda_))))
 
 
-@spectra.command("iterate")
-@click.option("--orbit", required=True)
-@click.option("--k", required=True, type=int)
 def spectra_iterate(orbit, k):
-    _emit(ser.orbit_to_json(iterate(ser.orbit_from_json(_load_json(orbit)), k)))
+    return ser.orbit_to_json(iterate(ser.orbit_from_json(_load_json(orbit)), k))
 
 
-@spectra.command("augmented")
-@click.option("--orbit", required=True)
-@click.option("--chern", required=True, type=int)
-@click.option("--lam", "lambda_", required=True)
 def spectra_augmented(orbit, chern, lambda_):
-    x, md = _orbit_and_md(orbit, chern, lambda_)
-    _emit(ser.frac_to_str(augmented_action(x, md)))
+    x = ser.orbit_from_json(_load_json(orbit))
+    md = MonotoneData(N=chern, lam=ser.frac_from_str(lambda_))
+    return ser.frac_to_str(augmented_action(x, md))
 
 
 # ---------------------------------------------------------------------------
 # models
 
 
-@cli.group()
-def models():
-    """Explicit Hamiltonian models."""
-
-
 def _parse_lambdas(text):
     try:
         return tuple(Fraction(x) for x in text.split(","))
     except (ValueError, ZeroDivisionError) as exc:
-        raise click.UsageError(f"bad --lambdas value {text!r}: {exc}")
+        raise Exit(EXIT_USAGE, f"bad --lambdas value {text!r}: {exc}")
 
 
 def _model_report(model):
@@ -235,48 +154,33 @@ def _model_report(model):
     }
 
 
-@models.command("cpn")
-@click.option("--lambdas", required=True)
-@click.option("--verify", is_flag=True, default=False)
 def models_cpn(lambdas, verify):
-    model = models_mod.CPnQuadraticModel(lambdas=_parse_lambdas(lambdas))
-    payload = _model_report(model)
+    payload = _model_report(models_mod.CPnQuadraticModel(lambdas=_parse_lambdas(lambdas)))
     if not verify:
         payload.pop("equal_augmented_actions")
         payload.pop("details")
-    _emit(payload)
+    return payload
 
 
-@models.command("product")
-@click.option("--factors", required=True,
-              help="factor lambda lists separated by ';', e.g. '0,1;0,1'")
 def models_product(factors):
     parts = [p for p in factors.split(";") if p.strip()]
-    model = models_mod.ProductModel(
+    return _model_report(models_mod.ProductModel(
         factors=tuple(models_mod.CPnQuadraticModel(lambdas=_parse_lambdas(p)) for p in parts)
-    )
-    _emit(_model_report(model))
+    ))
 
 
-@models.command("verify")
-@click.option("--model", required=True)
 def models_verify(model):
     payload = _model_report(ser.model_from_json(_load_json(model)))
-    _emit(payload)
     if not payload["equal_augmented_actions"]:
-        raise Contradiction("augmented actions are not all equal")
+        raise Exit(EXIT_CONTRADICTION, "augmented actions are not all equal", payload)
+    return payload
 
 
 # ---------------------------------------------------------------------------
 # carriers
 
 
-@cli.group()
-def carriers():
-    """Action-selector carrier simulation."""
-
-
-def _load_scenario(path):
+def _load_scenario(path, need_ladder=False, need_primes=False):
     data = _load_json(path)
     table = ser.table_from_json(data)
     with ser.reading("scenario"):
@@ -291,79 +195,168 @@ def _load_scenario(path):
         theirs = (table.md.N, table.md.lam, table.n)
         for name, a, b in zip(("N_chern", "monotonicity", "complex_dim"), ours, theirs):
             if a != b:
-                raise click.UsageError(f"ladder ring has {name} {a}, the orbit table {b}")
+                raise Exit(EXIT_USAGE, f"ladder ring has {name} {a}, the orbit table {b}")
         dec = ser.decomposition_from_json(ring, dec_spec)
         ladder = ladders_mod.build_ladder(ring, dec)
+    if need_ladder and ladder is None:
+        raise Exit(EXIT_USAGE, "scenario has no 'ladder' entry")
+    if need_primes and not primes:
+        raise Exit(EXIT_USAGE, "scenario has no 'primes' entry")
     return table, ladder, primes
 
 
-def _emit_verdict(verdict: carriers_mod.Verdict):
-    """Print a carrier verdict; a contradiction exits 2."""
-    _emit({
+def _verdict(verdict: carriers_mod.Verdict):
+    """A carrier verdict's payload; a contradiction exits 2."""
+    payload = {
         "status": verdict.status,
         "witness": [str(w) for w in verdict.witness],
         "details": list(verdict.details),
-    })
+    }
     if verdict.status == "contradiction":
-        raise Contradiction("; ".join(verdict.details) or "contradiction")
+        raise Exit(EXIT_CONTRADICTION, "; ".join(verdict.details) or "contradiction", payload)
+    return payload
 
 
-@carriers.command("assignments")
-@click.option("--scenario", required=True)
-@click.option("--k", required=True, type=int)
 def carriers_assignments(scenario, k):
-    table, ladder, _ = _load_scenario(scenario)
-    if ladder is None:
-        raise click.UsageError("scenario has no 'ladder' entry")
+    table, ladder, _ = _load_scenario(scenario, need_ladder=True)
+    # the search runs for either sign, but a listing is stated for positive data
+    if table.md.lam <= 0:
+        raise ValueError("positive monotone data required")
     assignments = carriers_mod.admissible_assignments(table, ladder, k)
-    _emit([{"k": a.k, "slots": [[oid, m] for oid, m in a.slots]} for a in assignments])
+    return [{"k": a.k, "slots": [[oid, m] for oid, m in a.slots]} for a in assignments]
 
 
-@carriers.command("verify")
-@click.option("--scenario", required=True)
 def carriers_verify(scenario):
-    table, ladder, primes = _load_scenario(scenario)
-    if ladder is None:
-        raise click.UsageError("scenario has no 'ladder' entry")
-    if not primes:
-        raise click.UsageError("scenario has no 'primes' entry")
-    _emit_verdict(carriers_mod.relation_verdict(table, ladder, primes))
+    table, ladder, primes = _load_scenario(scenario, need_ladder=True, need_primes=True)
+    return _verdict(carriers_mod.relation_verdict(table, ladder, primes))
 
 
-@carriers.command("negmon")
-@click.option("--scenario", required=True)
 def carriers_negmon(scenario):
-    table, _, primes = _load_scenario(scenario)
-    if not primes:
-        raise click.UsageError("scenario has no 'primes' entry")
+    table, _, primes = _load_scenario(scenario, need_primes=True)
     verdict = carriers_mod.neg_monotone_obstruction(table, primes)
-    _emit_verdict(verdict)
+    payload = _verdict(verdict)
     if any("degenerate" in d for d in verdict.details):
-        raise Inconclusive("; ".join(verdict.details))
+        raise Exit(EXIT_INCONCLUSIVE, "; ".join(verdict.details), payload)
+    return payload
+
+
+# ---------------------------------------------------------------------------
+# the command table
+
+# An option is its flag (a required string), or (flag, type) for a required
+# value of that type, or (flag, type, default); (flag, bool) is a switch.
+# The value reaches the handler under the flag's name with "-" read as "_",
+# except where _PARAMETER names it.
+RING, FIELD = "--ring", ("--field", str, None)
+_PARAMETER = {"--class": "class_", "--lam": "lambda_"}
+
+GROUPS = {
+    "ring": "Quantum ring computations.",
+    "ladders": "Product decompositions and ladders.",
+    "spectra": "Action, index, and augmented-action calculus.",
+    "models": "Explicit Hamiltonian models.",
+    "carriers": "Action-selector carrier simulation.",
+}
+
+COMMANDS = (
+    ("ring", "mul", ring_mul, (RING, "--a", "--b", FIELD)),
+    ("ring", "power", ring_power, (RING, "--class", ("--d", int), FIELD)),
+    ("ring", "basis", ring_basis, (RING, ("--degree", int), FIELD)),
+    ("ladders", "search", ladders_search,
+     (RING, ("--ell-max", int), ("--nu-max", int, 2), ("--out", str, None))),
+    ("ladders", "verify", ladders_verify, (RING, "--dec")),
+    ("ladders", "build", ladders_build, (RING, "--dec")),
+    ("ladders", "case2", ladders_case2, (RING, ("--class", str, None), ("--orbits", int))),
+    ("spectra", "recap", spectra_recap, ("--orbit", ("--m", int), ("--chern", int), "--lam")),
+    ("spectra", "iterate", spectra_iterate, ("--orbit", ("--k", int))),
+    ("spectra", "augmented", spectra_augmented, ("--orbit", ("--chern", int), "--lam")),
+    ("models", "cpn", models_cpn, ("--lambdas", ("--verify", bool))),
+    ("models", "product", models_product, ("--factors",)),
+    ("models", "verify", models_verify, ("--model",)),
+    ("carriers", "assignments", carriers_assignments, ("--scenario", ("--k", int))),
+    ("carriers", "verify", carriers_verify, ("--scenario",)),
+    ("carriers", "negmon", carriers_negmon, ("--scenario",)),
+)
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors exit 64: argparse's own code, 2, means a
+    contradiction here."""
+
+    def error(self, message):
+        raise Exit(EXIT_USAGE, f"{self.format_usage()}{self.prog}: error: {message}")
+
+
+def _options(options):
+    """Each option's flag and the keywords of its ``add_argument``."""
+    for option in options:
+        flag, kind, *default = (option, str) if isinstance(option, str) else option
+        dest = _PARAMETER.get(flag, flag[2:].replace("-", "_"))
+        if kind is bool:
+            yield flag, {"dest": dest, "action": "store_true"}
+        else:
+            yield flag, {"dest": dest, "type": kind, "required": not default,
+                         "default": default[0] if default else None}
+
+
+def _parser():
+    parser = _Parser(prog="qhcalc", allow_abbrev=False,
+                     description="Exact quantum cohomology and action/index calculus.")
+    groups = parser.add_subparsers(dest="group", required=True)
+    subgroups = {name: groups.add_parser(name, help=text, description=text, allow_abbrev=False)
+                 .add_subparsers(dest="command", required=True)
+                 for name, text in GROUPS.items()}
+    for group, name, handler, options in COMMANDS:
+        command = subgroups[group].add_parser(name, allow_abbrev=False)
+        command.set_defaults(handler=handler)
+        for flag, keywords in _options(options):
+            command.add_argument(flag, **keywords)
+    return parser
+
+
+# Options that take a value.  Each is joined to its value as "--opt=value",
+# so a value may start with "-" (argparse reads "--lam -1/2" as two options).
+_VALUE_FLAGS = {flag for *_, options in COMMANDS
+                for flag, keywords in _options(options) if "type" in keywords}
+
+
+def _join_values(argv):
+    words = iter(argv)
+    for word in words:
+        value = next(words, None) if word in _VALUE_FLAGS else None
+        yield word if value is None else f"{word}={value}"
 
 
 # ---------------------------------------------------------------------------
 # entry point
 
 
+def _emit(invocation, result):
+    print(json.dumps({"invocation": invocation, "result": result}, indent=2, sort_keys=True))
+
+
 def main(argv=None):
+    invocation = None
     try:
-        cli.main(args=argv, standalone_mode=False)
-    except (Contradiction, Inconclusive) as exc:
-        click.echo(exc.format_message(), err=True)
-        sys.exit(exc.exit_code)
-    except click.ClickException as exc:  # usage errors included
-        click.echo(exc.format_message(), err=True)
-        sys.exit(EXIT_USAGE)
-    except click.exceptions.Abort:
-        sys.exit(EXIT_USAGE)
+        params = vars(_parser().parse_args(_join_values(sys.argv[1:] if argv is None else argv)))
+        handler = params.pop("handler")
+        # the command's name and every parameter, defaults included, under its
+        # name without a trailing "_" ("class_" records as "class")
+        invocation = {"cmd": f"{params.pop('group')} {params.pop('command')}"}
+        invocation.update((name.rstrip("_"), value) for name, value in params.items())
+        _emit(invocation, handler(**params))
+    except Exit as exc:
+        if exc.result is not None:
+            _emit(invocation, exc.result)
+        code, message = exc.code, exc.message
     except ladders_mod.InvalidDecompositionError as exc:
-        click.echo(f"invalid ladder: {exc}", err=True)
-        sys.exit(EXIT_CONTRADICTION)
+        code, message = EXIT_CONTRADICTION, f"invalid ladder: {exc}"
     except (ValueError, KeyError) as exc:  # serialize.ParseError is a ValueError
-        click.echo(f"input error: {exc}", err=True)
-        sys.exit(EXIT_USAGE)
-    sys.exit(EXIT_OK)
+        code, message = EXIT_USAGE, f"input error: {exc}"
+    else:
+        sys.exit(EXIT_OK)
+    print(message, file=sys.stderr)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -8,9 +8,9 @@ horizontal strips under the lattice condition, so it meets only the nu with
 a nonzero coefficient.  Structure constants are integers independent of the
 ground field; those of G(k,N) are computed once over Z and cached under the
 unordered pair of labels, since c^nu_{lam,mu} = c^nu_{mu,lam}, with the
-smaller label as the content.  A product recombines its factors' tables on
-each call.  A product ring is its flat tuple of factors, one label entry per
-factor: its ground field and lambda0 come from theirs.
+smaller label as the content.  A product's table is cached once per tuple of
+factors and pair of labels.  A product ring is its flat tuple of factors, one
+label entry per factor: its ground field and lambda0 come from theirs.
 
 Basis labels are checked once, where they enter, by each ring's
 ``normalize_label``; past that point partitions are normalised tuples, and
@@ -178,6 +178,21 @@ def _grassmannian_structure(k: int, N: int, lam: Partition, mu: Partition) -> Tu
         key = (core, d)
         acc[key] = acc.get(key, 0) + c * sign
     return tuple(sorted((kv for kv in acc.items() if kv[1] != 0)))
+
+
+@lru_cache(maxsize=None)
+def _product_structure(factors: Tuple, la: Tuple, lb: Tuple) -> Tuple:
+    N = math.gcd(*(f.N_chern for f in factors))
+    ratios = [f.N_chern // N for f in factors]
+    tables = [f.structure(a, b) for f, a, b in zip(factors, la, lb)]
+    out: StructTable = {}
+    for terms in product(*tables):
+        key = (
+            tuple(lbl for (lbl, _), _ in terms),
+            sum(m * r for ((_, m), _), r in zip(terms, ratios)),
+        )
+        out[key] = out.get(key, 0) + math.prod(n for _, n in terms)
+    return tuple(sorted(kv for kv in out.items() if kv[1] != 0))
 
 
 # ---------------------------------------------------------------------------
@@ -395,17 +410,7 @@ class ProductRing(RingPresentation):
         return tuple(f.label_key(a) for f, a in zip(self.factors, label))
 
     def structure(self, la, lb):
-        N = self.N_chern
-        ratios = [f.N_chern // N for f in self.factors]
-        tables = [f.structure(a, b) for f, a, b in zip(self.factors, la, lb)]
-        out: StructTable = {}
-        for terms in product(*tables):
-            key = (
-                tuple(lbl for (lbl, _), _ in terms),
-                sum(m * r for ((_, m), _), r in zip(terms, ratios)),
-            )
-            out[key] = out.get(key, 0) + math.prod(n for _, n in terms)
-        return tuple(sorted(kv for kv in out.items() if kv[1] != 0))
+        return _product_structure(self.factors, la, lb)
 
     def first_chern_generator(self) -> QuantumClass:
         """The sum of each factor's generator tensored with the others' units."""

@@ -313,6 +313,20 @@ class TestCarriers:
         assert assignments
         assert all(len(a["slots"]) == 2 for a in assignments)
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_assignments_negative_monotone_is_usage_error(self, workdir, k):
+        """The listing, like the relation verdict it feeds, is stated for
+        positive monotone data: an empty search at lambda < 0 is no answer."""
+        payload = scenario_payload()
+        payload["monotone"] = {"N": 2, "lambda": "-1/2"}
+        payload["ladder"]["ring"]["lambda0"] = "-1"
+        (workdir / "s.json").write_text(json.dumps(payload))
+        proc = run_cli("carriers", "assignments", "--scenario", "s.json", "--k", str(k),
+                       cwd=workdir)
+        assert proc.returncode == 64, proc.stdout
+        assert proc.stdout == ""
+        assert proc.stderr == "input error: positive monotone data required\n"
+
     def test_negmon_contradiction(self, workdir):
         payload = {
             "monotone": {"N": 1, "lambda": "-1"},
@@ -611,3 +625,50 @@ def test_string_is_not_a_record_array_or_bool(workdir, record, argv, cause):
     assert proc.returncode == 64, proc.stderr
     assert cause in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def _orbit(oid, action, delta, cz):
+    return {"id": oid, "action": action, "delta": delta, "m": 0, "cz": cz,
+            "weakly_nondegenerate": cz is not None}
+
+
+@pytest.mark.parametrize("argv, result", [
+    (["spectra", "recap", "--orbit", "orbit.json", "--m", "1", "--chern", "2", "--lam", "-1/2"],
+     {**_orbit("x0", "3/2", "-6", None), "m": 1}),
+    (["spectra", "augmented", "--orbit", "orbit.json", "--chern", "2", "--lam", "-1/3"], "1/6"),
+    (["models", "cpn", "--lambdas", "-3,-1/2,5/4", "--verify"],
+     {"common_value": "-3/4", "details": [], "equal_augmented_actions": True,
+      "orbits": [_orbit("x0", "-3", "-27/2", -14), _orbit("x1", "-1/2", "3/2", 2),
+                 _orbit("x2", "5/4", "12", 12)]}),
+    (["models", "product", "--factors", "-2,1;-1/4,1"],
+     {"common_value": "-1/8", "details": [], "equal_augmented_actions": True,
+      "orbits": [_orbit("x0*x0", "-9/4", "-17/2", None), _orbit("x0*x1", "-1", "-7/2", None),
+                 _orbit("x1*x0", "3/4", "7/2", None), _orbit("x1*x1", "2", "17/2", None)]}),
+], ids=["recap lam", "augmented lam", "cpn lambdas", "product factors"])
+def test_option_value_may_start_with_dash(workdir, argv, result):
+    (workdir / "orbit.json").write_text(json.dumps({"id": "x0", "action": "1/2", "delta": "-2"}))
+    assert result_of(run_cli(*argv, cwd=workdir)) == result
+
+
+_MUL = ["ring", "mul", "--ring", "cp2.json", "--a", "u", "--b", "u"]
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["ring"], ["rings", "mul"], [*_MUL, "--c", "u"], _MUL[:2] + _MUL[4:], [*_MUL, "--field"],
+    ["ring", "basis", "--ring", "cp2.json", "--degree", "x"], [*_MUL, "extra"],
+], ids=["no arguments", "group alone", "unknown command", "unknown option",
+        "missing required option", "option without value", "non-integer value",
+        "extra positional"])
+def test_parser_usage_error_exits_64(workdir, argv):
+    proc = run_cli(*argv, cwd=workdir)
+    assert proc.returncode == 64, proc.stderr
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["ring", "mul", "--help"]])
+def test_help_exits_0(workdir, argv):
+    proc = run_cli(*argv, cwd=workdir)
+    assert proc.returncode == 0
+    assert proc.stdout
+    assert proc.stderr == ""

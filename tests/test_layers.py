@@ -1,10 +1,12 @@
-"""The module stack of ``qhcalc``: each module imports only the modules below it.
+"""The module stack of ``qhcalc``: each module imports only the modules below it,
+and nothing outside the standard library.
 
-Every import of a package module is collected from the source with ``ast``,
-including imports inside functions, so a lazy upward import fails here too.
+Every import is collected from the source with ``ast``, including imports
+inside functions, so a lazy upward import fails here too.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -52,3 +54,21 @@ def test_every_module_has_a_layer():
 def test_module_imports_only_lower_layers(module):
     imported = package_imports(PACKAGE / f"{module}.py")
     assert imported <= ALLOWED[module], f"{module} imports {sorted(imported - ALLOWED[module])}"
+
+
+def outside_imports(path: Path) -> set:
+    """The top-level names of the modules one source file imports absolutely."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.partition(".")[0])
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(ALLOWED))
+def test_module_imports_only_the_standard_library(module):
+    """qhcalc has no runtime dependency."""
+    outside = outside_imports(PACKAGE / f"{module}.py") - sys.stdlib_module_names - {"qhcalc"}
+    assert not outside, f"{module} imports {sorted(outside)}"

@@ -256,6 +256,23 @@ class TestKunneth:
         b = ring.basis_class(((), 2))
         assert ring.quantum_product(a, b) == ring.basis_class(((2, 1), 2))
 
+    def test_equal_products_share_one_table(self, monkeypatch):
+        """A product's table is filled once per tuple of factors and pair of
+        labels: an equal product built again asks its factors for nothing."""
+        calls = []
+        real = Grassmannian.structure
+        monkeypatch.setattr(
+            Grassmannian, "structure", lambda self, a, b: calls.append((a, b)) or real(self, a, b)
+        )
+        rings._product_structure.cache_clear()
+        squares = set()
+        for _ in range(10):
+            ring = ProductRing(factors=(Grassmannian(k=2, N=4), CPn(n=3)))
+            a = ring.basis_class(((1,), 1))
+            squares.add(ring.quantum_product(a, a))
+        assert len(squares) == 1
+        assert calls == [((1,), (1,))]
+
     def test_field_and_lambda0_come_from_factors(self):
         f3 = GroundField(3)
         left = CPn(n=1, field=f3, lambda0=Fraction(4))
