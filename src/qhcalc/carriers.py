@@ -4,7 +4,10 @@ The selector itself is never computed; only the axioms the counting
 arguments use are enforced: recapping equivariance along the ladder, the
 mean-index window per class, and the (weakly) decreasing action ordering.
 Every verdict is decided with exact arithmetic.  The action-index relation
-(`relation_verdict`, positive monotone data only), the negative-monotone
+(`relation_verdict`) holds its preconditions in `relation_preconditions`: the
+ladder's ring is the table's manifold (its N, lambda and n), and lambda > 0.
+The search itself (`admissible_assignments`, `stable_subsequence`) stays
+general, for either sign and any ladder.  The relation, the negative-monotone
 obstruction (`neg_monotone_obstruction`) and the distinctness gate
 (`distinctness_check`) each return one `Verdict`: a status, a witness and
 human-readable details.
@@ -336,14 +339,29 @@ class Verdict:
     details: Tuple[str, ...] = ()
 
 
+def relation_preconditions(table: OrbitTable, ladder: Ladder) -> None:
+    """Raise a ValueError unless the relation is stated for this table and
+    ladder: the ladder's ring must have the table's minimal Chern number,
+    monotonicity constant and complex dimension, since the ladder and the
+    fixed points come from one manifold; and then lambda > 0, since with
+    lambda0 < 0 the period floor lies above slot 0, and every search would
+    fail by arithmetic."""
+    ring = ladder.window[0].ring
+    ours = (ring.N_chern, ring.monotonicity, ring.complex_dim)
+    theirs = (table.md.N, table.md.lam, table.n)
+    for name, a, b in zip(("N_chern", "monotonicity", "complex_dim"), ours, theirs):
+        if a != b:
+            raise ValueError(f"ladder ring has {name} {a}, the orbit table {b}")
+    if table.md.lam <= 0:
+        raise ValueError("positive monotone data required")
+
+
 def relation_verdict(
     table: OrbitTable, ladder: Ladder, primes: Sequence[int]
 ) -> Verdict:
-    """All pairs in the stable image must share the augmented action.  The
-    relations are stated for positive monotone data: with lambda0 < 0 the
-    period floor lies above slot 0, and every search would fail by arithmetic."""
-    if table.md.lam <= 0:
-        raise ValueError("positive monotone data required")
+    """All pairs in the stable image must share the augmented action; the
+    table and the ladder must meet `relation_preconditions`."""
+    relation_preconditions(table, ladder)
     report = stable_subsequence(table, ladder, primes)
     if report.failures:
         return Verdict(

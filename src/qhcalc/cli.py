@@ -181,23 +181,7 @@ def models_verify(model):
 
 
 def _load_scenario(path, need_ladder=False, need_primes=False):
-    data = _load_json(path)
-    table = ser.table_from_json(data)
-    with ser.reading("scenario"):
-        primes = ser.json_typed(data.get("primes", []), list, "primes")
-        primes = [ser.json_typed(p, int, "prime") for p in primes]
-    ladder = None
-    if "ladder" in data:
-        with ser.reading("scenario ladder"):
-            ring_spec, dec_spec = data["ladder"]["ring"], data["ladder"]["decomposition"]
-        ring = ser.ring_from_json(ring_spec)
-        ours = (ring.N_chern, ring.monotonicity, ring.complex_dim)
-        theirs = (table.md.N, table.md.lam, table.n)
-        for name, a, b in zip(("N_chern", "monotonicity", "complex_dim"), ours, theirs):
-            if a != b:
-                raise Exit(EXIT_USAGE, f"ladder ring has {name} {a}, the orbit table {b}")
-        dec = ser.decomposition_from_json(ring, dec_spec)
-        ladder = ladders_mod.build_ladder(ring, dec)
+    table, ladder, primes = ser.scenario_from_json(_load_json(path))
     if need_ladder and ladder is None:
         raise Exit(EXIT_USAGE, "scenario has no 'ladder' entry")
     if need_primes and not primes:
@@ -219,9 +203,8 @@ def _verdict(verdict: carriers_mod.Verdict):
 
 def carriers_assignments(scenario, k):
     table, ladder, _ = _load_scenario(scenario, need_ladder=True)
-    # the search runs for either sign, but a listing is stated for positive data
-    if table.md.lam <= 0:
-        raise ValueError("positive monotone data required")
+    # the search runs on any table and ladder; a listing is stated for the relation's
+    carriers_mod.relation_preconditions(table, ladder)
     assignments = carriers_mod.admissible_assignments(table, ladder, k)
     return [{"k": a.k, "slots": [[oid, m] for oid, m in a.slots]} for a in assignments]
 
@@ -285,6 +268,14 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise Exit(EXIT_USAGE, f"{self.format_usage()}{self.prog}: error: {message}")
+
+    def parse_known_args(self, args=None, namespace=None):
+        # words left over are an error of the innermost parser, the command's,
+        # so its own usage line is printed, not the top-level one
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
 
 
 def _options(options):

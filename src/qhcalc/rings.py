@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, product
+from itertools import chain, combinations_with_replacement, product
 from typing import Dict, List, Tuple
 
 from .qalgebra import GroundField, QuantumClass, RingMismatchError
@@ -55,19 +55,8 @@ def fits_box(lam: Partition, rows: int, cols: int) -> bool:
 
 def partitions_in_box(rows: int, cols: int) -> List[Partition]:
     """The partitions inside a rows x cols box, in lexicographic order."""
-    out = []
-
-    def rec(prefix, maxpart):
-        out.append(tuple(prefix))
-        if len(prefix) == rows:
-            return
-        for part in range(1, maxpart + 1):
-            prefix.append(part)
-            rec(prefix, part)
-            prefix.pop()
-
-    rec([], cols)
-    return out
+    return sorted(lam for length in range(rows + 1)
+                  for lam in combinations_with_replacement(range(cols, 0, -1), length))
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,16 @@
 
 Class literal syntax: ``1``, ``u``, ``u^3``, ``s[2,1]``, ``q^2*s[1]``,
 ``3/2*u``, sums joined with `` + `` / `` - ``, and one ``ox`` between each
-pair of tensor factors of a product ring.  All rationals travel as "a/b"
+pair of tensor factors of a product ring.  One rule splits the terms: a
+``+`` or ``-`` that follows neither ``^``, ``*`` or ``/`` nor another sign
+starts a term, so a literal may start with a sign (``-u``) and a sign with
+no term after it (``u -``) is an error.  All rationals travel as "a/b"
 strings in JSON.
+
+Each record is read whole here: a ring (a product's ``"field"`` is the
+default of its factors, and it has no ``"lambda0"``), a decomposition, an
+orbit, a table, a model and a scenario, whose ladder `scenario_from_json`
+builds.  The command line reads no record key itself.
 """
 
 from __future__ import annotations
@@ -11,12 +19,12 @@ from __future__ import annotations
 import re
 from contextlib import contextmanager
 from fractions import Fraction
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from .qalgebra import GroundField, QuantumClass
 from .rings import CPn, Grassmannian, ProductRing, RingPresentation
 from .spectra import CappedOrbit, MonotoneData
-from .ladders import Decomposition
+from .ladders import Decomposition, Ladder, build_ladder
 from .carriers import OrbitTable
 from .models import CPnQuadraticModel, ProductModel
 
@@ -75,34 +83,10 @@ _NUM_RE = re.compile(r"^-?\d+(/\d+)?$")
 _Q_RE = re.compile(r"^q(\^(-?\d+))?$")
 _U_RE = re.compile(r"^u(\^(\d+))?$")
 _S_RE = re.compile(r"^s\[([\d,\s]*)\]$")
-
-
-def _split_terms(text: str) -> List[Tuple[int, str]]:
-    """Split a literal into (sign, term) pairs on top-level + and -."""
-    terms = []
-    depth = 0
-    sign = 1
-    cur = []
-    prev = ""
-    for ch in text:
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-        if depth == 0 and ch in "+-" and prev not in "^*/" and cur and any(
-            c.strip() for c in cur
-        ):
-            terms.append((sign, "".join(cur).strip()))
-            sign = 1 if ch == "+" else -1
-            cur = []
-        else:
-            cur.append(ch)
-        if ch.strip():
-            prev = ch
-    last = "".join(cur).strip()
-    if last:
-        terms.append((sign, last))
-    return terms
+# A sign between terms, or before the first: one that follows neither ^, *
+# or / (a coefficient's or an exponent's own sign) nor another sign.  A match
+# starts just after a non-space character, the one the look-behind tests.
+_SIGN_RE = re.compile(r"(?<![\^*/\s+-])\s*([+-])\s*")
 
 
 def _parse_base_label(ring: RingPresentation, text: str):
@@ -130,28 +114,19 @@ def _parse_base_label(ring: RingPresentation, text: str):
 
 def _parse_term(ring: RingPresentation, text: str):
     """One product of a coefficient, q-powers, and one basis label."""
-    coeff = Fraction(1)
-    qpow = 0
-    label = None
-    factors = [f.strip() for f in text.split("*")]
-    label_parts = []
-    for f in factors:
+    coeff, qpow, labels = Fraction(1), 0, []
+    for f in (f.strip() for f in text.split("*")):
         if not f:
             raise ParseError(f"empty factor in term {text!r}")
         if _NUM_RE.match(f):
             coeff *= frac_from_str(f)
-            continue
-        mq = _Q_RE.match(f)
-        if mq:
+        elif mq := _Q_RE.match(f):
             qpow += int(mq.group(2) or 1)
-            continue
-        label_parts.append(f)
-    if not label_parts:
-        label = ring.unit_label()
-    elif len(label_parts) == 1:
-        label = _parse_base_label(ring, label_parts[0])
-    else:
+        else:
+            labels.append(f)
+    if len(labels) > 1:
         raise ParseError(f"more than one basis label in term {text!r}")
+    label = _parse_base_label(ring, labels[0]) if labels else ring.unit_label()
     return (label, qpow), coeff
 
 
@@ -163,10 +138,14 @@ def class_from_str(ring: RingPresentation, text: str) -> QuantumClass:
         raise ParseError("empty class literal")
     acc = {}
     field = ring.field
-    for sign, term in _split_terms(text):
+    # (sign, term) pairs, the first term signed "+" unless the literal starts with a sign
+    _, *pieces = _SIGN_RE.split(text if text[0] in "+-" else "+" + text)
+    for sign, term in zip(pieces[::2], pieces[1::2]):
+        if not term:
+            raise ParseError(f"sign {sign!r} without a term in {text!r}")
         key, coeff = _parse_term(ring, term)
         try:
-            coeff = field.coerce(sign * coeff)
+            coeff = field.coerce(-coeff if sign == "-" else coeff)
         except ZeroDivisionError as exc:
             raise ParseError(
                 f"coefficient in term {term!r} is not in {field.spec()}: {exc}"
@@ -216,19 +195,36 @@ def ring_from_json(data, field: GroundField = None) -> RingPresentation:
     """The ring of a record.
 
     A given ``field`` (the CLI's ``--field``) overrides every field spec in
-    the record.  Otherwise a CP^n or G(k,N) reads its own ``"field"``
-    (default Q), and each factor of a product reads its own: the product's
-    ``"field"``, if it has one, is the default of its factors and must agree
-    with every factor's field.
+    the record.  Otherwise each CP^n or G(k,N) reads its own ``"field"``,
+    whose default is Q, or inside a product the product's ``"field"``; a
+    product that names a field must agree with every factor's.  A product's
+    lambda0 follows from its factors', so a product record has none.
     """
+    return _ring_from_json(data, field, "Q")
+
+
+def _ring_from_json(data, field: GroundField, spec: str) -> RingPresentation:
+    """The ring of a record whose field spec defaults to ``spec``; a product
+    is flat, and a one-factor product is its factor."""
     with reading("ring spec"):
         kind = data["kind"]
-        lambda0 = frac_from_str(data.get("lambda0", "1"))
+        spec = json_typed(data.get("field", spec), str, "field")
         if kind == "product":
-            factors = json_typed(data["factors"], list, "factors")
-            return _product_from_json(factors, field, data.get("field"))
+            if "lambda0" in data:
+                raise ParseError("product ring spec has 'lambda0'; it follows from the factors'")
+            records = json_typed(data["factors"], list, "factors")
+            if not records:
+                raise ParseError("product ring spec has no factors")
+            factors = [_ring_from_json(record, field, spec) for record in records]
+            named = GroundField.from_spec(spec) if field is None and "field" in data else None
+            for factor in factors:
+                if named not in (None, factor.field):
+                    raise ParseError(f"product field {named.spec()} disagrees with "
+                                     f"factor field {factor.field.spec()}")
+            return factors[0] if len(factors) == 1 else ProductRing(factors=tuple(factors))
+        lambda0 = frac_from_str(data.get("lambda0", "1"))
         if field is None:
-            field = GroundField.from_spec(data.get("field", "Q"))
+            field = GroundField.from_spec(spec)
         if kind == "cpn":
             return CPn(n=json_typed(data["n"], int, "n"), field=field, lambda0=lambda0)
         if kind == "grassmannian":
@@ -237,26 +233,6 @@ def ring_from_json(data, field: GroundField = None) -> RingPresentation:
                 field=field, lambda0=lambda0,
             )
     raise ParseError(f"unknown ring kind {kind!r}")
-
-
-def _product_from_json(factor_records, field: GroundField, spec) -> RingPresentation:
-    """The product of the factor records, flat, or the one factor of a
-    one-factor record; ``spec`` is the product's own field."""
-    if not factor_records:
-        raise ParseError("product ring spec has no factors")
-    top = None if field is not None or spec is None else GroundField.from_spec(spec)
-    factors = []
-    for record in factor_records:
-        if top is not None and isinstance(record, dict):
-            record = {"field": spec, **record}
-        factor = ring_from_json(record, field=field)
-        if top is not None and factor.field != top:
-            raise ParseError(
-                f"product field {top.spec()} disagrees with factor field "
-                f"{factor.field.spec()}"
-            )
-        factors.append(factor)
-    return factors[0] if len(factors) == 1 else ProductRing(factors=tuple(factors))
 
 
 def ring_to_json(ring: RingPresentation) -> dict:
@@ -344,6 +320,24 @@ def table_from_json(data) -> OrbitTable:
         orbits = tuple(orbit_from_json(o) for o in json_typed(data["orbits"], list, "orbits"))
         n = json_typed(data["n"], int, "n")
     return OrbitTable(md=md, n=n, orbits=orbits)
+
+
+def scenario_from_json(data) -> Tuple[OrbitTable, Optional[Ladder], List[int]]:
+    """A scenario record: its orbit table, its ladder, built from the inline
+    ``{"ring": ..., "decomposition": ...}`` record (None without one), and
+    its primes, JSON integers ([] without them).  Whether the ladder belongs
+    to the table's manifold is the relation's precondition
+    (`carriers.relation_preconditions`), not a rule of the record."""
+    table = table_from_json(data)
+    with reading("scenario"):
+        primes = [json_typed(p, int, "prime")
+                  for p in json_typed(data.get("primes", []), list, "primes")]
+    if "ladder" not in data:
+        return table, None, primes
+    with reading("scenario ladder"):
+        ring_spec, dec_spec = data["ladder"]["ring"], data["ladder"]["decomposition"]
+    ring = ring_from_json(ring_spec)
+    return table, build_ladder(ring, decomposition_from_json(ring, dec_spec)), primes
 
 
 def model_from_json(data):

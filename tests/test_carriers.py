@@ -297,6 +297,20 @@ class TestRelationVerdict:
             table = model_table(*lams)
             assert relation_verdict(table, cpn_ladder(n), PRIMES).status == "consistent"
 
+    @pytest.mark.parametrize("ring, factors", [
+        (CPn(n=2), (1, 1, 1)), (Grassmannian(k=2, N=4), ((1, 1), (2,))),
+    ], ids=["CP^2 u^3 = q", "G(2,4) s[1,1]*s[2] = q"])
+    def test_ladder_of_another_manifold_rejected(self, ring, factors):
+        """The ladder and the fixed points come from one manifold: a genuine
+        CP^1 table (N = 2) under a ladder of CP^2 (N = 3) or G(2,4) (N = 4)
+        is refused, where the search alone finds no assignment at any k."""
+        ladder = build_ladder(ring, Decomposition(
+            u0=ring.one(), factors=tuple(ring.basis_class(f) for f in factors), nu=1))
+        table = model_table(0, Fraction(1, 8))
+        assert stable_subsequence(table, ladder, PRIMES).failures == tuple(PRIMES)
+        with pytest.raises(ValueError, match="ladder ring has N_chern .*, the orbit table 2"):
+            relation_verdict(table, ladder, PRIMES)
+
     def test_cp6_consistent(self):
         # full enumeration needs seconds per prime here; the pruned search
         # covers all 25 primes below 100

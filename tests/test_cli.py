@@ -134,6 +134,23 @@ class TestRing:
         assert proc.returncode == 64, proc.stderr
         assert "factors must share the ground field: Fp:2 vs Q" in proc.stderr
 
+    @pytest.mark.parametrize("ring, literal", [("cp2.json", "u -"), ("g24.json", "s[1] +")])
+    def test_dangling_sign_is_usage_error(self, workdir, ring, literal):
+        proc = run_cli("ring", "mul", "--ring", ring, "--a", literal, "--b", "1", cwd=workdir)
+        assert proc.returncode == 64, proc.stdout
+        assert proc.stderr == f"input error: sign {literal[-1]!r} without a term in {literal!r}\n"
+
+    @pytest.mark.parametrize("lambda0", ["2", 2])
+    def test_product_lambda0_is_usage_error(self, workdir, lambda0):
+        """A product's lambda0 follows from its factors'; a record naming one
+        is refused, not read past."""
+        (workdir / "p.json").write_text(json.dumps({
+            "kind": "product", "factors": [{"kind": "cpn", "n": 1}] * 2, "lambda0": lambda0,
+        }))
+        proc = run_cli("ring", "basis", "--ring", "p.json", "--degree", "2", cwd=workdir)
+        assert proc.returncode == 64, proc.stdout
+        assert "'lambda0'" in proc.stderr
+
 
 class TestLadders:
     def test_search_round_trip(self, workdir):
@@ -288,12 +305,34 @@ class TestCarriers:
         ("n", 3, "complex_dim"),
     ])
     def test_ladder_ring_must_match_table(self, workdir, field, value, named):
+        """The relation's precondition, for the verdict and for the listing."""
         payload = scenario_payload()
         payload[field] = value
         (workdir / "s.json").write_text(json.dumps(payload))
+        for argv in (["verify"], ["assignments", "--k", "3"]):
+            proc = run_cli("carriers", *argv, "--scenario", "s.json", cwd=workdir)
+            assert proc.returncode == 64, (argv, proc.stderr)
+            assert proc.stdout == ""
+            assert proc.stderr.startswith(f"input error: ladder ring has {named} "), argv
+
+    def test_invalid_ladder_of_another_manifold_exits_2(self, workdir):
+        """The scenario's ladder is built before the relation's precondition
+        compares its ring with the table."""
+        payload = scenario_payload()
+        payload["ladder"]["ring"]["n"] = 2
+        (workdir / "s.json").write_text(json.dumps(payload))
         proc = run_cli("carriers", "verify", "--scenario", "s.json", cwd=workdir)
-        assert proc.returncode == 64, proc.stderr
-        assert named in proc.stderr
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("invalid ladder: product does not equal q^nu * u0")
+
+    def test_negmon_does_not_compare_the_ladder(self, workdir):
+        """The negative-monotone obstruction reads no ladder, so a scenario's
+        ladder need not match its table there."""
+        payload = {**_NEGMON, "ladder": scenario_payload()["ladder"]}
+        (workdir / "s.json").write_text(json.dumps(payload))
+        proc = run_cli("carriers", "negmon", "--scenario", "s.json", cwd=workdir)
+        assert proc.returncode == 2, proc.stderr
+        assert json.loads(proc.stdout)["result"]["status"] == "contradiction"
 
     def test_verify_negative_monotone_is_usage_error(self, workdir):
         payload = scenario_payload()
@@ -664,6 +703,22 @@ def test_parser_usage_error_exits_64(workdir, argv):
     assert proc.returncode == 64, proc.stderr
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv, usage", [
+    (["ring", "basis", "--ring", "cp2.json", "--degree", "2", "extra"],
+     "qhcalc ring basis: error: unrecognized arguments: extra"),
+    ([*_MUL, "--c", "u"], "qhcalc ring mul: error: unrecognized arguments: --c u"),
+    (["ring", "--zzz", *_MUL[1:]], "qhcalc ring: error: unrecognized arguments: --zzz"),
+], ids=["extra word", "unknown option", "unknown group option"])
+def test_leftover_words_are_the_commands_usage_error(workdir, argv, usage):
+    """Words left over are reported by the parser that was left with them,
+    under its own usage line."""
+    proc = run_cli(*argv, cwd=workdir)
+    assert proc.returncode == 64, proc.stderr
+    prog = usage.partition(":")[0]
+    assert proc.stderr.startswith(f"usage: {prog} [-h]"), proc.stderr
+    assert proc.stderr.endswith(f"\n{usage}\n"), proc.stderr
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["ring", "mul", "--help"]])

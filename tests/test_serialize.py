@@ -1,4 +1,6 @@
-"""Round trips of the text and JSON records: class literals, ring and orbit records."""
+"""Round trips of the text and JSON records: class literals, ring and orbit
+records; the sign rule of a literal, a product's field as its factors' default,
+and a whole scenario read by ``scenario_from_json``."""
 
 import json
 from fractions import Fraction
@@ -11,12 +13,14 @@ from qhcalc.models import CPnQuadraticModel, fixed_points
 from qhcalc.qalgebra import GroundField, QuantumClass
 from qhcalc.rings import CPn, Grassmannian, ProductRing
 from qhcalc.serialize import (
+    ParseError,
     class_from_str,
     class_to_str,
     orbit_from_json,
     orbit_to_json,
     ring_from_json,
     ring_to_json,
+    scenario_from_json,
     table_from_json,
 )
 from qhcalc.spectra import CappedOrbit
@@ -108,6 +112,56 @@ def test_product_records_read_flat():
     for text in ("u ox 1", "u ox 1 ox 1 ox 1"):
         with pytest.raises(ValueError, match="a label of 3 factors needs 2 'ox'"):
             class_from_str(ring, text)
+
+
+def test_literal_may_start_with_sign():
+    cp2 = CPn(n=2)
+    u, u2 = cp2.basis_class(1), cp2.basis_class(2)
+    assert class_from_str(cp2, "-u") == -u
+    assert class_from_str(cp2, " - u + u^2") == u2 - u
+    assert class_from_str(cp2, "+u") == u
+    # a coefficient keeps its own sign after a term's sign, as before
+    assert class_from_str(cp2, "u - -1/2*u^2") == u + u2.scale(Fraction(1, 2))
+
+
+@pytest.mark.parametrize("ring, text", [
+    (CPn(n=2), "u -"), (Grassmannian(k=2, N=4), "s[1] +"), (CPn(n=2), "-"),
+])
+def test_dangling_sign_is_an_error(ring, text):
+    """A sign with no term after it is refused, not dropped."""
+    with pytest.raises(ParseError, match="without a term"):
+        class_from_str(ring, text)
+
+
+def test_product_field_is_the_factors_default():
+    """A product's field is the default of its factors and must agree with a
+    factor that names its own; every field is a JSON string."""
+    cp1 = {"kind": "cpn", "n": 1}
+    ring = ring_from_json({"kind": "product", "field": "Fp:3",
+                           "factors": [cp1, {**cp1, "field": "Fp:3"}]})
+    assert [f.field for f in ring.factors] == [GroundField(3)] * 2
+    with pytest.raises(ParseError, match="product field Fp:3 disagrees with factor field Q"):
+        ring_from_json({"kind": "product", "field": "Fp:3",
+                        "factors": [{**cp1, "field": "Q"}] * 2})
+    with pytest.raises(ParseError, match="field None is not a string"):
+        ring_from_json({**cp1, "field": None})
+
+
+def test_scenario_from_json_reads_table_ladder_and_primes():
+    orbits = [{"id": "x0", "action": "0", "delta": "-1/4"},
+              {"id": "x1", "action": "1/8", "delta": "1/4"}]
+    record = {
+        "monotone": {"N": 2, "lambda": "1/2"}, "n": 1, "orbits": orbits,
+        "ladder": {"ring": {"kind": "cpn", "n": 1},
+                   "decomposition": {"u0": "1", "factors": ["u", "u"], "nu": 1}},
+        "primes": [2, 3, 5],
+    }
+    table, ladder, primes = scenario_from_json(record)
+    assert table == table_from_json(record)
+    assert (ladder.hom_degrees, ladder.nu) == ((2, 0), 1)
+    assert primes == [2, 3, 5]
+    del record["ladder"], record["primes"]
+    assert scenario_from_json(record) == (table, None, [])
 
 
 orbits = st.builds(
