@@ -7,10 +7,13 @@ Every verdict is decided with exact arithmetic.  The action-index relation
 (`relation_verdict`) holds its preconditions in `relation_preconditions`: the
 ladder's ring is the table's manifold (its N, lambda and n), and lambda > 0.
 The search itself (`admissible_assignments`, `stable_subsequence`) stays
-general, for either sign and any ladder.  The relation, the negative-monotone
-obstruction (`neg_monotone_obstruction`) and the distinctness gate
-(`distinctness_check`) each return one `Verdict`: a status, a witness and
-human-readable details.
+general, for either sign and any ladder.  The relation and the counting
+check of each stable-image pair that it runs (`counting_check`), the
+negative-monotone obstruction (`neg_monotone_obstruction`) and the
+distinctness gate (`distinctness_check`) each return one `Verdict`: a
+status, a witness and human-readable details.  The action and index counts
+of a pair differ by ell*k*slope/nu at each stable k, so the counting check
+decides on the slope alone and builds no per-k table.
 
 The search runs on integers.  Each table is scaled once by the common
 denominator D of its actions, its mean indices and lambda0
@@ -224,7 +227,6 @@ def admissible_assignments(
 @dataclass(frozen=True)
 class StabilityReport:
     table: OrbitTable
-    ladder: Ladder
     assignments: Tuple[Tuple[int, CarrierAssignment], ...]
     stable_ks: Tuple[int, ...]
     phi: Tuple[str, ...]
@@ -274,7 +276,6 @@ def stable_subsequence(
     phi, stable = _most_frequent((k, a.phi()) for k, a in chosen)
     return StabilityReport(
         table=table,
-        ladder=ladder,
         assignments=tuple(chosen),
         stable_ks=stable,
         phi=phi,
@@ -283,60 +284,44 @@ def stable_subsequence(
 
 
 @dataclass(frozen=True)
-class CountingVerdict:
-    ok: bool
-    slope: Fraction
-    bound: Fraction
-    per_k: Tuple[Tuple[int, Fraction, Fraction, Fraction], ...]
-
-
-def counting_check(report: StabilityReport, x_id: str, y_id: str) -> CountingVerdict:
-    """Compare the action-based and index-based orbit counts between x and y.
-
-    Per stable k the number of image points between the carriers of x and y
-    is estimated from the action spacing (period lambda0*nu) and from the
-    index spacing (period 2N*nu); the two counts diverge linearly in k
-    exactly when the augmented actions of x and y differ.
-    """
-    table, ladder = report.table, report.ladder
-    md = table.md
-    ell = ladder.ell
-    nu = ladder.nu
-    image = sorted(set(report.phi))
-    bound = Fraction(3, 2) * len(image) + 2
-    if x_id == y_id:
-        return CountingVerdict(ok=True, slope=Fraction(0), bound=bound, per_k=())
-    for oid in (x_id, y_id):
-        if oid not in report.phi:
-            raise ValueError(f"{oid} is not in the stable image")
-    slope = (
-        augmented_action(table.orbit(x_id), md) - augmented_action(table.orbit(y_id), md)
-    ) / md.lambda0
-    # the carriers' actions and mean indices times D, over the scaled rows
-    D, rows, lambda0 = table.scaled
-    step = 2 * md.N * D
-    (ax, dx, _), (ay, dy, _) = rows[x_id], rows[y_id]
-    assignments = dict(report.assignments)
-    per_k = []
-    for k in report.stable_ks:
-        a = assignments[k]
-        phi = a.phi()
-        dm = a.slots[phi.index(x_id)][1] - a.slots[phi.index(y_id)][1]
-        m_act = Fraction(ell * (k * (ax - ay) - dm * lambda0), nu * lambda0)
-        m_idx = Fraction(ell * (k * (dx - dy) - dm * step), nu * step)
-        per_k.append((k, m_act, m_idx, m_act - m_idx))
-    return CountingVerdict(ok=(slope == 0), slope=slope, bound=bound, per_k=tuple(per_k))
-
-
-@dataclass(frozen=True)
 class Verdict:
-    """The verdict of `relation_verdict` ("consistent" or "contradiction"),
-    of `neg_monotone_obstruction` ("contradiction" or "no_obstruction") or
-    of `distinctness_check` ("distinct", "not_distinct" or "inconclusive")."""
+    """The verdict of `relation_verdict` and of its `counting_check` of one
+    pair ("consistent" or "contradiction"), of `neg_monotone_obstruction`
+    ("contradiction" or "no_obstruction") or of `distinctness_check`
+    ("distinct", "not_distinct" or "inconclusive")."""
 
     status: str
     witness: Tuple = ()
     details: Tuple[str, ...] = ()
+
+
+def counting_check(report: StabilityReport, x_id: str, y_id: str) -> Verdict:
+    """Compare the action-based and index-based orbit counts between the
+    carriers of x and y in the stable image.
+
+    Per stable k the number of image points between the two carriers is
+    counted from the action spacing (period lambda0*nu) and from the index
+    spacing (period 2N*nu).  The two counts differ by exactly ell*k*slope/nu,
+    where slope = (augmented action of x - that of y) / lambda0, so they agree
+    at every large k exactly when the slope is 0: "consistent", else a
+    "contradiction" whose witness is (x, y, slope).
+    """
+    for oid in (x_id, y_id):
+        if oid not in report.phi:
+            raise ValueError(f"{oid} is not in the stable image")
+    table = report.table
+    x, y = table.orbit(x_id), table.orbit(y_id)
+    slope = (augmented_action(x, table.md) - augmented_action(y, table.md)) / table.md.lambda0
+    if slope == 0:
+        return Verdict(status="consistent")
+    return Verdict(
+        status="contradiction",
+        witness=(x_id, y_id, slope),
+        details=(
+            f"augmented actions of {x_id} and {y_id} differ: "
+            f"counts diverge with slope {slope} per iteration",
+        ),
+    )
 
 
 def relation_preconditions(table: OrbitTable, ladder: Ladder) -> None:
@@ -359,7 +344,8 @@ def relation_preconditions(table: OrbitTable, ladder: Ladder) -> None:
 def relation_verdict(
     table: OrbitTable, ladder: Ladder, primes: Sequence[int]
 ) -> Verdict:
-    """All pairs in the stable image must share the augmented action; the
+    """All pairs in the stable image must share the augmented action: the
+    first pair whose `counting_check` contradicts gives the verdict.  The
     table and the ladder must meet `relation_preconditions`."""
     relation_preconditions(table, ladder)
     report = stable_subsequence(table, ladder, primes)
@@ -375,15 +361,8 @@ def relation_verdict(
     image = sorted(set(report.phi))
     for x_id, y_id in itertools.combinations(image, 2):
         verdict = counting_check(report, x_id, y_id)
-        if not verdict.ok:
-            return Verdict(
-                status="contradiction",
-                witness=(x_id, y_id, verdict.slope),
-                details=(
-                    f"augmented actions of {x_id} and {y_id} differ: "
-                    f"counts diverge with slope {verdict.slope} per iteration",
-                ),
-            )
+        if verdict.status == "contradiction":
+            return verdict
     return Verdict(status="consistent")
 
 

@@ -77,7 +77,10 @@ def ladders_search(ring, ell_max, nu_max, out):
     decs = ladders_mod.search_decompositions(r, ell_max, nu_max)
     payload = [ser.decomposition_to_json(d) for d in decs]
     if out:
-        Path(out).write_text(json.dumps(payload, indent=2))
+        try:
+            Path(out).write_text(json.dumps(payload, indent=2))
+        except OSError as exc:
+            raise Exit(EXIT_USAGE, f"cannot write {out}: {exc}")
     return payload
 
 
@@ -189,11 +192,19 @@ def _load_scenario(path, need_ladder=False, need_primes=False):
     return table, ladder, primes
 
 
+def _typed(value):
+    """A witness element as typed JSON: a tuple as an array, a Fraction as
+    "a/b", and an int or a string as itself."""
+    if isinstance(value, tuple):
+        return [_typed(v) for v in value]
+    return ser.frac_to_str(value) if isinstance(value, Fraction) else value
+
+
 def _verdict(verdict: carriers_mod.Verdict):
     """A carrier verdict's payload; a contradiction exits 2."""
     payload = {
         "status": verdict.status,
-        "witness": [str(w) for w in verdict.witness],
+        "witness": _typed(verdict.witness),
         "details": list(verdict.details),
     }
     if verdict.status == "contradiction":

@@ -11,7 +11,9 @@ strings in JSON.
 Each record is read whole here: a ring (a product's ``"field"`` is the
 default of its factors, and it has no ``"lambda0"``), a decomposition, an
 orbit, a table, a model and a scenario, whose ladder `scenario_from_json`
-builds.  The command line reads no record key itself.
+builds.  A record has no key but its own: `known_keys` makes any other, a
+misspelt optional key included, a ParseError rather than dropping it for
+its default.  The command line reads no record key itself.
 """
 
 from __future__ import annotations
@@ -44,6 +46,15 @@ def reading(record: str):
         raise ParseError(f"{record} missing key {exc}") from exc
     except TypeError as exc:
         raise ParseError(f"malformed {record}: {exc}") from exc
+
+
+def known_keys(data: dict, record: str, keys: str) -> None:
+    """A record has no key but the space-separated keys: a misspelt optional
+    key would otherwise be dropped, and its default read in its place.
+    Called once a key of data has been read, so data is an object."""
+    unknown = sorted(set(data) - set(keys.split()))
+    if unknown:
+        raise ParseError(f"{record} has unknown key {unknown[0]!r}")
 
 
 _JSON_TYPES = {int: "an integer", bool: "a bool", str: "a string", list: "an array"}
@@ -212,6 +223,7 @@ def _ring_from_json(data, field: GroundField, spec: str) -> RingPresentation:
         if kind == "product":
             if "lambda0" in data:
                 raise ParseError("product ring spec has 'lambda0'; it follows from the factors'")
+            known_keys(data, "ring spec", "kind factors field")
             records = json_typed(data["factors"], list, "factors")
             if not records:
                 raise ParseError("product ring spec has no factors")
@@ -226,8 +238,10 @@ def _ring_from_json(data, field: GroundField, spec: str) -> RingPresentation:
         if field is None:
             field = GroundField.from_spec(spec)
         if kind == "cpn":
+            known_keys(data, "ring spec", "kind n field lambda0")
             return CPn(n=json_typed(data["n"], int, "n"), field=field, lambda0=lambda0)
         if kind == "grassmannian":
+            known_keys(data, "ring spec", "kind k N field lambda0")
             return Grassmannian(
                 k=json_typed(data["k"], int, "k"), N=json_typed(data["N"], int, "N"),
                 field=field, lambda0=lambda0,
@@ -265,6 +279,7 @@ def decomposition_from_json(ring: RingPresentation, data) -> Decomposition:
             class_from_str(ring, f) for f in json_typed(data["factors"], list, "factors")
         )
         nu = json_typed(data["nu"], int, "nu")
+        known_keys(data, "decomposition", "u0 factors nu")
     return Decomposition(u0=u0, factors=factors, nu=nu)
 
 
@@ -282,7 +297,7 @@ def decomposition_to_json(dec: Decomposition) -> dict:
 
 def orbit_from_json(data) -> CappedOrbit:
     with reading("orbit record"):
-        return CappedOrbit(
+        orbit = CappedOrbit(
             orbit_id=json_typed(data["id"], str, "id"),
             m=json_typed(data.get("m", 0), int, "m"),
             action=frac_from_str(data["action"]),
@@ -292,6 +307,8 @@ def orbit_from_json(data) -> CappedOrbit:
                 data.get("weakly_nondegenerate", False), bool, "weakly_nondegenerate"
             ),
         )
+        known_keys(data, "orbit record", "id m action delta cz weakly_nondegenerate")
+    return orbit
 
 
 def orbit_to_json(o: CappedOrbit) -> dict:
@@ -307,7 +324,9 @@ def orbit_to_json(o: CappedOrbit) -> dict:
 
 def monotone_from_json(data) -> MonotoneData:
     with reading("monotone record"):
-        return MonotoneData(N=json_typed(data["N"], int, "N"), lam=frac_from_str(data["lambda"]))
+        md = MonotoneData(N=json_typed(data["N"], int, "N"), lam=frac_from_str(data["lambda"]))
+        known_keys(data, "monotone record", "N lambda")
+    return md
 
 
 def monotone_to_json(md: MonotoneData) -> dict:
@@ -332,10 +351,12 @@ def scenario_from_json(data) -> Tuple[OrbitTable, Optional[Ladder], List[int]]:
     with reading("scenario"):
         primes = [json_typed(p, int, "prime")
                   for p in json_typed(data.get("primes", []), list, "primes")]
+        known_keys(data, "scenario", "monotone n orbits primes ladder")
     if "ladder" not in data:
         return table, None, primes
     with reading("scenario ladder"):
         ring_spec, dec_spec = data["ladder"]["ring"], data["ladder"]["decomposition"]
+        known_keys(data["ladder"], "scenario ladder", "ring decomposition")
     ring = ring_from_json(ring_spec)
     return table, build_ladder(ring, decomposition_from_json(ring, dec_spec)), primes
 
@@ -345,9 +366,11 @@ def model_from_json(data):
     with reading("model spec"):
         kind = data["kind"]
         if kind == "cpn":
+            known_keys(data, "model spec", "kind lambdas")
             lambdas = json_typed(data["lambdas"], list, "lambdas")
             return CPnQuadraticModel(lambdas=tuple(frac_from_str(x) for x in lambdas))
         if kind == "product":
+            known_keys(data, "model spec", "kind factors")
             factors = json_typed(data["factors"], list, "factors")
             return ProductModel(factors=tuple(model_from_json(f) for f in factors))
     raise ParseError(f"unknown model kind {kind!r}")

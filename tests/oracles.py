@@ -12,6 +12,10 @@ pruning.  It shares the ordering rule `_ordering_ok` with the package's
 checker, and no candidate code with the search, which runs on the scaled
 integers of `OrbitTable.scaled`.
 
+The relation oracle takes each iteration's first assignment from that full
+enumeration and compares the stable image's augmented actions as
+`Fraction`s, with no scaled row and no count.
+
 The negative-monotone oracle picks each fundamental-class carrier from the
 same `Fraction` slot candidates and runs the whole obstruction on capped
 orbits and `Fraction`s, where the package runs it on scaled integers.
@@ -20,7 +24,7 @@ orbits and `Fraction`s, where the package runs it on scaled integers.
 import math
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import product
+from itertools import combinations, product
 
 from qhcalc.carriers import CarrierAssignment, _ordering_ok
 from qhcalc.spectra import index_window_check, iterate, recap
@@ -122,6 +126,30 @@ def brute_force_assignments(table, ladder, k):
         if _ordering_ok(combo, ladder.nu, table.md):
             out.append(CarrierAssignment(k=k, slots=slots))
     return out
+
+
+def relation_oracle(table, ladder, primes):
+    """(status, witness, details) of the action-index relation over the
+    increasing iterations primes: the stable image is the orbit ids phi of
+    the first assignment at each k that the most ks share, ties to the
+    smallest phi, and its pairs, in `combinations` order, must have equal
+    augmented actions A - (lambda/2) * Delta."""
+    md = table.md
+    firsts = {k: found[0] for k in primes if (found := brute_force_assignments(table, ladder, k))}
+    failures = tuple(k for k in primes if k not in firsts)
+    if failures:
+        return "contradiction", ("no admissible assignment", failures), tuple(
+            f"k={k}: no carrier assignment satisfies the constraints" for k in failures)
+    phis = [tuple(oid for oid, _ in a.slots) for a in firsts.values()]
+    phi = min(set(phis), key=lambda p: (-phis.count(p), p))
+    augmented = {o.orbit_id: o.action - md.lam / 2 * o.mean_index for o in table.orbits}
+    for x_id, y_id in combinations(sorted(set(phi)), 2):
+        slope = (augmented[x_id] - augmented[y_id]) / md.lambda0
+        if slope:
+            return "contradiction", (x_id, y_id, slope), (
+                f"augmented actions of {x_id} and {y_id} differ: "
+                f"counts diverge with slope {slope} per iteration",)
+    return "consistent", (), ()
 
 
 def fundamental_class_carrier(table, k):

@@ -27,6 +27,7 @@ from oracles import (
     brute_force_assignments,
     fundamental_class_carrier,
     neg_monotone_oracle,
+    relation_oracle,
     slot_candidates,
 )
 
@@ -111,6 +112,10 @@ def test_search_matches_brute_force(case):
     report = stable_subsequence(table, ladder, ks)
     assert report.assignments == tuple((k, expected[k][0]) for k in ks if expected[k])
     assert report.failures == tuple(k for k in ks if not expected[k])
+    if table.md.lam > 0:
+        verdict = relation_verdict(table, ladder, ks)
+        assert (verdict.status, verdict.witness, verdict.details) == relation_oracle(
+            table, ladder, ks)
 
 
 @st.composite
@@ -262,15 +267,20 @@ class TestCountingCheck:
         table = model_table(0, Fraction(1, 8))
         report = stable_subsequence(table, cpn_ladder(1), PRIMES)
         verdict = counting_check(report, "x1", "x0")
-        assert verdict.ok
-        assert verdict.slope == 0
-        for _, m_act, m_idx, diff in verdict.per_k:
-            assert abs(diff) <= verdict.bound
+        assert verdict.status == "consistent"
+        assert verdict.witness == ()
 
     def test_trivial_same_orbit(self):
         table = model_table(0, Fraction(1, 8))
         report = stable_subsequence(table, cpn_ladder(1), PRIMES[:5])
-        assert counting_check(report, "x0", "x0").ok
+        assert counting_check(report, "x0", "x0").status == "consistent"
+
+    @pytest.mark.parametrize("x_id, y_id", [("nope", "nope"), ("x0", "nope"), ("nope", "x0")])
+    def test_ids_outside_the_stable_image_rejected(self, x_id, y_id):
+        table = model_table(0, Fraction(1, 8))
+        report = stable_subsequence(table, cpn_ladder(1), PRIMES[:5])
+        with pytest.raises(ValueError, match="nope is not in the stable image"):
+            counting_check(report, x_id, y_id)
 
     def test_perturbed_slope_diverges(self):
         delta = Fraction(1, 16)
@@ -284,11 +294,19 @@ class TestCountingCheck:
         report = stable_subsequence(table, cpn_ladder(1), small)
         if report.stable_ks:
             verdict = counting_check(report, "x1", "x0")
-            assert not verdict.ok
-            assert verdict.slope == -delta / base.md.lambda0
-            diffs = {k: abs(d) for k, _, _, d in verdict.per_k}
-            ks = sorted(diffs)
-            assert diffs[ks[-1]] > diffs[ks[0]]
+            assert verdict.status == "contradiction"
+            slope = -delta / base.md.lambda0
+            assert verdict.witness == ("x1", "x0", slope)
+
+    def test_relation_verdict_is_the_first_contradicting_check(self):
+        table = model_table(0, Fraction(1, 8))
+        orbits = (CappedOrbit("x0", Fraction(1, 16), table.orbits[0].mean_index),
+                  table.orbits[1])
+        table = OrbitTable(md=table.md, n=table.n, orbits=orbits)
+        report = stable_subsequence(table, cpn_ladder(1), [2, 3, 5, 7])
+        verdict = relation_verdict(table, cpn_ladder(1), [2, 3, 5, 7])
+        assert verdict == counting_check(report, "x0", "x1")
+        assert verdict.status == "contradiction"
 
 
 class TestRelationVerdict:

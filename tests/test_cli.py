@@ -164,6 +164,14 @@ class TestLadders:
                          cwd=workdir)
         assert result_of(verify)["valid"] is True
 
+    def test_search_out_to_missing_directory_is_usage_error(self, workdir):
+        proc = run_cli("ladders", "search", "--ring", "cp2.json", "--ell-max", "3",
+                       "--out", "missing/decs.json", cwd=workdir)
+        assert proc.returncode == 64, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("cannot write missing/decs.json: ")
+        assert "Traceback" not in proc.stderr
+
     def test_build(self, workdir):
         (workdir / "dec.json").write_text(
             json.dumps({"u0": "1", "factors": ["u", "u", "u"], "nu": 1})
@@ -287,6 +295,14 @@ def scenario_payload(perturb=None):
     }
 
 
+_NEGMON = {
+    "monotone": {"N": 1, "lambda": "-1"},
+    "n": 1,
+    "orbits": [{"id": "x", "action": "1/3", "delta": "1/2"}],
+    "primes": [2, 3, 5, 7, 11, 13],
+}
+
+
 class TestCarriers:
     def test_verify_consistent(self, workdir):
         (workdir / "s.json").write_text(json.dumps(scenario_payload()))
@@ -298,6 +314,21 @@ class TestCarriers:
         (workdir / "s.json").write_text(json.dumps(scenario_payload(perturb="3/16")))
         proc = run_cli("carriers", "verify", "--scenario", "s.json", cwd=workdir)
         assert proc.returncode == 2, proc.stderr
+
+    @pytest.mark.parametrize("payload, command, witness", [
+        ({**scenario_payload(perturb="1/16"), "primes": [2, 3, 5, 7]}, "verify",
+         ["x0", "x1", "1/16"]),
+        (scenario_payload(perturb="3/16"), "verify",
+         ["no admissible assignment", [2, 3, 5, 7, 11, 13, 17, 19, 23]]),
+        (_NEGMON, "negmon", [5, 1]),
+    ], ids=["relation pair", "no admissible assignment", "negmon"])
+    def test_witness_is_typed_json(self, workdir, payload, command, witness):
+        """A witness prints a tuple as an array, an int as an integer and a
+        Fraction as an "a/b" string."""
+        (workdir / "s.json").write_text(json.dumps(payload))
+        proc = run_cli("carriers", command, "--scenario", "s.json", cwd=workdir)
+        assert proc.returncode == 2, proc.stderr
+        assert json.loads(proc.stdout)["result"]["witness"] == witness
 
     @pytest.mark.parametrize("field, value, named", [
         ("monotone", {"N": 1, "lambda": "1"}, "N_chern"),
@@ -436,14 +467,6 @@ class TestCarriers:
         (workdir / "s.json").write_text(json.dumps(payload))
         proc = run_cli("carriers", "negmon", "--scenario", "s.json", cwd=workdir)
         assert proc.returncode == 3, proc.stderr
-
-
-_NEGMON = {
-    "monotone": {"N": 1, "lambda": "-1"},
-    "n": 1,
-    "orbits": [{"id": "x", "action": "1/3", "delta": "1/2"}],
-    "primes": [2, 3, 5, 7, 11, 13],
-}
 
 
 @pytest.mark.parametrize("argv, code, invocation", [
@@ -664,6 +687,40 @@ def test_string_is_not_a_record_array_or_bool(workdir, record, argv, cause):
     assert proc.returncode == 64, proc.stderr
     assert cause in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("record, argv, cause", [
+    ({**_CPN, "feild": "Fp:2"}, ["ring", "mul", "--ring", "in.json", "--a", "2*u", "--b", "u"],
+     "ring spec has unknown key 'feild'"),
+    ({"kind": "grassmannian", "k": 2, "N": 4, "lamda0": "2"}, _RING_BASIS,
+     "ring spec has unknown key 'lamda0'"),
+    ({"kind": "product", "factors": [_CPN, _CPN], "feild": "Fp:2"}, _RING_BASIS,
+     "ring spec has unknown key 'feild'"),
+    ({"u0": "1", "factors": ["u", "u"], "nu": 1, "n": 1},
+     ["ladders", "verify", *_CP1_FILE, "--dec", "in.json"],
+     "decomposition has unknown key 'n'"),
+    ({**_ORBIT, "weakly_nondegnerate": True},
+     ["spectra", "iterate", "--orbit", "in.json", "--k", "1"],
+     "orbit record has unknown key 'weakly_nondegnerate'"),
+    (_scenario_with(["monotone", "lam"], "1/2"), _SCENARIO,
+     "monotone record has unknown key 'lam'"),
+    ({"kind": "cpn", "lambdas": ["0", "1"], "n": 1}, _MODEL, "model spec has unknown key 'n'"),
+    ({"kind": "product", "factors": [{"kind": "cpn", "lambdas": ["0", "1"]}], "field": "Q"},
+     _MODEL, "model spec has unknown key 'field'"),
+    ({**scenario_payload(), "prime": [2, 3]}, _SCENARIO, "scenario has unknown key 'prime'"),
+    (_scenario_with(["ladder", "primes"], [2, 3]), _SCENARIO,
+     "scenario ladder has unknown key 'primes'"),
+], ids=["cpn ring", "grassmannian ring", "product ring", "decomposition", "orbit", "monotone",
+        "cpn model", "product model", "scenario", "scenario ladder"])
+def test_unknown_key_is_usage_error(workdir, record, argv, cause):
+    """A misspelt key is not dropped for its default: the cpn ring's 'feild'
+    would compute 2*u * u over Q, and the orbit's flag would read false."""
+    (workdir / "cp1.json").write_text(json.dumps(_CPN))
+    (workdir / "in.json").write_text(json.dumps(record))
+    proc = run_cli(*argv, cwd=workdir)
+    assert proc.returncode == 64, proc.stdout
+    assert proc.stdout == ""
+    assert proc.stderr == f"input error: {cause}\n"
 
 
 def _orbit(oid, action, delta, cz):

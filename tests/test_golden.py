@@ -11,8 +11,8 @@ ordered pair of basis labels of G(3,7) and G(4,8) over Q, as JSON.  It also hold
 search on seeded quadratic-model tables of CP^1..CP^4, each genuine and with
 one action perturbed, over the primes below 100 and over 2, 3: the
 ``stable_subsequence`` report, each assignment written as "id:capping" per
-slot, the ``relation_verdict``, and the ``counting_check`` of every ordered
-pair of distinct orbits in the stable image.  Then the
+slot, the ``relation_verdict``, and the ``counting_check`` verdict of every
+ordered pair of distinct orbits in the stable image.  Then the
 ``neg_monotone_obstruction`` verdict over the same primes on seeded negative
 monotone tables, criterion 9's one-orbit tables and degenerate ones, under
 three monotone data.  Last, for seeded quadratic models on CP^1..CP^5 and
@@ -156,7 +156,7 @@ def carrier_outputs() -> dict:
                 verdict = relation_verdict(table, ladder, primes)
                 scenario = f"CP^{n}, u^{n + 1} = q, {primes_name}, {name}"
                 out[f"counting checks on {scenario}"] = {
-                    f"{x_id} vs {y_id}": _counting_json(counting_check(report, x_id, y_id))
+                    f"{x_id} vs {y_id}": _verdict_json(counting_check(report, x_id, y_id))
                     for x_id, y_id in itertools.permutations(sorted(set(report.phi)), 2)
                 }
                 out[f"carriers on {scenario}"] = {
@@ -171,21 +171,16 @@ def carrier_outputs() -> dict:
                         "phi": list(report.phi),
                         "failures": list(report.failures),
                     },
-                    "relation_verdict": {
-                        "status": verdict.status,
-                        "witness": [str(w) for w in verdict.witness],
-                        "details": list(verdict.details),
-                    },
+                    "relation_verdict": _verdict_json(verdict),
                 }
     return out
 
 
-def _counting_json(verdict) -> dict:
+def _verdict_json(verdict) -> dict:
     return {
-        "ok": verdict.ok,
-        "slope": str(verdict.slope),
-        "bound": str(verdict.bound),
-        "per_k": [[k, *(str(x) for x in counts)] for k, *counts in verdict.per_k],
+        "status": verdict.status,
+        "witness": [str(w) for w in verdict.witness],
+        "details": list(verdict.details),
     }
 
 
@@ -213,9 +208,7 @@ def neg_monotone_outputs() -> dict:
             verdict = neg_monotone_obstruction(table, primes)
             out[f"negative monotone obstruction, {primes_name}, {name}"] = {
                 "orbits": [[o.orbit_id, str(o.action), str(o.mean_index)] for o in orbits],
-                "status": verdict.status,
-                "witness": [str(w) for w in verdict.witness],
-                "details": list(verdict.details),
+                **_verdict_json(verdict),
             }
     return out
 

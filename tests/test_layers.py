@@ -82,3 +82,58 @@ def test_cli_reads_no_record():
     names = {node.attr if isinstance(node, ast.Attribute) else node.id
              for node in ast.walk(tree) if isinstance(node, (ast.Attribute, ast.Name))}
     assert not names & {"reading", "json_typed"}
+
+
+# Public module-level names that nothing in the package refers to, each with
+# the reason it stays.
+UNREFERENCED = {
+    "carriers.TableOrbit": "perfbench's alias of CappedOrbit (ROADMAP items 8 and 11)",
+    "models.cpn_fixed_points": "perfbench calls and traces it (ROADMAP items 8 and 11)",
+    "rings.kunneth": "perfbench builds CP^1 x CP^1 with it (ROADMAP items 8 and 11)",
+    "serialize.monotone_to_json": "perfbench traces it (ROADMAP items 8 and 11)",
+    "carriers.check_assignment": "the independent checker of the carrier search",
+    "rings.quantum_pieri": "the independent oracle of Grassmannian products",
+    "ladders.ladder_class": "acceptance criterion 4 and the tests (ROADMAP item 5)",
+    "ladders.pigeonhole_pair": "acceptance criterion 4 and the tests (ROADMAP item 5)",
+    "ladders.case_ii_ladder": "acceptance criterion 8 and the tests (ROADMAP item 5)",
+    "carriers.distinctness_check": "acceptance criterion 8 and the tests (ROADMAP item 5)",
+}
+
+
+def public_names(tree: ast.Module) -> set:
+    """The names a module binds at top level by def, class or assignment,
+    without a leading underscore."""
+    found = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return {name for name in found if not name.startswith("_")}
+
+
+def referenced_names(tree: ast.Module) -> set:
+    """Every name a module reads, as a bare name, an attribute or an import;
+    a function that calls itself refers to itself."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+    return found
+
+
+def test_every_public_name_is_referenced():
+    """A public name that nothing in the package reads is dead code, unless
+    UNREFERENCED names it with its reason; a name listed there that gains a
+    reader, or goes, leaves the list too."""
+    trees = {module: ast.parse((PACKAGE / f"{module}.py").read_text()) for module in ALLOWED}
+    read = set().union(*map(referenced_names, trees.values()))
+    unread = {f"{module}.{name}" for module, tree in trees.items()
+              for name in public_names(tree) - read}
+    listed = set(UNREFERENCED)
+    assert unread == listed, f"unread: {sorted(unread - listed)}, read: {sorted(listed - unread)}"
