@@ -7,10 +7,12 @@ Every verdict is decided with exact arithmetic.  The action-index relation
 (`relation_verdict`) holds its preconditions in `relation_preconditions`: the
 ladder's ring is the table's manifold (its N, lambda and n), and lambda > 0.
 The search itself (`admissible_assignments`, `stable_subsequence`) stays
-general, for either sign and any ladder.  The relation and the counting
-check of each stable-image pair that it runs (`counting_check`), the
-negative-monotone obstruction (`neg_monotone_obstruction`) and the
-distinctness gate (`distinctness_check`) each return one `Verdict`: a
+general, for either sign and any ladder.  Both verdicts follow one carrier
+along the iterations through one walk, `_stable_walk`.  The relation, the
+counting check it runs of the first stable-image orbit with each other
+(`counting_check`), the negative-monotone obstruction
+(`neg_monotone_obstruction`, its degenerate branch the one `DEGENERATE`) and
+the distinctness gate (`distinctness_check`) each return one `Verdict`: a
 status, a witness and human-readable details.  The action and index counts
 of a pair differ by ell*k*slope/nu at each stable k, so the counting check
 decides on the slope alone and builds no per-k table.
@@ -31,13 +33,12 @@ orbit with `Fraction`s and tests it with `spectra.index_window_check`.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .ladders import Ladder
 from .spectra import (
@@ -244,14 +245,20 @@ def _increasing(primes: Sequence[int]) -> Tuple[int, ...]:
     return primes
 
 
-def _most_frequent(pairs) -> Tuple:
-    """The key that the most iterations k of the (k, key) pairs share, ties
-    to the smallest key, and those ks in order; ((), ()) for no pairs."""
-    groups = {}
-    for k, key in pairs:
-        groups.setdefault(key, []).append(k)
-    key = min(groups, key=lambda p: (-len(groups[p]), p), default=())
-    return key, tuple(groups.get(key, ()))
+def _stable_walk(primes: Sequence[int], choose: Callable, key: Callable) -> Tuple:
+    """Follow one carrier along the increasing iterations, choose(k) or None
+    at each k: the (k, choice) pairs, the ks with none, and the key(choice)
+    that the most ks share, ties to the smallest, with those ks; () if none."""
+    chosen, failures, groups = [], [], {}
+    for k in _increasing(primes):
+        choice = choose(k)
+        if choice is None:
+            failures.append(k)
+            continue
+        chosen.append((k, choice))
+        groups.setdefault(key(choice), []).append(k)
+    best = min(groups, key=lambda p: (-len(groups[p]), p), default=())
+    return tuple(chosen), tuple(failures), best, tuple(groups.get(best, ()))
 
 
 def stable_subsequence(
@@ -264,23 +271,10 @@ def stable_subsequence(
     sharing the most frequent orbit ids phi of their choice are the stable
     subsequence.
     """
-    primes = _increasing(primes)
-    chosen: List[Tuple[int, CarrierAssignment]] = []
-    failures: List[int] = []
-    for k in primes:
-        first = next(_assignments(table, ladder, k), None)
-        if first is None:
-            failures.append(k)
-            continue
-        chosen.append((k, first))
-    phi, stable = _most_frequent((k, a.phi()) for k, a in chosen)
+    chosen, failures, phi, stable = _stable_walk(
+        primes, lambda k: next(_assignments(table, ladder, k), None), CarrierAssignment.phi)
     return StabilityReport(
-        table=table,
-        assignments=tuple(chosen),
-        stable_ks=stable,
-        phi=phi,
-        failures=tuple(failures),
-    )
+        table=table, assignments=chosen, stable_ks=stable, phi=phi, failures=failures)
 
 
 @dataclass(frozen=True)
@@ -293,6 +287,11 @@ class Verdict:
     status: str
     witness: Tuple = ()
     details: Tuple[str, ...] = ()
+
+
+# the obstruction's degenerate branch, which the CLI reports as inconclusive
+DEGENERATE = Verdict("no_obstruction", details=(
+    "degenerate branch: stable carrier has zero mean index at k1",))
 
 
 def counting_check(report: StabilityReport, x_id: str, y_id: str) -> Verdict:
@@ -344,9 +343,9 @@ def relation_preconditions(table: OrbitTable, ladder: Ladder) -> None:
 def relation_verdict(
     table: OrbitTable, ladder: Ladder, primes: Sequence[int]
 ) -> Verdict:
-    """All pairs in the stable image must share the augmented action: the
-    first pair whose `counting_check` contradicts gives the verdict.  The
-    table and the ladder must meet `relation_preconditions`."""
+    """All orbits of the stable image must share the augmented action: the
+    first orbit's first contradicting `counting_check` with another gives the
+    verdict.  The table and the ladder must meet `relation_preconditions`."""
     relation_preconditions(table, ladder)
     report = stable_subsequence(table, ladder, primes)
     if report.failures:
@@ -359,8 +358,9 @@ def relation_verdict(
             ),
         )
     image = sorted(set(report.phi))
-    for x_id, y_id in itertools.combinations(image, 2):
-        verdict = counting_check(report, x_id, y_id)
+    # the first failure of combinations(image, 2) too: a check fails iff augmented actions differ
+    for y_id in image[1:]:
+        verdict = counting_check(report, image[0], y_id)
         if verdict.status == "contradiction":
             return verdict
     return Verdict(status="consistent")
@@ -412,25 +412,20 @@ def neg_monotone_obstruction(
     md = table.md
     if md.lam >= 0:
         raise ValueError("negative monotone data required")
-    maxima = {k: _fundamental_class_carrier(table, k) for k in _increasing(primes)}
-    carriers = {k: c for k, c in maxima.items() if c is not None}
-    if not carriers:
+    found, _, x_id, stable = _stable_walk(
+        primes, lambda k: _fundamental_class_carrier(table, k), lambda c: c[0][0])
+    if not found:
         return Verdict(
             status="no_obstruction",
             details=("no feasible fundamental-class carrier at any iteration",),
         )
-    x_id, stable = _most_frequent((k, oid) for k, ((oid, _), _) in carriers.items())
+    carriers = dict(found)
     D, rows, lambda0 = table.scaled
     a_x, delta_x, _ = rows[x_id]
     k1 = stable[0]
     (_, m1), _ = carriers[k1]
     if k1 * delta_x == 2 * md.N * D * m1:
-        return Verdict(
-            status="no_obstruction",
-            details=(
-                "degenerate branch: stable carrier has zero mean index at k1",
-            ),
-        )
+        return DEGENERATE
     # sub-additivity constant: max over remainders r < k1 of c(r) - r * a_x
     c0 = 0
     for r in range(1, k1):

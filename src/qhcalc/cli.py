@@ -201,7 +201,7 @@ def _typed(value):
 
 
 def _verdict(verdict: carriers_mod.Verdict):
-    """A carrier verdict's payload; a contradiction exits 2."""
+    """A carrier verdict's payload; a contradiction exits 2, `DEGENERATE` 3."""
     payload = {
         "status": verdict.status,
         "witness": _typed(verdict.witness),
@@ -209,6 +209,8 @@ def _verdict(verdict: carriers_mod.Verdict):
     }
     if verdict.status == "contradiction":
         raise Exit(EXIT_CONTRADICTION, "; ".join(verdict.details) or "contradiction", payload)
+    if verdict == carriers_mod.DEGENERATE:
+        raise Exit(EXIT_INCONCLUSIVE, "; ".join(verdict.details), payload)
     return payload
 
 
@@ -227,11 +229,7 @@ def carriers_verify(scenario):
 
 def carriers_negmon(scenario):
     table, _, primes = _load_scenario(scenario, need_primes=True)
-    verdict = carriers_mod.neg_monotone_obstruction(table, primes)
-    payload = _verdict(verdict)
-    if any("degenerate" in d for d in verdict.details):
-        raise Exit(EXIT_INCONCLUSIVE, "; ".join(verdict.details), payload)
-    return payload
+    return _verdict(carriers_mod.neg_monotone_obstruction(table, primes))
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +351,7 @@ def main(argv=None):
         code, message = exc.code, exc.message
     except ladders_mod.InvalidDecompositionError as exc:
         code, message = EXIT_CONTRADICTION, f"invalid ladder: {exc}"
-    except (ValueError, KeyError) as exc:  # serialize.ParseError is a ValueError
+    except ValueError as exc:  # serialize.ParseError is a ValueError
         code, message = EXIT_USAGE, f"input error: {exc}"
     else:
         sys.exit(EXIT_OK)

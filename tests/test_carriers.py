@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qhcalc.carriers import (
+    DEGENERATE,
     CarrierAssignment,
     _cappings,
     _fundamental_class_carrier,
@@ -443,7 +444,11 @@ def neg_monotone_tables(draw):
 def test_neg_monotone_matches_oracle(case):
     table, ks = case
     verdict = neg_monotone_obstruction(table, ks)
-    assert (verdict.status, verdict.witness, verdict.details) == neg_monotone_oracle(table, ks)
+    expected = neg_monotone_oracle(table, ks)
+    assert (verdict.status, verdict.witness, verdict.details) == expected
+    # the degenerate branch is the one named verdict, and only that branch
+    assert (verdict == DEGENERATE) == (expected[2] == (
+        "degenerate branch: stable carrier has zero mean index at k1",))
 
 
 class TestNegMonotone:
@@ -466,9 +471,7 @@ class TestNegMonotone:
                 CappedOrbit("y", Fraction(0), Fraction(0)),
             ),
         )
-        verdict = neg_monotone_obstruction(table, PRIMES)
-        assert verdict.status == "no_obstruction"
-        assert any("degenerate" in d for d in verdict.details)
+        assert neg_monotone_obstruction(table, PRIMES) == DEGENERATE
 
     def test_unsorted_primes_rejected(self):
         """k_1 is the first stable iteration, so the order is the verdict's:

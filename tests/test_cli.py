@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import qhcalc
+from qhcalc import carriers, cli
 
 # The directory that holds the imported qhcalc package: src/ for
 # PYTHONPATH=src or an editable install. It is absolute, so the child finds
@@ -314,6 +315,18 @@ class TestCarriers:
         (workdir / "s.json").write_text(json.dumps(scenario_payload(perturb="3/16")))
         proc = run_cli("carriers", "verify", "--scenario", "s.json", cwd=workdir)
         assert proc.returncode == 2, proc.stderr
+
+    def test_internal_key_error_is_not_an_input_error(self, workdir, monkeypatch):
+        """Exit 64 is for usage errors only: a KeyError raised inside a
+        verdict is a fault of the program, so it leaves main unchanged (a
+        traceback and exit 1), not as an input error."""
+        def broken(*args):
+            raise KeyError("x9")
+
+        monkeypatch.setattr(carriers, "relation_verdict", broken)
+        (workdir / "s.json").write_text(json.dumps(scenario_payload()))
+        with pytest.raises(KeyError, match="x9"):
+            cli.main(["carriers", "verify", "--scenario", str(workdir / "s.json")])
 
     @pytest.mark.parametrize("payload, command, witness", [
         ({**scenario_payload(perturb="1/16"), "primes": [2, 3, 5, 7]}, "verify",

@@ -75,6 +75,27 @@ def test_module_imports_only_the_standard_library(module):
     assert not outside, f"{module} imports {sorted(outside)}"
 
 
+def imported_names(tree: ast.Module) -> set:
+    """The names that a module's imports bind, ``from __future__`` aside."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            found.update(alias.asname or alias.name for alias in node.names)
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(ALLOWED))
+def test_every_import_is_read(module):
+    """A name that a module imports and never reads is a stale import."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+    stale = imported_names(tree) - read
+    assert not stale, f"{module} imports {sorted(stale)} and never reads them"
+
+
 def test_cli_reads_no_record():
     """``reading`` and ``json_typed`` read a record's keys; cli names neither,
     so a record format, a scenario's included, is read whole by serialize."""
