@@ -12,6 +12,12 @@ the next period with no check of their own: each step is a positive factor
 degree (no v_j of a verified decomposition is 0), and the wrap-around step is
 2N minus the interior sum.  A Case II window steps by |u| > 0, and
 (l - 1)|u| < 2N for l = floor(2N/|u|).
+
+The decomposition search runs on plain integer term dicts {(label, m): c},
+through the ring's structure-constant contraction and `qalgebra.reduce_terms`
+(the one reduction mod p), and builds `QuantumClass`es only for what it
+finds.  Verification and ladders stay on `QuantumClass`, so the checker
+shares no walk with the search.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from fractions import Fraction
 from math import ceil
 from typing import List, Sequence, Tuple
 
-from .qalgebra import QuantumClass
+from .qalgebra import QuantumClass, reduce_terms
 
 
 class InvalidDecompositionError(ValueError):
@@ -121,45 +127,48 @@ def search_decompositions(ring, ell_max: int, nu_max: int) -> List[Decomposition
 
     Factors range over positive-degree basis labels; results are sorted by
     (ell descending, nu ascending) with a lexicographic label tiebreak, so
-    the output is deterministic.  Each basis class is built once and shared
-    by the search and the decompositions it returns.
+    the output is deterministic.  The search runs on plain integer term dicts
+    {(label, m): c}: from {(u0, 0): 1} it multiplies by one basis label at a
+    time through the ring's structure constants, reduces mod p, and compares
+    with {(u0, nu): 1}; a partial product that vanishes prunes its branch.
+    Basis classes are built only for the decompositions found, and
+    `verify_decomposition` checks those independently on `QuantumClass`es.
     """
     if ell_max < 1:
         raise ValueError("ell_max must be >= 1")
     if nu_max < 1:
         raise ValueError("nu_max must be >= 1")
     two_n_chern = 2 * ring.N_chern
+    p = ring.field.p
     labels = sorted(ring.basis_labels(), key=ring.label_key)
-    classes = {lbl: ring.basis_class(lbl) for lbl in labels}
     degree = {lbl: ring.label_degree(lbl) for lbl in labels}
-    pos_labels = [lbl for lbl in labels if degree[lbl] > 0]
+    # (label, degree, the label's basis class as a term list)
+    factors = [(lbl, degree[lbl], (((lbl, 0), 1),)) for lbl in labels if degree[lbl] > 0]
     found: List[Tuple] = []
     for u0_label in labels:
-        u0 = classes[u0_label]
 
         def dfs(chain, partial, interior_deg, total_deg):
             ell = len(chain)
             if ell >= 1 and total_deg % two_n_chern == 0:
                 nu = total_deg // two_n_chern
-                if 1 <= nu <= nu_max and partial == u0.q_shift(nu):
+                if 1 <= nu <= nu_max and partial == {(u0_label, nu): 1}:
                     found.append((u0_label, tuple(chain), nu))
             # all but the last factor must respect the interior bound;
             # the current last entry becomes interior once we extend
             new_interior = interior_deg + (degree[chain[-1]] if chain else 0)
             if ell == ell_max or new_interior >= two_n_chern:
                 return
-            for lbl in pos_labels:
-                deg = degree[lbl]
+            for lbl, deg, terms in factors:
                 if total_deg + deg > two_n_chern * nu_max:
                     continue
-                step = ring.quantum_product(partial, classes[lbl])
-                if step.is_zero():
+                step = reduce_terms(ring._contract(partial.items(), terms), p)
+                if not step:
                     continue
                 chain.append(lbl)
                 dfs(chain, step, new_interior, total_deg + deg)
                 chain.pop()
 
-        dfs([], u0, 0, 0)
+        dfs([], {(u0_label, 0): 1}, 0, 0)
 
     found.sort(
         key=lambda t: (
@@ -169,6 +178,8 @@ def search_decompositions(ring, ell_max: int, nu_max: int) -> List[Decomposition
             tuple(ring.label_key(l) for l in t[1]),
         )
     )
+    used = {lbl for u0l, fl, _ in found for lbl in (u0l, *fl)}
+    classes = {lbl: ring.basis_class(lbl) for lbl in used}
     return [
         Decomposition(classes[u0l], tuple(classes[l] for l in fl), nu)
         for u0l, fl, nu in found

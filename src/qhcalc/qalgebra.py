@@ -5,17 +5,18 @@ elements are canonical residues in ``[0, p)``.  No floats anywhere.
 
 ``GroundField.coerce`` is the one entry point for scalars from outside
 (``QuantumClass.build``, ``scale``, class literals, ``one``).  Past it, ring
-operations combine coefficients with plain ``+``, ``-`` and ``*`` and hand
-the sums to ``QuantumClass._assemble``, the one place that reduces them mod p.
-``QuantumClass.build`` is the checked entry for outside terms (it normalises
-labels and coerces scalars).
+operations combine coefficients with plain ``+``, ``-`` and ``*``, and
+``reduce_terms`` is the one rule that reduces the sums mod p and drops zeros:
+``QuantumClass._assemble`` applies it to every class, and the decomposition
+search to its plain integer term dicts.  ``QuantumClass.build`` is the
+checked entry for outside terms (it normalises labels and coerces scalars).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Tuple, Union
+from typing import Dict, Mapping, Tuple, Union
 
 Scalar = Union[int, Fraction]
 
@@ -91,6 +92,14 @@ class GroundField:
 TermKey = Tuple[object, int]  # (basis label, q exponent)
 
 
+def reduce_terms(terms: Mapping[TermKey, Scalar], p: int) -> Dict[TermKey, Scalar]:
+    """The nonzero terms, each coefficient reduced mod p when p > 0 (integers
+    standing for their residues in F_p): the one reduction mod p."""
+    if p:
+        return {key: r for key, c in terms.items() if (r := c % p)}
+    return {key: c for key, c in terms.items() if c}
+
+
 @dataclass(frozen=True)
 class QuantumClass:
     """A finite sum of (basis label, q^m) terms with exact coefficients.
@@ -122,11 +131,8 @@ class QuantumClass:
         """The class of terms with normalised labels and coefficients in the
         field (integers standing for their residues over F_p): reduces each
         coefficient mod p, drops zeros and sorts."""
-        p = ring.field.p
-        if p:
-            terms = {key: c % p for key, c in terms.items()}
         ordered = sorted(
-            (kv for kv in terms.items() if kv[1] != 0),
+            reduce_terms(terms, ring.field.p).items(),
             key=lambda kv: (ring.label_key(kv[0][0]), kv[0][1]),
         )
         return cls(ring, tuple(ordered))

@@ -14,8 +14,12 @@ label entry per factor: its ground field and lambda0 come from theirs.
 
 Basis labels are checked once, where they enter, by each ring's
 ``normalize_label``; past that point partitions are normalised tuples, and
-the LR and rim-hook walks take them as they are.  Coefficients are combined
-with plain arithmetic and reduced mod p only when a class is assembled.
+the LR and rim-hook walks take them as they are; rim-hook reductions are
+cached like the structure constants.  ``RingPresentation._contract`` is the
+one contraction of two term lists with the structure constants:
+``quantum_product`` assembles its sums into a class, and the decomposition
+search keeps them as plain integer term dicts.  Either way coefficients are
+combined with plain arithmetic and reduced mod p by ``qalgebra.reduce_terms``.
 ``partitions_in_box`` enumerates the Grassmannian basis.
 """
 
@@ -116,6 +120,7 @@ def littlewood_richardson(lam, mu, rows: int) -> Dict[Partition, int]:
 # rim-hook reduction
 
 
+@lru_cache(maxsize=None)
 def rim_hook_reduce(nu, k: int, N: int):
     """Reduce a <=k-row partition modulo rim hooks of size N.
 
@@ -124,7 +129,8 @@ def rim_hook_reduce(nu, k: int, N: int):
     hook of size N is removable iff some beta_i - N is a fresh beta value, and
     its height is one more than the number of beta values it jumps over.
     Each removal contributes one q and a sign (-1)^(k - height).  nu is a
-    normalised tuple; only its part count is checked.
+    normalised tuple; only its part count is checked.  Results are cached, as
+    many LR terms of one G(k,N) reduce the same nu.
     """
     if len(nu) > k:
         raise ValueError(f"partition {nu} has more than {k} parts")
@@ -227,14 +233,19 @@ class RingPresentation:
     def quantum_product(self, a: QuantumClass, b: QuantumClass) -> QuantumClass:
         if a.ring != self or b.ring != self:
             raise RingMismatchError("classes do not belong to this ring")
+        return QuantumClass._assemble(self, self._contract(a.terms, b.terms))
+
+    def _contract(self, a_terms, b_terms) -> dict:
+        """The terms of a*b before reduction mod p, from the ((label, m), c)
+        terms of a and b: the one contraction with the structure constants."""
         acc: dict = {}
-        for (la, ma), ca in a.terms:
-            for (lb, mb), cb in b.terms:
+        for (la, ma), ca in a_terms:
+            for (lb, mb), cb in b_terms:
                 cab = ca * cb
                 for (lc, mc), n in self.structure(la, lb):
                     key = (lc, ma + mb + mc)
                     acc[key] = acc.get(key, 0) + cab * n
-        return QuantumClass._assemble(self, acc)
+        return acc
 
     def convert_grading(self, degree_coh: int) -> int:
         return 2 * self.complex_dim - degree_coh

@@ -19,6 +19,10 @@ enumeration and compares the stable image's augmented actions as
 The negative-monotone oracle picks each fundamental-class carrier from the
 same `Fraction` slot candidates and runs the whole obstruction on capped
 orbits and `Fraction`s, where the package runs it on scaled integers.
+
+The decomposition oracle is the depth-first search on `QuantumClass`es: each
+step is a full `quantum_product`, and each candidate is compared with the
+class q^nu u0, where the package's search runs on integer term dicts.
 """
 
 import math
@@ -27,6 +31,7 @@ from functools import lru_cache, partial
 from itertools import combinations, product
 
 from qhcalc.carriers import CarrierAssignment, _ordering_ok
+from qhcalc.ladders import Decomposition
 from qhcalc.spectra import index_window_check, iterate, recap
 
 
@@ -187,3 +192,38 @@ def neg_monotone_oracle(table, primes):
                 f"sub-additivity bound {c0}; a finite orbit set cannot "
                 "carry the fundamental class at all iterations",)
     return "no_obstruction", (), ("bound not exceeded within the supplied iterations",)
+
+
+def search_decompositions_oracle(ring, ell_max, nu_max):
+    """Every decomposition u0*u1*...*ul = q^nu u0 over basis classes, with
+    ell <= ell_max, 1 <= nu <= nu_max, positive-degree factors and interior
+    degree sum < 2N, in the package's order: ell descending, nu ascending,
+    then the labels of u0 and of the factors."""
+    two_n_chern = 2 * ring.N_chern
+    labels = sorted(ring.basis_labels(), key=ring.label_key)
+    classes = {lbl: ring.basis_class(lbl) for lbl in labels}
+    degree = {lbl: ring.label_degree(lbl) for lbl in labels}
+    pos_labels = [lbl for lbl in labels if degree[lbl] > 0]
+    found = []
+
+    def dfs(u0_label, chain, partial, interior_deg, total_deg):
+        if chain and total_deg % two_n_chern == 0:
+            nu = total_deg // two_n_chern
+            if 1 <= nu <= nu_max and partial == classes[u0_label].q_shift(nu):
+                found.append((u0_label, tuple(chain), nu))
+        new_interior = interior_deg + (degree[chain[-1]] if chain else 0)
+        if len(chain) == ell_max or new_interior >= two_n_chern:
+            return
+        for lbl in pos_labels:
+            if total_deg + degree[lbl] > two_n_chern * nu_max:
+                continue
+            step = ring.quantum_product(partial, classes[lbl])
+            if not step.is_zero():
+                dfs(u0_label, chain + [lbl], step, new_interior, total_deg + degree[lbl])
+
+    for u0_label in labels:
+        dfs(u0_label, [], classes[u0_label], 0, 0)
+    found.sort(key=lambda t: (-len(t[1]), t[2], ring.label_key(t[0]),
+                              tuple(ring.label_key(lbl) for lbl in t[1])))
+    return [Decomposition(classes[u0], tuple(classes[lbl] for lbl in fl), nu)
+            for u0, fl, nu in found]

@@ -1,7 +1,7 @@
 import pytest
 
 from qhcalc.qalgebra import GroundField
-from qhcalc.rings import CPn, Grassmannian, RingPresentation
+from qhcalc.rings import CPn, Grassmannian, ProductRing, RingPresentation
 from qhcalc.ladders import (
     Decomposition,
     InvalidDecompositionError,
@@ -17,6 +17,8 @@ from qhcalc.ladders import (
     verify_decomposition,
 )
 from qhcalc.serialize import class_from_str
+
+from oracles import search_decompositions_oracle
 
 
 def cpn_decomposition(n):
@@ -110,6 +112,64 @@ class TestSearch:
         a = search_decompositions(ring, 3, 2)
         b = search_decompositions(ring, 3, 2)
         assert a == b
+
+
+def _cp1_power(count, p=0):
+    return ProductRing(factors=tuple(CPn(n=1, field=GroundField(p)) for _ in range(count)))
+
+
+# (ring, ell_max, nu_max): CP^1-CP^4 over Q, F_2, F_3, F_5; G(2,4) and G(2,5)
+# over Q, F_2, F_3 (over F_2, s1^3 = 2 s21 in G(2,4) dies only mod 2); G(3,6);
+# CP^1 x CP^1 over Q and F_3; CP^1 x CP^1 x CP^1
+ORACLE_SEARCHES = [
+    *((CPn(n=n, field=GroundField(p)), n + 2, 2) for n in range(1, 5) for p in (0, 2, 3, 5)),
+    *((Grassmannian(k=2, N=N, field=GroundField(p)), 3, 2) for N in (4, 5) for p in (0, 2, 3)),
+    (Grassmannian(k=3, N=6), 2, 2),
+    (_cp1_power(2), 4, 2),
+    (_cp1_power(2, 3), 4, 2),
+    (_cp1_power(3), 3, 2),
+]
+
+
+def _search_id(search):
+    ring, ell_max, nu_max = search
+    if isinstance(ring, ProductRing):
+        name = "x".join("CP1" for _ in ring.factors)
+    elif isinstance(ring, CPn):
+        name = f"CP{ring.n}"
+    else:
+        name = f"G({ring.k},{ring.N})"
+    return f"{name}/{ring.field.spec()} l<={ell_max} nu<={nu_max}"
+
+
+class TestSearchOracle:
+    @pytest.mark.parametrize("search", ORACLE_SEARCHES, ids=_search_id)
+    def test_matches_quantum_class_search(self, search):
+        """The integer-term search finds exactly the QuantumClass search's
+        decompositions, in the same order."""
+        assert search_decompositions(*search) == search_decompositions_oracle(*search)
+
+    @pytest.mark.parametrize("p, found", [(0, False), (2, False), (3, True)])
+    def test_g24_reduction_mod_p_decides(self, p, found):
+        """In G(2,4), s1 * s1^4 = 4q s1: a decomposition over F_3 only, where
+        4 = 1; over F_2 the branch dies at s1^3 = 2 s21 = 0."""
+        ring = Grassmannian(k=2, N=4, field=GroundField(p))
+        s1 = ring.basis_class((1,))
+        assert (s1 ** 3).is_zero() == (p == 2)
+        assert (Decomposition(s1, (s1,) * 4, 1) in search_decompositions(ring, 4, 2)) == found
+
+    @pytest.mark.parametrize("ring", [CPn(n=3), Grassmannian(k=2, N=5, field=GroundField(3))],
+                             ids=["CP3", "G(2,5)/Fp:3"])
+    def test_search_multiplies_no_quantum_class(self, ring, monkeypatch):
+        """The search runs on integer term dicts: it finds the oracle's list
+        with quantum_product disabled."""
+        expected = search_decompositions_oracle(ring, 4, 2)
+
+        def refuse(*args):
+            raise AssertionError("the search multiplied a QuantumClass")
+
+        monkeypatch.setattr(RingPresentation, "quantum_product", refuse)
+        assert search_decompositions(ring, 4, 2) == expected
 
 
 class TestLadder:
