@@ -45,7 +45,7 @@ def _load_json(path: str) -> dict:
 
 
 def _load_ring(path: str, field: str = None):
-    ground = GroundField.from_spec(field) if field else None
+    ground = GroundField.from_spec(field) if field is not None else None
     return ser.ring_from_json(_load_json(path), field=ground)
 
 
@@ -76,7 +76,7 @@ def ladders_search(ring, ell_max, nu_max, out):
     r = _load_ring(ring)
     decs = ladders_mod.search_decompositions(r, ell_max, nu_max)
     payload = [ser.decomposition_to_json(d) for d in decs]
-    if out:
+    if out is not None:
         try:
             Path(out).write_text(json.dumps(payload, indent=2))
         except OSError as exc:
@@ -107,7 +107,7 @@ def ladders_build(ring, dec):
 
 def ladders_case2(ring, class_, orbits):
     r = _load_ring(ring)
-    u = ser.class_from_str(r, class_) if class_ else r.first_chern_generator()
+    u = ser.class_from_str(r, class_) if class_ is not None else r.first_chern_generator()
     try:
         params = ladders_mod.case_ii_parameters(r, u, orbits)
     except ladders_mod.PowerVanishesError as exc:

@@ -81,12 +81,18 @@ class GroundField:
 
     @classmethod
     def from_spec(cls, spec: str) -> "GroundField":
+        """The field named ``Q`` or ``Fp:<p>``, the two forms ``spec`` prints."""
         spec = spec.strip()
         if spec == "Q":
             return cls(0)
-        if spec.startswith("Fp:"):
-            return cls(int(spec[3:]))
-        raise ValueError(f"unknown field spec {spec!r} (expected 'Q' or 'Fp:<p>')")
+        try:
+            p = int(spec[3:]) if spec.startswith("Fp:") else 0
+        except ValueError:
+            p = 0
+        if p == 0:  # Fp:0 would be the rationals, printed back as Q
+            raise ValueError(
+                f"unknown field spec {spec!r} (expected 'Q' or 'Fp:<p>' with p prime)")
+        return cls(p)
 
 
 TermKey = Tuple[object, int]  # (basis label, q exponent)

@@ -14,12 +14,16 @@ label entry per factor: its ground field and lambda0 come from theirs.
 
 Basis labels are checked once, where they enter, by each ring's
 ``normalize_label``; past that point partitions are normalised tuples, and
-the LR and rim-hook walks take them as they are; rim-hook reductions are
-cached like the structure constants.  ``RingPresentation._contract`` is the
-one contraction of two term lists with the structure constants:
-``quantum_product`` assembles its sums into a class, and the decomposition
-search keeps them as plain integer term dicts.  Either way coefficients are
-combined with plain arithmetic and reduced mod p by ``qalgebra.reduce_terms``.
+the LR walk and the rim-hook reduction take them as they are.  The reduction
+is the N-core of the partition's abacus, read off in closed form and cached
+like the structure constants.  ``first_chern_generator`` is one rule on
+``RingPresentation``, the sum of the degree-2 basis classes, so a product's
+q-power conversion lives only in its structure constants.
+``RingPresentation._contract`` is the one contraction of two term lists with
+the structure constants: ``quantum_product`` assembles its sums into a class,
+and the decomposition search keeps them as plain integer term dicts.  Either
+way coefficients are combined with plain arithmetic and reduced mod p by
+``qalgebra.reduce_terms``.
 ``partitions_in_box`` enumerates the Grassmannian basis.
 """
 
@@ -29,7 +33,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations_with_replacement, product
+from itertools import chain, combinations, combinations_with_replacement, product
 from typing import Dict, List, Tuple
 
 from .qalgebra import GroundField, QuantumClass, RingMismatchError
@@ -125,35 +129,29 @@ def rim_hook_reduce(nu, k: int, N: int):
     """Reduce a <=k-row partition modulo rim hooks of size N.
 
     Returns (partition in the k x (N-k) box, q-power, sign) or None when the
-    reduction dies.  Encoded via beta-numbers: beta_i = nu_i + (k - i); a rim
-    hook of size N is removable iff some beta_i - N is a fresh beta value, and
-    its height is one more than the number of beta values it jumps over.
-    Each removal contributes one q and a sign (-1)^(k - height).  nu is a
-    normalised tuple; only its part count is checked.  Results are cached, as
-    many LR terms of one G(k,N) reduce the same nu.
+    reduction dies.  On the N-abacus of the beta-numbers
+    beta_i = nu_i + (k - 1 - i), removing an N-rim hook moves one bead up its
+    runner r_i = beta_i mod N, so the reduction is the N-core, reached after
+    d = sum(beta_i // N) removals whatever their order.  It dies iff two beads
+    share a runner; otherwise the core's beta-numbers are the r_i in
+    descending order.  A removal of height h contributes one q and the sign
+    (-1)^(k - h), that is (-1)^(k - 1) times -1 for each bead it jumps, so the
+    sign is (-1)^((k - 1) d + inv) with inv = #{i < j : r_i < r_j}, the bead
+    order the removals undo.  nu is a normalised tuple; only its part count is
+    checked.  Results are cached, as many LR terms of one G(k,N) reduce the
+    same nu.
     """
     if len(nu) > k:
         raise ValueError(f"partition {nu} has more than {k} parts")
     padded = nu + (0,) * (k - len(nu))
     beta = [padded[i] + (k - 1 - i) for i in range(k)]  # strictly decreasing
-    d = 0
-    sign = 1
-    while beta[0] - (k - 1) > N - k:  # the first row overflows the box
-        for i in range(k):
-            target = beta[i] - N
-            if target < 0 or target in beta:
-                continue
-            crossings = sum(1 for b in beta if target < b < beta[i])
-            height = crossings + 1
-            sign *= (-1) ** (k - height)
-            d += 1
-            beta[i] = target
-            beta.sort(reverse=True)
-            break
-        else:
-            return None
-    parts = (b - (k - 1 - i) for i, b in enumerate(beta))
-    return tuple(part for part in parts if part), d, sign
+    runners = [b % N for b in beta]
+    if len(set(runners)) < k:
+        return None
+    d = sum(b // N for b in beta)
+    inv = sum(a < b for a, b in combinations(runners, 2))
+    parts = (b - (k - 1 - i) for i, b in enumerate(sorted(runners, reverse=True)))
+    return tuple(part for part in parts if part), d, (-1) ** ((k - 1) * d + inv)
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +245,12 @@ class RingPresentation:
                     acc[key] = acc.get(key, 0) + cab * n
         return acc
 
+    def first_chern_generator(self) -> QuantumClass:
+        """The sum of the degree-2 basis classes: u for CP^n, sigma_1 for
+        G(k,N), and each factor's generator tensored with the others' units
+        for a product."""
+        return QuantumClass.build(self, {(lbl, 0): 1 for lbl in self.basis(2)})
+
     def convert_grading(self, degree_coh: int) -> int:
         return 2 * self.complex_dim - degree_coh
 
@@ -292,9 +296,6 @@ class CPn(RingPresentation):
         e = a + b
         return (((e % (self.n + 1), e // (self.n + 1)), 1),)
 
-    def first_chern_generator(self) -> QuantumClass:
-        return self.basis_class(1)
-
 
 @dataclass(frozen=True)
 class Grassmannian(RingPresentation):
@@ -339,9 +340,6 @@ class Grassmannian(RingPresentation):
         # the smaller class as the LR content
         small, large = sorted((a, b), key=self.label_key)
         return _grassmannian_structure(self.k, self.N, large, small)
-
-    def first_chern_generator(self) -> QuantumClass:
-        return self.basis_class((1,))
 
 
 @dataclass(frozen=True)
@@ -411,15 +409,6 @@ class ProductRing(RingPresentation):
 
     def structure(self, la, lb):
         return _product_structure(self.factors, la, lb)
-
-    def first_chern_generator(self) -> QuantumClass:
-        """The sum of each factor's generator tensored with the others' units."""
-        units, N = self.unit_label(), self.N_chern
-        return QuantumClass._assemble(self, {
-            (units[:i] + (lbl,) + units[i + 1:], m * f.N_chern // N): c
-            for i, f in enumerate(self.factors)
-            for (lbl, m), c in f.first_chern_generator().terms
-        })
 
 
 # ---------------------------------------------------------------------------

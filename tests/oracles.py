@@ -23,6 +23,10 @@ orbits and `Fraction`s, where the package runs it on scaled integers.
 The decomposition oracle is the depth-first search on `QuantumClass`es: each
 step is a full `quantum_product`, and each candidate is compared with the
 class q^nu u0, where the package's search runs on integer term dicts.
+
+The rim-hook oracle removes N-rim hooks one at a time on the beta-numbers,
+with each removal's height read off the beads it jumps, where the package
+reads the N-core and the sign off the abacus runners in closed form.
 """
 
 import math
@@ -227,3 +231,30 @@ def search_decompositions_oracle(ring, ell_max, nu_max):
                               tuple(ring.label_key(lbl) for lbl in t[1])))
     return [Decomposition(classes[u0], tuple(classes[lbl] for lbl in fl), nu)
             for u0, fl, nu in found]
+
+
+def rim_hook_reduce_oracle(nu, k, N):
+    """(core, q-power, sign) of nu modulo N-rim hooks, or None, by removing
+    the hooks one at a time."""
+    if len(nu) > k:
+        raise ValueError(f"partition {nu} has more than {k} parts")
+    padded = nu + (0,) * (k - len(nu))
+    beta = [padded[i] + (k - 1 - i) for i in range(k)]  # strictly decreasing
+    d = 0
+    sign = 1
+    while beta[0] - (k - 1) > N - k:  # the first row overflows the box
+        for i in range(k):
+            target = beta[i] - N
+            if target < 0 or target in beta:
+                continue
+            crossings = sum(1 for b in beta if target < b < beta[i])
+            height = crossings + 1
+            sign *= (-1) ** (k - height)
+            d += 1
+            beta[i] = target
+            beta.sort(reverse=True)
+            break
+        else:
+            return None
+    parts = (b - (k - 1 - i) for i, b in enumerate(beta))
+    return tuple(part for part in parts if part), d, sign

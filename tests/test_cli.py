@@ -580,18 +580,37 @@ _MODEL = ["models", "verify", "--model", "in.json"]
      "malformed model spec: rational 0 is not a string"),
     ({**_CPN, "lambda0": 1}, ["ring", "basis", "--ring", "in.json", "--degree", "0"],
      "malformed ring spec: rational 1 is not a string"),
+    ({**_CPN, "field": "Fp:0"}, ["ring", "basis", "--ring", "in.json", "--degree", "0"],
+     "unknown field spec 'Fp:0'"),
 ], ids=["ring n null", "product factors 5", "scenario primes 5", "scenario ladder 5",
         "scenario monotone null", "scenario n null", "scenario prime 2.5",
         "decomposition factors 5", "model lambdas 5", "model list", "orbit list",
         "scenario orbit id 5", "orbit id null", "orbit id array", "orbit action 0.1",
         "scenario orbit delta float", "monotone lambda 0.5", "model lambdas numbers",
-        "ring lambda0 1"])
+        "ring lambda0 1", "ring field Fp:0"])
 def test_malformed_json_value_is_usage_error(workdir, record, argv, cause):
     (workdir / "in.json").write_text(json.dumps(record))
     proc = run_cli(*argv, cwd=workdir)
     assert proc.returncode == 64, proc.stderr
     assert cause in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv, cause", [
+    (["ladders", "case2", "--ring", "g24.json", "--class", "", "--orbits", "3"],
+     "empty class literal"),
+    (["ring", "basis", "--ring", "g24.json", "--degree", "2", "--field", ""],
+     "unknown field spec ''"),
+    (["ladders", "search", "--ring", "g24.json", "--ell-max", "2", "--out", ""],
+     "cannot write"),
+], ids=["case2 class", "field", "search out"])
+def test_empty_option_value_is_not_absent(workdir, argv, cause):
+    """An empty value is read, not taken for the option's default: it is a
+    usage error rather than sigma_1, the ring's own field or no file."""
+    proc = run_cli(*argv, cwd=workdir)
+    assert proc.returncode == 64, proc.stderr
+    assert cause in proc.stderr
+    assert proc.stdout == ""
 
 
 _ORBIT = {"id": "x0", "action": "1/2", "delta": "2"}

@@ -39,6 +39,12 @@ class TestGroundField:
         assert GroundField.from_spec("Fp:7").p == 7
         assert GroundField.from_spec(F5.spec()) == F5
 
+    @pytest.mark.parametrize("spec", ["Fp:0", "Fp:x"])
+    def test_spec_other_than_q_or_nonzero_p_rejected(self, spec):
+        """Fp:0 would compute over Q and print back as "Q"; Fp:x is no integer."""
+        with pytest.raises(ValueError, match=f"unknown field spec '{spec}'"):
+            GroundField.from_spec(spec)
+
     def test_coerce_residue_canonical(self):
         assert F5.coerce(Fraction(1, 2)) == 3
         assert F5.coerce(-1) == 4
