@@ -80,7 +80,7 @@ def ladders_search(ring, ell_max, nu_max, out):
         try:
             Path(out).write_text(json.dumps(payload, indent=2))
         except OSError as exc:
-            raise Exit(EXIT_USAGE, f"cannot write {out}: {exc}")
+            raise Exit(EXIT_USAGE, f"cannot write {out!r}: {exc}")
     return payload
 
 

@@ -104,7 +104,7 @@ def _verify(ring, dec: Decomposition) -> Tuple[VerificationReport, List[QuantumC
             reasons.append(f"factor u{i} does not have positive degree")
     two_n_chern = 2 * ring.N_chern
     interior = sum(degrees[:-1])
-    if len(dec.factors) >= 2 and interior >= two_n_chern:
+    if interior >= two_n_chern:
         reasons.append(
             f"interior degree sum {interior} is not < 2N = {two_n_chern}"
         )
@@ -170,14 +170,8 @@ def search_decompositions(ring, ell_max: int, nu_max: int) -> List[Decomposition
 
         dfs([], {(u0_label, 0): 1}, 0, 0)
 
-    found.sort(
-        key=lambda t: (
-            -len(t[1]),
-            t[2],
-            ring.label_key(t[0]),
-            tuple(ring.label_key(l) for l in t[1]),
-        )
-    )
+    # the walk meets u0 and factors in label_key order; the stable sort keeps it
+    found.sort(key=lambda t: (-len(t[1]), t[2]))
     used = {lbl for u0l, fl, _ in found for lbl in (u0l, *fl)}
     classes = {lbl: ring.basis_class(lbl) for lbl in used}
     return [

@@ -2,7 +2,8 @@
 
 Grassmannian products run through the classical Littlewood-Richardson rule
 followed by rim-hook reduction of out-of-box terms; the quantum Pieri rule is
-kept as an independent implementation and used as a cross-check oracle.
+kept as an independent implementation and used as a cross-check oracle.  It
+shares no code with either: it is two filters over ``partitions_in_box``.
 The LR rule is one walk that adds the content's boxes to the other shape as
 horizontal strips under the lattice condition, so it meets only the nu with
 a nonzero coefficient.  Structure constants are integers independent of the
@@ -24,7 +25,8 @@ the structure constants: ``quantum_product`` assembles its sums into a class,
 and the decomposition search keeps them as plain integer term dicts.  Either
 way coefficients are combined with plain arithmetic and reduced mod p by
 ``qalgebra.reduce_terms``.
-``partitions_in_box`` enumerates the Grassmannian basis.
+``partitions_in_box`` is the one partition enumerator: it lists the
+Grassmannian basis and is the set the Pieri oracle filters.
 """
 
 from __future__ import annotations
@@ -416,12 +418,13 @@ class ProductRing(RingPresentation):
 
 
 def quantum_pieri(ring: Grassmannian, lam, p: int) -> QuantumClass:
-    """sigma_lam * sigma_p by the quantum Pieri rule.
+    """sigma_lam * sigma_p by the quantum Pieri rule (Bertram 1997).
 
-    Classical part: horizontal strips mu >= lam inside the box with
-    |mu| = |lam| + p.  Quantum part: one power of q on each rho with
-    |rho| = |lam| + p - N and lam_1 - 1 >= rho_1 >= lam_2 - 1 >= rho_2 >= ...
-    >= lam_k - 1 >= rho_k >= 0.
+    Two filters over the k x (N-k) box, with lam and each mu padded to k
+    parts and lam_0 := N - k.  Classical term sigma_mu: |mu| = |lam| + p and
+    lam_i <= mu_i <= lam_{i-1} for every i, the horizontal strips.  Quantum
+    term q sigma_mu: lam has k nonzero parts, |mu| = |lam| + p - N and
+    lam_{i+1} - 1 <= mu_i <= lam_i - 1 for every i, with lam_{k+1} - 1 := 0.
     """
     if not isinstance(ring, Grassmannian):
         raise TypeError("quantum Pieri applies to Grassmannian rings")
@@ -430,45 +433,17 @@ def quantum_pieri(ring: Grassmannian, lam, p: int) -> QuantumClass:
     if not 1 <= p <= N - k:
         raise ValueError(f"Pieri degree p={p} out of range [1, {N - k}]")
     lam_p = lam + (0,) * (k - len(lam))
+    above = (N - k,) + lam_p  # lam_{i-1}
+    below = lam_p[1:] + (1,)  # lam_{i+1}, and lam_{k+1} - 1 = 0
+    size = sum(lam) + p
     acc: dict = {}
-
-    # classical horizontal strips
-    target = sum(lam) + p
-
-    def strips(i, prefix):
-        if i == k:
-            mu = normalize_partition(prefix)
-            if sum(mu) == target:
-                acc[(mu, 0)] = acc.get((mu, 0), 0) + 1
-            return
-        lo = lam_p[i]
-        hi = lam_p[i - 1] if i > 0 else N - k
-        hi = min(hi, N - k)
-        for val in range(lo, hi + 1):
-            if sum(prefix) + val > target:
-                break
-            strips(i + 1, prefix + [val])
-
-    strips(0, [])
-
-    # quantum part
-    qtarget = sum(lam) + p - N
-    if qtarget >= 0 and all(lam_p[i] >= 1 for i in range(k)):
-
-        def rhos(i, prefix):
-            if i == k:
-                rho = normalize_partition(prefix)
-                if sum(rho) == qtarget:
-                    acc[(rho, 1)] = acc.get((rho, 1), 0) + 1
-                return
-            hi = lam_p[i] - 1
-            lo = lam_p[i + 1] - 1 if i + 1 < k else 0
-            lo = max(lo, 0)
-            for val in range(lo, hi + 1):
-                rhos(i + 1, prefix + [val])
-
-        rhos(0, [])
-
+    for mu in partitions_in_box(k, N - k):
+        mu_p = mu + (0,) * (k - len(mu))
+        if sum(mu) == size and all(l <= m <= a for l, m, a in zip(lam_p, mu_p, above)):
+            acc[(mu, 0)] = 1
+        if (len(lam) == k and sum(mu) == size - N
+                and all(b - 1 <= m <= l - 1 for b, m, l in zip(below, mu_p, lam_p))):
+            acc[(mu, 1)] = 1
     return QuantumClass.build(ring, acc)
 
 

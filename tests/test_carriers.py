@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -20,8 +21,8 @@ from qhcalc.carriers import (
     stable_subsequence,
 )
 from qhcalc.ladders import Decomposition, build_ladder, case_ii_ladder
-from qhcalc.models import CPnQuadraticModel, fixed_points
-from qhcalc.rings import CPn, Grassmannian
+from qhcalc.models import CPnQuadraticModel, ProductModel, fixed_points
+from qhcalc.rings import CPn, Grassmannian, ProductRing
 from qhcalc.spectra import CappedOrbit, MonotoneData
 
 from oracles import (
@@ -379,6 +380,43 @@ class TestRelationVerdict:
                 table = OrbitTable(md=base.md, n=base.n, orbits=tuple(orbits))
                 verdict = relation_verdict(table, cpn_ladder(n), PRIMES)
                 assert verdict.status == "contradiction", (lams, idx, delta)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 1: an iterate whose angles are all integers keeps the "
+        "row's strict index window, so no assignment is admissible"))
+    @pytest.mark.parametrize("lams, k", [
+        ((0, Fraction(1, 3)), 3),
+        ((0, Fraction(2, 7)), 7),
+        ((0, Fraction(1, 5), Fraction(2, 5), Fraction(3, 5)), 5),
+    ], ids=["CP^1 1/3 k=3", "CP^1 2/7 k=7", "CP^3 j/5 k=5"])
+    def test_genuine_model_at_a_degenerate_iterate(self, lams, k):
+        model = CPnQuadraticModel(lambdas=lams)
+        table = OrbitTable(md=model.monotone_data, n=model.n,
+                           orbits=tuple(fixed_points(model)))
+        assert relation_verdict(table, cpn_ladder(model.n), [k]).status == "consistent"
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 15: the verdict follows the first admissible assignment "
+        "in orbit-id order, so a renaming can change it"))
+    def test_renaming_the_orbits_keeps_the_status(self):
+        model = ProductModel(factors=(
+            CPnQuadraticModel(lambdas=(Fraction(-1, 32), Fraction(9, 32))),
+            CPnQuadraticModel(lambdas=(Fraction(1, 4), Fraction(19, 32))),
+        ))
+        orbits = tuple(replace(o, action=o.action - Fraction(3, 128))
+                       if o.orbit_id == "x0*x1" else o for o in fixed_points(model))
+        ring = ProductRing(factors=(CPn(n=1), CPn(n=1)))
+        u = ring.basis_class((0, 1))
+        ladder = build_ladder(ring, Decomposition(u0=ring.one(), factors=(u, u), nu=1))
+        primes = PRIMES[1:15]  # 3 to 47
+        names = {"x0*x0": "a", "x1*x1": "b", "x1*x0": "c", "x0*x1": "d"}
+        statuses = [
+            relation_verdict(OrbitTable(md=model.monotone_data, n=model.n, orbits=rows),
+                             ladder, primes).status
+            for rows in (orbits, tuple(replace(o, orbit_id=names[o.orbit_id])
+                                       for o in orbits))
+        ]
+        assert statuses[0] == statuses[1], statuses
 
 
 class TestDistinctness:

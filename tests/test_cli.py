@@ -170,7 +170,7 @@ class TestLadders:
                        "--out", "missing/decs.json", cwd=workdir)
         assert proc.returncode == 64, proc.stderr
         assert proc.stdout == ""
-        assert proc.stderr.startswith("cannot write missing/decs.json: ")
+        assert proc.stderr.startswith("cannot write 'missing/decs.json': ")
         assert "Traceback" not in proc.stderr
 
     def test_build(self, workdir):
@@ -602,7 +602,7 @@ def test_malformed_json_value_is_usage_error(workdir, record, argv, cause):
     (["ring", "basis", "--ring", "g24.json", "--degree", "2", "--field", ""],
      "unknown field spec ''"),
     (["ladders", "search", "--ring", "g24.json", "--ell-max", "2", "--out", ""],
-     "cannot write"),
+     "cannot write '': "),
 ], ids=["case2 class", "field", "search out"])
 def test_empty_option_value_is_not_absent(workdir, argv, cause):
     """An empty value is read, not taken for the option's default: it is a
