@@ -16,8 +16,9 @@ degree (no v_j of a verified decomposition is 0), and the wrap-around step is
 The decomposition search runs on plain integer term dicts {(label, m): c},
 through the ring's structure-constant contraction and `qalgebra.reduce_terms`
 (the one reduction mod p), and builds `QuantumClass`es only for what it
-finds.  Verification and ladders stay on `QuantumClass`, so the checker
-shares no walk with the search.
+finds.  It carries one degree, the chain's, which is the interior degree of
+any longer chain, so a chain grows only while it is below 2N.  Verification
+and ladders stay on `QuantumClass`, so the checker shares no walk with it.
 """
 
 from __future__ import annotations
@@ -141,22 +142,20 @@ def search_decompositions(ring, ell_max: int, nu_max: int) -> List[Decomposition
     two_n_chern = 2 * ring.N_chern
     p = ring.field.p
     labels = sorted(ring.basis_labels(), key=ring.label_key)
-    degree = {lbl: ring.label_degree(lbl) for lbl in labels}
     # (label, degree, the label's basis class as a term list)
-    factors = [(lbl, degree[lbl], (((lbl, 0), 1),)) for lbl in labels if degree[lbl] > 0]
+    factors = [(lbl, d, (((lbl, 0), 1),)) for lbl in labels if (d := ring.label_degree(lbl)) > 0]
     found: List[Tuple] = []
     for u0_label in labels:
 
-        def dfs(chain, partial, interior_deg, total_deg):
-            ell = len(chain)
-            if ell >= 1 and total_deg % two_n_chern == 0:
+        def dfs(chain, partial, total_deg):
+            # a nonempty chain has total_deg > 0, and the skip below keeps
+            # it <= 2N*nu_max, so a hit has 1 <= nu <= nu_max
+            if chain and total_deg % two_n_chern == 0:
                 nu = total_deg // two_n_chern
-                if 1 <= nu <= nu_max and partial == {(u0_label, nu): 1}:
+                if partial == {(u0_label, nu): 1}:
                     found.append((u0_label, tuple(chain), nu))
-            # all but the last factor must respect the interior bound;
-            # the current last entry becomes interior once we extend
-            new_interior = interior_deg + (degree[chain[-1]] if chain else 0)
-            if ell == ell_max or new_interior >= two_n_chern:
+            # extending makes the whole chain interior: its degree is total_deg
+            if len(chain) == ell_max or total_deg >= two_n_chern:
                 return
             for lbl, deg, terms in factors:
                 if total_deg + deg > two_n_chern * nu_max:
@@ -165,10 +164,10 @@ def search_decompositions(ring, ell_max: int, nu_max: int) -> List[Decomposition
                 if not step:
                     continue
                 chain.append(lbl)
-                dfs(chain, step, new_interior, total_deg + deg)
+                dfs(chain, step, total_deg + deg)
                 chain.pop()
 
-        dfs([], {(u0_label, 0): 1}, 0, 0)
+        dfs([], {(u0_label, 0): 1}, 0)
 
     # the walk meets u0 and factors in label_key order; the stable sort keeps it
     found.sort(key=lambda t: (-len(t[1]), t[2]))

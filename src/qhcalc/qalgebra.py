@@ -182,17 +182,17 @@ class QuantumClass:
 
     # -- grading -----------------------------------------------------------
 
-    def term_degree(self, key: TermKey) -> int:
-        label, m = key
-        return self.ring.label_degree(label) + 2 * self.ring.N_chern * m
+    def _degrees(self) -> set:
+        """The degrees |b| + 2N*m of the terms."""
+        two_n_chern = 2 * self.ring.N_chern
+        return {self.ring.label_degree(label) + two_n_chern * m for (label, m), _ in self.terms}
 
     def is_homogeneous(self) -> bool:
-        degs = {self.term_degree(k) for k, _ in self.terms}
-        return len(degs) <= 1
+        return len(self._degrees()) <= 1
 
     def degree(self) -> int:
         """Cohomological degree of a nonzero homogeneous class."""
-        degs = {self.term_degree(k) for k, _ in self.terms}
+        degs = self._degrees()
         if not degs:
             raise GradingError("zero class has no degree")
         if len(degs) > 1:

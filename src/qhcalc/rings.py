@@ -18,8 +18,9 @@ Basis labels are checked once, where they enter, by each ring's
 the LR walk and the rim-hook reduction take them as they are.  The reduction
 is the N-core of the partition's abacus, read off in closed form and cached
 like the structure constants.  ``first_chern_generator`` is one rule on
-``RingPresentation``, the sum of the degree-2 basis classes, so a product's
-q-power conversion lives only in its structure constants.
+``RingPresentation``, the sum of the degree-2 basis classes assembled from
+the ring's own labels, so a product's q-power conversion lives only in its
+structure constants.
 ``RingPresentation._contract`` is the one contraction of two term lists with
 the structure constants: ``quantum_product`` assembles its sums into a class,
 and the decomposition search keeps them as plain integer term dicts.  Either
@@ -251,7 +252,8 @@ class RingPresentation:
         """The sum of the degree-2 basis classes: u for CP^n, sigma_1 for
         G(k,N), and each factor's generator tensored with the others' units
         for a product."""
-        return QuantumClass.build(self, {(lbl, 0): 1 for lbl in self.basis(2)})
+        one = self.field.one()
+        return QuantumClass._assemble(self, {(lbl, 0): one for lbl in self.basis(2)})
 
     def convert_grading(self, degree_coh: int) -> int:
         return 2 * self.complex_dim - degree_coh

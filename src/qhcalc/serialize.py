@@ -11,9 +11,10 @@ strings in JSON.
 Each record is read whole here: a ring (a product's ``"field"`` is the
 default of its factors, and it has no ``"lambda0"``), a decomposition, an
 orbit, a table, a model and a scenario, whose ladder `scenario_from_json`
-builds.  A record has no key but its own: `known_keys` makes any other, a
-misspelt optional key included, a ParseError rather than dropping it for
-its default.  The command line reads no record key itself.
+builds.  One table, `_RING_KINDS`, gives the reader and the writer the keys
+of a CP^n and a G(k,N) record.  A record has no key but its own: `known_keys`
+makes any other, a misspelt optional key included, a ParseError rather than
+dropping it for its default.  The command line reads no record key itself.
 """
 
 from __future__ import annotations
@@ -201,6 +202,9 @@ def class_to_str(cls: QuantumClass) -> str:
 # ---------------------------------------------------------------------------
 # ring JSON
 
+# kind -> (class, JSON-integer keys in record order, between "kind" and "field")
+_RING_KINDS = {"cpn": (CPn, ("n",)), "grassmannian": (Grassmannian, ("k", "N"))}
+
 
 def ring_from_json(data, field: GroundField = None) -> RingPresentation:
     """The ring of a record.
@@ -237,30 +241,22 @@ def _ring_from_json(data, field: GroundField, spec: str) -> RingPresentation:
         lambda0 = frac_from_str(data.get("lambda0", "1"))
         if field is None:
             field = GroundField.from_spec(spec)
-        if kind == "cpn":
-            known_keys(data, "ring spec", "kind n field lambda0")
-            return CPn(n=json_typed(data["n"], int, "n"), field=field, lambda0=lambda0)
-        if kind == "grassmannian":
-            known_keys(data, "ring spec", "kind k N field lambda0")
-            return Grassmannian(
-                k=json_typed(data["k"], int, "k"), N=json_typed(data["N"], int, "N"),
-                field=field, lambda0=lambda0,
-            )
+        for name, (cls, keys) in _RING_KINDS.items():  # ==, not in: a kind may be a list
+            if kind == name:
+                known_keys(data, "ring spec", " ".join(("kind", *keys, "field lambda0")))
+                ints = {key: json_typed(data[key], int, key) for key in keys}
+                return cls(**ints, field=field, lambda0=lambda0)
     raise ParseError(f"unknown ring kind {kind!r}")
 
 
 def ring_to_json(ring: RingPresentation) -> dict:
     """The ring record; a product's lambda0 follows from its factors' by Kunneth."""
-    if isinstance(ring, CPn):
-        return {
-            "kind": "cpn", "n": ring.n, "field": ring.field.spec(),
-            "lambda0": frac_to_str(ring.lambda0),
-        }
-    if isinstance(ring, Grassmannian):
-        return {
-            "kind": "grassmannian", "k": ring.k, "N": ring.N,
-            "field": ring.field.spec(), "lambda0": frac_to_str(ring.lambda0),
-        }
+    for kind, (cls, keys) in _RING_KINDS.items():
+        if isinstance(ring, cls):
+            return {
+                "kind": kind, **{key: getattr(ring, key) for key in keys},
+                "field": ring.field.spec(), "lambda0": frac_to_str(ring.lambda0),
+            }
     return {
         "kind": "product",
         "factors": [ring_to_json(f) for f in ring.factors],

@@ -20,7 +20,7 @@ from qhcalc.carriers import (
     relation_verdict,
     stable_subsequence,
 )
-from qhcalc.ladders import Decomposition, build_ladder, case_ii_ladder
+from qhcalc.ladders import Decomposition, build_ladder, case_ii_ladder, search_decompositions
 from qhcalc.models import CPnQuadraticModel, ProductModel, fixed_points
 from qhcalc.rings import CPn, Grassmannian, ProductRing
 from qhcalc.spectra import CappedOrbit, MonotoneData
@@ -311,6 +311,38 @@ class TestCountingCheck:
         assert verdict.status == "contradiction"
 
 
+# The rings of the two model sweeps below, as the CP^d factors of their models
+SWEEP_FACTORS = ((1,), (2,), (3,), (1, 1))
+
+
+def sweep_ring(dims):
+    rings = tuple(CPn(n=d) for d in dims)
+    return rings[0] if len(rings) == 1 else ProductRing(factors=rings)
+
+
+def sweep_ladders(ring, nu_max):
+    """The ladder of every decomposition that the search finds with
+    ell <= n + 1 and nu <= nu_max."""
+    return [build_ladder(ring, dec)
+            for dec in search_decompositions(ring, ring.complex_dim + 1, nu_max)]
+
+
+def isolated_model_rows(rng, dims, dens):
+    """The model with one CP^d factor per d in dims, each with actions x/den
+    for x in -12..12 and den in dens (den > d), drawn again until no two of a
+    factor's actions differ by an integer, so that its fixed points are
+    isolated (ROADMAP item 16); with its fixed-point rows."""
+    factors = []
+    for d in dims:
+        den = rng.choice([q for q in dens if q > d])
+        xs = rng.sample(range(-12, 13), d + 1)
+        while len({x % den for x in xs}) <= d:
+            xs = rng.sample(range(-12, 13), d + 1)
+        factors.append(CPnQuadraticModel(lambdas=tuple(Fraction(x, den) for x in xs)))
+    model = factors[0] if len(factors) == 1 else ProductModel(factors=tuple(factors))
+    return model, tuple(fixed_points(model))
+
+
 class TestRelationVerdict:
     def test_cp1_cp2_consistent(self):
         for lams, n in (((0, Fraction(1, 8)), 1), ((0, Fraction(1, 8), Fraction(3, 8)), 2)):
@@ -417,6 +449,59 @@ class TestRelationVerdict:
                                        for o in orbits))
         ]
         assert statuses[0] == statuses[1], statuses
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 1: a degenerate iterate keeps the row's strict index "
+        "window, so genuine models get 'no admissible assignment'"))
+    def test_genuine_models_are_consistent_under_every_ladder(self):
+        """Item 1's regression sweep: six seeded genuine models per ring, with
+        prime denominators, are consistent over the primes below 100 under
+        every ladder the search finds with ell <= n + 1 and nu <= 2."""
+        rng = random.Random(1)
+        wrong = []
+        for dims in SWEEP_FACTORS:
+            ladders = sweep_ladders(sweep_ring(dims), 2)
+            for _ in range(6):
+                model, rows = isolated_model_rows(rng, dims, (3, 5, 7, 11))
+                table = OrbitTable(md=model.monotone_data, n=model.n, orbits=rows)
+                for ladder in ladders:
+                    verdict = relation_verdict(table, ladder, PRIMES)
+                    if verdict.status != "consistent":
+                        wrong.append((model, ladder.window[0], verdict.witness))
+        assert not wrong, f"{len(wrong)} verdicts are not consistent, first {wrong[0]}"
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 15: the verdict follows the first admissible assignment "
+        "in orbit-id order, so a renaming can change it"))
+    def test_renaming_random_tables_keeps_the_status(self):
+        """Item 15's renaming property: four seeded perturbed tables per ring
+        (actions over 32, one shifted by a nonzero multiple of 1/256 of size
+        at most 1/64) keep their status over the primes 3 to 47 under two
+        random renamings, for every nu = 1 ladder the search finds."""
+        rng = random.Random(1)
+        primes = PRIMES[1:15]
+        changed = []
+        for dims in SWEEP_FACTORS[1:]:
+            ladders = sweep_ladders(sweep_ring(dims), 1)
+            for _ in range(4):
+                model, rows = isolated_model_rows(rng, dims, (32,))
+                idx = rng.randrange(len(rows))
+                shift = Fraction(rng.choice([-4, -3, -2, -1, 1, 2, 3, 4]), 256)
+                rows = tuple(replace(o, action=o.action + shift) if i == idx else o
+                             for i, o in enumerate(rows))
+                tables = [rows]
+                for _ in range(2):
+                    names = rng.sample(range(len(rows)), len(rows))
+                    tables.append(tuple(replace(o, orbit_id=f"o{j}")
+                                        for o, j in zip(rows, names)))
+                for ladder in ladders:
+                    first, *renamed = (
+                        relation_verdict(OrbitTable(md=model.monotone_data, n=model.n,
+                                                    orbits=t), ladder, primes).status
+                        for t in tables)
+                    changed += [(model, idx, shift, status) for status in renamed
+                                if status != first]
+        assert not changed, f"{len(changed)} renamed verdicts changed, first {changed[0]}"
 
 
 class TestDistinctness:

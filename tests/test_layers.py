@@ -156,13 +156,51 @@ def referenced_names(tree: ast.Module) -> set:
     return found
 
 
+def package_trees() -> dict:
+    return {module: ast.parse((PACKAGE / f"{module}.py").read_text()) for module in ALLOWED}
+
+
 def test_every_public_name_is_referenced():
     """A public name that nothing in the package reads is dead code, unless
     UNREFERENCED names it with its reason; a name listed there that gains a
     reader, or goes, leaves the list too."""
-    trees = {module: ast.parse((PACKAGE / f"{module}.py").read_text()) for module in ALLOWED}
+    trees = package_trees()
     read = set().union(*map(referenced_names, trees.values()))
     unread = {f"{module}.{name}" for module, tree in trees.items()
               for name in public_names(tree) - read}
     listed = set(UNREFERENCED)
+    assert unread == listed, f"unread: {sorted(unread - listed)}, read: {sorted(listed - unread)}"
+
+
+# Public methods that nothing in the package reads as an attribute, each with
+# the reason it stays.
+UNREAD_METHODS = {
+    "qalgebra.GroundField.characteristic": "perfbench reads it (ROADMAP items 8 and 11)",
+    "qalgebra.GroundField.inv": "perfbench calls it, tests/test_qalgebra.py checks it "
+                                "(ROADMAP items 8 and 11)",
+    "qalgebra.QuantumClass.scale": "perfbench and the tests call it (ROADMAP items 8 and 11)",
+    "rings.RingPresentation.zero": "perfbench and the tests call it (ROADMAP items 8 and 11)",
+}
+
+
+def public_methods(tree: ast.Module) -> set:
+    """(class, name) of each def without a leading underscore in the body of
+    a top-level class, properties included."""
+    return {(node.name, item.name) for node in tree.body if isinstance(node, ast.ClassDef)
+            for item in node.body
+            if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")}
+
+
+def test_every_public_method_is_read():
+    """A public method that nothing in the package reads as an attribute
+    (``x.name``) is dead code, unless UNREAD_METHODS names it with its
+    reason; a method listed there that gains a reader, or goes, leaves the
+    list too.  Only attribute reads count: a bare name may be a local of the
+    same name, as ``inv`` is in ``rings.rim_hook_reduce``."""
+    trees = package_trees()
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store)}
+    unread = {f"{module}.{cls}.{name}" for module, tree in trees.items()
+              for cls, name in public_methods(tree) if name not in read}
+    listed = set(UNREAD_METHODS)
     assert unread == listed, f"unread: {sorted(unread - listed)}, read: {sorted(listed - unread)}"
