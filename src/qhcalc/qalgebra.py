@@ -1,15 +1,19 @@
 """Exact ground-field arithmetic and Novikov-graded quantum classes.
 
-Everything here is exact: rationals are ``fractions.Fraction``, prime-field
-elements are canonical residues in ``[0, p)``.  No floats anywhere.
+Everything here is exact, and every scalar has one canonical form.  Over
+the rationals an integral value is an ``int`` and any other value a
+``fractions.Fraction``; prime-field elements are ``int`` residues in
+``[0, p)``.  No floats anywhere.  Structure constants are integers, so
+products of integral classes over Q never build a ``Fraction``.
 
 ``GroundField.coerce`` is the one entry point for scalars from outside
 (``QuantumClass.build``, ``scale``, class literals, ``one``).  Past it, ring
 operations combine coefficients with plain ``+``, ``-`` and ``*``, and
-``reduce_terms`` is the one rule that reduces the sums mod p and drops zeros:
-``QuantumClass._assemble`` applies it to every class, and the decomposition
-search to its plain integer term dicts.  ``QuantumClass.build`` is the
-checked entry for outside terms (it normalises labels and coerces scalars).
+``reduce_terms`` is the one rule that brings the sums to canonical form and
+drops zeros: ``QuantumClass._assemble`` applies it to every class, and the
+decomposition search to its plain integer term dicts.
+``QuantumClass.build`` is the checked entry for outside terms (it
+normalises labels and coerces scalars).
 """
 
 from __future__ import annotations
@@ -58,9 +62,9 @@ class GroundField:
 
     def coerce(self, x: Scalar) -> Scalar:
         """Bring an integer or rational into canonical form for this field."""
-        if self.p == 0:
-            return Fraction(x)
         x = Fraction(x)
+        if self.p == 0:
+            return x.numerator if x.denominator == 1 else x
         if x.denominator % self.p == 0:
             raise ZeroDivisionError(f"denominator {x.denominator} not invertible mod {self.p}")
         return x.numerator * pow(x.denominator, -1, self.p) % self.p
@@ -73,7 +77,7 @@ class GroundField:
         if a == 0:
             raise ZeroDivisionError("inversion of zero")
         if self.p == 0:
-            return Fraction(1) / a
+            return self.coerce(Fraction(1) / a)
         return pow(int(a), -1, self.p)
 
     def spec(self) -> str:
@@ -99,11 +103,12 @@ TermKey = Tuple[object, int]  # (basis label, q exponent)
 
 
 def reduce_terms(terms: Mapping[TermKey, Scalar], p: int) -> Dict[TermKey, Scalar]:
-    """The nonzero terms, each coefficient reduced mod p when p > 0 (integers
-    standing for their residues in F_p): the one reduction mod p."""
+    """The nonzero terms, each coefficient in canonical form (integers
+    standing for their residues in F_p when p > 0): the one reduction."""
     if p:
         return {key: r for key, c in terms.items() if (r := c % p)}
-    return {key: c for key, c in terms.items() if c}
+    return {key: c if c.denominator != 1 else c.numerator
+            for key, c in terms.items() if c}
 
 
 @dataclass(frozen=True)

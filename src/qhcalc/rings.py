@@ -6,12 +6,15 @@ kept as an independent implementation and used as a cross-check oracle.  It
 shares no code with either: it is two filters over ``partitions_in_box``.
 The LR rule is one walk that adds the content's boxes to the other shape as
 horizontal strips under the lattice condition, so it meets only the nu with
-a nonzero coefficient.  Structure constants are integers independent of the
-ground field; those of G(k,N) are computed once over Z and cached under the
-unordered pair of labels, since c^nu_{lam,mu} = c^nu_{mu,lam}, with the
-smaller label as the content.  A product's table is cached once per tuple of
-factors and pair of labels.  A product ring is its flat tuple of factors, one
-label entry per factor: its ground field and lambda0 come from theirs.
+a nonzero coefficient.  Label i starts on row i, and each row takes at
+least what the rows below it have no room for, so no branch of the walk
+dead-ends for want of room.  Structure constants are integers independent
+of the ground field; those of G(k,N) are computed once over Z and cached
+under the unordered pair of labels, since c^nu_{lam,mu} = c^nu_{mu,lam},
+with the smaller label as the content.  A product's table is cached once
+per tuple of factors and pair of labels.  A product ring is its flat tuple
+of factors, one label entry per factor: its ground field and lambda0 come
+from theirs.
 
 Basis labels are checked once, where they enter, by each ring's
 ``normalize_label``; past that point partitions are normalised tuples, and
@@ -82,14 +85,21 @@ def littlewood_richardson(lam, mu, rows: int) -> Dict[Partition, int]:
     shape as a horizontal strip, filling the rows from the top: row r takes
     no box past the end of row r-1 in the shape before label i.  The lattice
     condition is kept as each row is filled: the i's in rows <= r are at most
-    the (i-1)'s in rows < r.  Each leaf is one tableau, so exactly the nu
-    with c^nu_{lam,mu} > 0 appear, with their multiplicities, in
-    lexicographic order.  The walk's cost grows with mu, so callers that may
-    swap the factors pass the smaller one as mu.  lam and mu are normalised
-    tuples; only their part counts are checked.
+    the (i-1)'s in rows < r.  So label i has no box above row i, and its
+    walk starts there.  The strip's capacity bounds each row from below: in
+    the shape before label i, the rows under r have room for at most
+    shape[r] - shape[-1] boxes between them (their row-by-row capacities
+    telescope), so row r takes at least the rest, and the last row takes all
+    that is left.  No branch dead-ends for want of room; each leaf is one
+    tableau, so exactly the nu with c^nu_{lam,mu} > 0 appear, with their
+    multiplicities, in lexicographic order.  The walk's cost grows with mu,
+    so callers that may swap the factors pass the smaller one as mu.  lam
+    and mu are normalised tuples; only their part counts are checked.
     """
     if len(lam) > rows or len(mu) > rows:
         raise ValueError(f"inputs must have at most {rows} parts")
+    if not mu:
+        return {lam: 1}
     shape = list(lam) + [0] * (rows - len(lam))
     strips = [[0] * rows for _ in mu]  # strips[i][r]: boxes labelled i+1 in row r
     out: Dict[Partition, int] = {}
@@ -99,27 +109,27 @@ def littlewood_richardson(lam, mu, rows: int) -> Dict[Partition, int]:
         # of its boxes and `above` boxes of label i-1 are in rows < r
         if left == 0:
             if i + 1 < len(mu):
-                walk(i + 1, 0, mu[i + 1], 0, 0)
+                # label i's boxes in rows <= i all lie in row i
+                walk(i + 1, i + 1, mu[i + 1], 0, strips[i][i])
             else:
                 nu = tuple(part for part in shape if part)
                 out[nu] = out.get(nu, 0) + 1
             return
-        if r == rows:
-            return
         strip = strips[i]
+        base = shape[r]
         most = left if i == 0 else min(left, above - placed)
         if r > 0:
-            most = min(most, shape[r - 1] - strip[r - 1] - shape[r])
+            most = min(most, shape[r - 1] - strip[r - 1] - base)
+        fewest = left - (base - shape[-1])
         below = above + strips[i - 1][r] if i else 0
-        base = shape[r]
-        for n in range(most + 1):
+        for n in range(max(0, fewest), most + 1):
             shape[r] = base + n
             strip[r] = n
             walk(i, r + 1, left - n, placed + n, below)
         shape[r] = base
         strip[r] = 0
 
-    walk(-1, 0, 0, 0, 0)  # no label yet: start label 0, or stop at lam if mu = ()
+    walk(0, 0, mu[0], 0, 0)
     return dict(sorted(out.items()))
 
 

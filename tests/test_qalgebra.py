@@ -10,6 +10,7 @@ from qhcalc.qalgebra import (
     GroundField,
     QuantumClass,
     RingMismatchError,
+    reduce_terms,
 )
 from qhcalc.rings import CPn, Grassmannian, ProductRing
 
@@ -48,6 +49,35 @@ class TestGroundField:
     def test_coerce_residue_canonical(self):
         assert F5.coerce(Fraction(1, 2)) == 3
         assert F5.coerce(-1) == 4
+
+    def test_coerce_rational_integral_is_int(self):
+        """Over Q an integral value is an int and any other a Fraction."""
+        two = Q.coerce(Fraction(6, 3))
+        assert type(two) is int and two == 2
+        half = Q.coerce(Fraction(1, 2))
+        assert type(half) is Fraction and half == Fraction(1, 2)
+
+    def test_inverse_rational_follows_canonical_rule(self):
+        two = Q.inv(Fraction(1, 2))
+        assert type(two) is int and two == 2
+        half = Q.inv(2)
+        assert type(half) is Fraction and half == Fraction(1, 2)
+
+
+def test_reduce_terms_rational_integral_is_int():
+    key = ((1,), 0)
+    reduced = reduce_terms({key: Fraction(4, 2), ((2,), 0): Fraction(0)}, 0)
+    assert reduced == {key: 2} and type(reduced[key]) is int
+
+
+def test_scalars_that_cancel_give_int_coefficients():
+    """sigma_1/2 times 2 sigma_1 in G(2,4) over Q: the scalars cancel, so the
+    product's coefficients are ints, not Fraction(n, 1)."""
+    ring = Grassmannian(k=2, N=4)
+    s1 = ring.basis_class((1,))
+    product = s1.scale(Fraction(1, 2)) * s1.scale(2)
+    assert product == s1 * s1
+    assert product.terms and all(type(c) is int for _, c in product.terms)
 
 
 _REDUCTION_RINGS = (
@@ -196,7 +226,7 @@ def assert_canonical(x):
     for (label, m), c in x.terms:
         assert c != 0
         if p == 0:
-            assert type(c) is Fraction
+            assert type(c) is (int if c.denominator == 1 else Fraction)
         else:
             assert type(c) is int and 0 <= c < p
         assert ring.normalize_label(label) == label

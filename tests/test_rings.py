@@ -91,6 +91,37 @@ class TestLittlewoodRichardson:
                 lam, mu, rows
             ), (lam, mu, rows)
 
+    def test_one_row(self):
+        """With one row only the single-row shape survives; the last row
+        takes every box of the strip."""
+        assert littlewood_richardson((2,), (3,), 1) == {(5,): 1}
+        assert littlewood_richardson((), (4,), 1) == {(4,): 1}
+
+    def test_empty_factor_is_the_unit(self):
+        assert littlewood_richardson((), (2, 1), 3) == {(2, 1): 1}
+        assert littlewood_richardson((2, 1), (), 3) == {(2, 1): 1}
+        assert littlewood_richardson((), (), 2) == {(): 1}
+
+    def test_content_with_rows_parts_ends_on_the_last_row(self):
+        """mu has `rows` parts, so its last label starts on the last row."""
+        assert littlewood_richardson((1,), (1, 1, 1), 3) == {(2, 1, 1): 1}
+        assert littlewood_richardson((2, 1), (1, 1), 2) == {(3, 2): 1}
+        assert littlewood_richardson((), (2, 2, 1), 3) == {(2, 2, 1): 1}
+        assert littlewood_richardson((3, 1), (2, 1, 1), 3) == lr_coefficients_oracle(
+            (3, 1), (2, 1, 1), 3)
+
+    def test_every_pair_in_small_boxes(self):
+        """Every pair in the 3x4, 2x5, 4x2 and 1x6 boxes (1,940 pairs), in
+        lexicographic order and equal to the Schur-polynomial oracle."""
+        cases = [(lam, mu, rows) for rows, cols in ((3, 4), (2, 5), (4, 2), (1, 6))
+                 for lam in partitions_in_box(rows, cols)
+                 for mu in partitions_in_box(rows, cols)]
+        assert len(cases) == 1940
+        for lam, mu, rows in cases:
+            coefficients = littlewood_richardson(lam, mu, rows)
+            assert list(coefficients) == sorted(coefficients), (lam, mu, rows)
+            assert coefficients == lr_coefficients_oracle(lam, mu, rows), (lam, mu, rows)
+
     @settings(derandomize=True, deadline=None)
     @given(lam=_BOX_4X4, mu=_BOX_4X4)
     def test_symmetric_and_matches_schur_oracle(self, lam, mu):
