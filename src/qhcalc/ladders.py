@@ -17,8 +17,12 @@ The decomposition search runs on plain integer term dicts {(label, m): c},
 through the ring's structure-constant contraction and `qalgebra.reduce_terms`
 (the one reduction mod p), and builds `QuantumClass`es only for what it
 finds.  It carries one degree, the chain's, which is the interior degree of
-any longer chain, so a chain grows only while it is below 2N.  Verification
-and ladders stay on `QuantumClass`, so the checker shares no walk with it.
+any longer chain, so a chain grows only while it is below 2N.  A chain that
+can neither close (degree a multiple of 2N) nor grow costs no product.  The
+ring is commutative (every basis class has even degree), so u0 times a
+multiset of factors is one product, shared by every order of the factors.
+Verification and ladders stay on `QuantumClass`, so the checker shares no
+walk with it.
 """
 
 from __future__ import annotations
@@ -132,6 +136,9 @@ def search_decompositions(ring, ell_max: int, nu_max: int) -> List[Decomposition
     {(label, m): c}: from {(u0, 0): 1} it multiplies by one basis label at a
     time through the ring's structure constants, reduces mod p, and compares
     with {(u0, nu): 1}; a partial product that vanishes prunes its branch.
+    The walk visits ordered chains, but the products are kept per u0 under
+    the sorted factor indices, so each multiset of factors is multiplied out
+    once; a chain that could neither close nor grow is not multiplied at all.
     Basis classes are built only for the decompositions found, and
     `verify_decomposition` checks those independently on `QuantumClass`es.
     """
@@ -140,34 +147,45 @@ def search_decompositions(ring, ell_max: int, nu_max: int) -> List[Decomposition
     if nu_max < 1:
         raise ValueError("nu_max must be >= 1")
     two_n_chern = 2 * ring.N_chern
+    cap = two_n_chern * nu_max
     p = ring.field.p
     labels = sorted(ring.basis_labels(), key=ring.label_key)
     # (label, degree, the label's basis class as a term list)
     factors = [(lbl, d, (((lbl, 0), 1),)) for lbl in labels if (d := ring.label_degree(lbl)) > 0]
     found: List[Tuple] = []
     for u0_label in labels:
+        # u0 times the factors of a multiset, under its sorted factor indices
+        products: dict = {}
 
-        def dfs(chain, partial, total_deg):
-            # a nonempty chain has total_deg > 0, and the skip below keeps
+        def dfs(chain, key, partial, total_deg):
+            # a nonempty chain has total_deg > 0, and the skips below keep
             # it <= 2N*nu_max, so a hit has 1 <= nu <= nu_max
             if chain and total_deg % two_n_chern == 0:
                 nu = total_deg // two_n_chern
                 if partial == {(u0_label, nu): 1}:
-                    found.append((u0_label, tuple(chain), nu))
+                    found.append((u0_label, tuple(factors[i][0] for i in chain), nu))
             # extending makes the whole chain interior: its degree is total_deg
             if len(chain) == ell_max or total_deg >= two_n_chern:
                 return
-            for lbl, deg, terms in factors:
-                if total_deg + deg > two_n_chern * nu_max:
+            last = len(chain) + 1 == ell_max
+            for i, (_, deg, terms) in enumerate(factors):
+                child_deg = total_deg + deg
+                # skip a child that is too heavy, or can neither close nor grow
+                if child_deg > cap or (child_deg % two_n_chern
+                                       and (last or child_deg >= two_n_chern)):
                     continue
-                step = reduce_terms(ring._contract(partial.items(), terms), p)
+                child_key = tuple(sorted(key + (i,)))
+                step = products.get(child_key)
+                if step is None:
+                    step = products[child_key] = reduce_terms(
+                        ring._contract(partial.items(), terms), p)
                 if not step:
                     continue
-                chain.append(lbl)
-                dfs(chain, step, total_deg + deg)
+                chain.append(i)
+                dfs(chain, child_key, step, child_deg)
                 chain.pop()
 
-        dfs([], {(u0_label, 0): 1}, 0)
+        dfs([], (), {(u0_label, 0): 1}, 0)
 
     # the walk meets u0 and factors in label_key order; the stable sort keeps it
     found.sort(key=lambda t: (-len(t[1]), t[2]))
@@ -210,7 +228,10 @@ def case_ii_parameters(ring, u: QuantumClass, n_orbits: int) -> CaseTwoParameter
     if n_orbits < 1:
         raise ValueError("n_orbits must be >= 1")
     d = ceil(Fraction(2 * ring.N_chern * n_orbits, deg)) + 1
-    for r, power in enumerate(_walk(ring, u, [u] * (d - 1)), start=1):
+    # u^1, ..., u^d are nonzero iff the first min(d, m) are, m the rank: a
+    # nilpotent u in an algebra of rank m over F(q) has u^m = 0
+    walked = min(d, len(ring.basis_labels()))
+    for r, power in enumerate(_walk(ring, u, [u] * (walked - 1)), start=1):
         if power.is_zero():
             raise PowerVanishesError(r)
     return CaseTwoParameters(d=d, ell=ell)

@@ -11,10 +11,10 @@ least what the rows below it have no room for, so no branch of the walk
 dead-ends for want of room.  Structure constants are integers independent
 of the ground field; those of G(k,N) are computed once over Z and cached
 under the unordered pair of labels, since c^nu_{lam,mu} = c^nu_{mu,lam},
-with the smaller label as the content.  A product's table is cached once
-per tuple of factors and pair of labels.  A product ring is its flat tuple
-of factors, one label entry per factor: its ground field and lambda0 come
-from theirs.
+with the smaller label as the content: one comparison orders the pair,
+without a sort.  A product's table is cached once per tuple of factors and
+pair of labels.  A product ring is its flat tuple of factors, one label
+entry per factor: its ground field and lambda0 come from theirs.
 
 Basis labels are checked once, where they enter, by each ring's
 ``normalize_label``; past that point partitions are normalised tuples, and
@@ -242,7 +242,8 @@ class RingPresentation:
         )
 
     def quantum_product(self, a: QuantumClass, b: QuantumClass) -> QuantumClass:
-        if a.ring != self or b.ring != self:
+        # identity first, so a class of this ring skips the dataclass ==
+        if (a.ring is not self and a.ring != self) or (b.ring is not self and b.ring != self):
             raise RingMismatchError("classes do not belong to this ring")
         return QuantumClass._assemble(self, self._contract(a.terms, b.terms))
 
@@ -351,9 +352,11 @@ class Grassmannian(RingPresentation):
 
     def structure(self, a, b):
         # c^nu_{a,b} = c^nu_{b,a}: one cache entry per unordered pair, with
-        # the smaller class as the LR content
-        small, large = sorted((a, b), key=self.label_key)
-        return _grassmannian_structure(self.k, self.N, large, small)
+        # the smaller class in label_key order as the LR content, the pair
+        # ordered by one comparison rather than a sort
+        if (sum(a), a) > (sum(b), b):
+            return _grassmannian_structure(self.k, self.N, a, b)
+        return _grassmannian_structure(self.k, self.N, b, a)
 
 
 @dataclass(frozen=True)

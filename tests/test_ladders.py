@@ -1,5 +1,6 @@
 import pytest
 
+from qhcalc import ladders
 from qhcalc.qalgebra import GroundField
 from qhcalc.rings import CPn, Grassmannian, ProductRing, RingPresentation
 from qhcalc.ladders import (
@@ -120,7 +121,8 @@ def _cp1_power(count, p=0):
 
 # (ring, ell_max, nu_max): CP^1-CP^4 over Q, F_2, F_3, F_5; G(2,4) and G(2,5)
 # over Q, F_2, F_3 (over F_2, s1^3 = 2 s21 in G(2,4) dies only mod 2); G(3,6);
-# CP^1 x CP^1 over Q and F_3; CP^1 x CP^1 x CP^1
+# CP^1 x CP^1 over Q and F_3; CP^1 x CP^1 x CP^1; G(2,4) x G(2,4); and
+# CP^1 x G(2,4) with lambda0 = 2 on G(2,4), so N = 2 and a q of G(2,4) is q^2
 ORACLE_SEARCHES = [
     *((CPn(n=n, field=GroundField(p)), n + 2, 2) for n in range(1, 5) for p in (0, 2, 3, 5)),
     *((Grassmannian(k=2, N=N, field=GroundField(p)), 3, 2) for N in (4, 5) for p in (0, 2, 3)),
@@ -128,18 +130,22 @@ ORACLE_SEARCHES = [
     (_cp1_power(2), 4, 2),
     (_cp1_power(2, 3), 4, 2),
     (_cp1_power(3), 3, 2),
+    (ProductRing(factors=(Grassmannian(k=2, N=4),) * 2), 3, 2),
+    (ProductRing(factors=(CPn(n=1), Grassmannian(k=2, N=4, lambda0=2))), 3, 3),
 ]
+
+
+def _ring_name(ring):
+    if isinstance(ring, ProductRing):
+        return "x".join(_ring_name(f) for f in ring.factors)
+    if isinstance(ring, CPn):
+        return f"CP{ring.n}"
+    return f"G({ring.k},{ring.N})"
 
 
 def _search_id(search):
     ring, ell_max, nu_max = search
-    if isinstance(ring, ProductRing):
-        name = "x".join("CP1" for _ in ring.factors)
-    elif isinstance(ring, CPn):
-        name = f"CP{ring.n}"
-    else:
-        name = f"G({ring.k},{ring.N})"
-    return f"{name}/{ring.field.spec()} l<={ell_max} nu<={nu_max}"
+    return f"{_ring_name(ring)}/{ring.field.spec()} l<={ell_max} nu<={nu_max}"
 
 
 class TestSearchOracle:
@@ -170,6 +176,64 @@ class TestSearchOracle:
 
         monkeypatch.setattr(RingPresentation, "quantum_product", refuse)
         assert search_decompositions(ring, 4, 2) == expected
+
+
+class _Tagged(dict):
+    """A term dict that knows its (u0, factor multiset) and hands it on with
+    its items."""
+
+    def __init__(self, terms, tag):
+        super().__init__(terms)
+        self.tag = tag
+
+    def items(self):
+        return _TaggedItems(super().items(), self.tag)
+
+
+class _TaggedItems(tuple):
+    def __new__(cls, items, tag):
+        out = super().__new__(cls, items)
+        out.tag = tag
+        return out
+
+
+class TestSearchWork:
+    @pytest.mark.parametrize("ring, ell_max, contractions", [
+        (CPn(n=3), 4, 40),
+        (Grassmannian(k=2, N=5), 3, 340),
+    ], ids=["CP3", "G(2,5)"])
+    def test_one_contraction_per_multiset_that_can_close_or_grow(
+            self, ring, ell_max, contractions, monkeypatch):
+        """The ring is commutative, so the search contracts u0 with each
+        multiset of factors at most once, whatever their order; and it
+        contracts no chain that can neither close (degree a multiple of 2N)
+        nor grow (fewer than ell_max factors, degree below 2N).  Each term
+        dict carries its (u0, multiset) from contraction to reduction."""
+        expected = search_decompositions_oracle(ring, ell_max, 2)
+        contract, reduce_terms = RingPresentation._contract, ladders.reduce_terms
+        calls = []
+
+        def tagged_contract(self, a_terms, b_terms):
+            if hasattr(a_terms, "tag"):
+                u0, multiset = a_terms.tag
+            else:  # the root {(u0, 0): 1}
+                ((u0, _), _), = a_terms
+                multiset = ()
+            ((label, _), _), = b_terms
+            child = (u0, tuple(sorted(multiset + (label,), key=ring.label_key)))
+            calls.append(child)
+            return _Tagged(contract(self, a_terms, b_terms), child)
+
+        monkeypatch.setattr(RingPresentation, "_contract", tagged_contract)
+        monkeypatch.setattr(ladders, "reduce_terms",
+                            lambda terms, p: _Tagged(reduce_terms(terms, p), terms.tag))
+        assert search_decompositions(ring, ell_max, 2) == expected
+        assert len(calls) == len(set(calls)) == contractions
+        two_n_chern = 2 * ring.N_chern
+        for u0, multiset in calls:
+            deg = sum(map(ring.label_degree, multiset))
+            assert deg % two_n_chern == 0 or (len(multiset) < ell_max and deg < two_n_chern), (
+                u0, multiset)
 
 
 class TestLadder:
@@ -271,6 +335,61 @@ class TestCaseTwo:
             with pytest.raises(PowerVanishesError) as exc:
                 case_ii_ladder(ring, ring.basis_class((1,)), s_minus, s_plus)
             assert exc.value.exponent == exponent
+
+    def test_huge_orbit_count_walks_at_most_the_rank(self, monkeypatch):
+        """u^1, ..., u^d are checked with at most rank(ring) - 1 products, so
+        d = 4 * 10^8 + 1 costs no more than d = 25."""
+        calls = []
+        product = RingPresentation.quantum_product
+
+        def counting(ring, a, b):
+            calls.append(None)
+            return product(ring, a, b)
+
+        monkeypatch.setattr(RingPresentation, "quantum_product", counting)
+        ring = Grassmannian(k=2, N=4)
+        params = case_ii_parameters(ring, ring.basis_class((1,)), 10 ** 8)
+        assert (params.d, params.ell) == (4 * 10 ** 8 + 1, 4)
+        assert len(calls) == len(ring.basis_labels()) - 1
+        ring_f2 = Grassmannian(k=2, N=4, field=GroundField(2))
+        with pytest.raises(PowerVanishesError) as exc:
+            case_ii_parameters(ring_f2, ring_f2.basis_class((1,)), 10 ** 8)
+        assert exc.value.exponent == 3
+
+    @pytest.mark.parametrize("p", [0, 2, 3])
+    def test_rank_bound_agrees_with_every_power(self, p):
+        """Past the rank no power of u vanishes first: the verdict equals the
+        one read off all d powers, for every Case II basis class and the
+        first Chern generator of small rings."""
+        field = GroundField(p)
+        rings = [CPn(n=n, field=field) for n in range(1, 4)] + [
+            Grassmannian(k=2, N=4, field=field), Grassmannian(k=2, N=5, field=field),
+            ProductRing(factors=(CPn(n=1, field=field, lambda0=2),
+                                 CPn(n=2, field=field, lambda0=3)))]
+        checked = 0
+        for ring in rings:
+            classes = [ring.basis_class(lbl) for lbl in ring.basis_labels()]
+            for u in classes + [ring.first_chern_generator()]:
+                try:
+                    _case_ii_degree(ring, u)
+                except ValueError:
+                    continue
+                # |u| <= 2N, so d > n_orbits = rank
+                n_orbits = len(ring.basis_labels())
+                try:
+                    got = case_ii_parameters(ring, u, n_orbits).d
+                except PowerVanishesError as exc:
+                    got = ("vanishes", exc.exponent)
+                d = -(-2 * ring.N_chern * n_orbits // u.degree()) + 1
+                power, first_zero = u, None
+                for r in range(1, d + 1):
+                    if power.is_zero():
+                        first_zero = r
+                        break
+                    power = ring.quantum_product(power, u)
+                assert got == (d if first_zero is None else ("vanishes", first_zero))
+                checked += 1
+        assert checked > 10
 
     def test_degree_out_of_range(self):
         ring = Grassmannian(k=2, N=4)
