@@ -7,8 +7,10 @@ the rationals an integral value is an ``int`` and any other value a
 products of integral classes over Q never build a ``Fraction``.
 
 ``GroundField.coerce`` is the one entry point for scalars from outside
-(``QuantumClass.build``, ``scale``, class literals, ``one``).  Past it, ring
-operations combine coefficients with plain ``+``, ``-`` and ``*``, and
+(``QuantumClass.build``, ``scale``, class literals, ``one``).  It and a
+ring's ``lambda0`` read them through ``exact_fraction``, which refuses a
+float with ``TypeError``.  Past it, ring operations combine coefficients
+with plain ``+``, ``-`` and ``*``, and
 ``reduce_terms`` is the one rule that brings the sums to canonical form and
 drops zeros: ``QuantumClass._assemble`` applies it to every class, and the
 decomposition search to its plain integer term dicts.
@@ -46,6 +48,15 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def exact_fraction(x) -> Fraction:
+    """x as a ``Fraction``: an ``int``, a ``Fraction`` or a string such as
+    ``"1/3"``.  A float is refused, since it is a binary approximation:
+    ``Fraction(0.1)`` is 3602879701896397/36028797018963968, not 1/10."""
+    if isinstance(x, float):
+        raise TypeError(f"{x!r} is a float; pass an exact int, Fraction or string such as '1/3'")
+    return Fraction(x)
+
+
 @dataclass(frozen=True)
 class GroundField:
     """The coefficient field: the rationals (p == 0) or a prime field F_p."""
@@ -61,8 +72,9 @@ class GroundField:
         return self.p
 
     def coerce(self, x: Scalar) -> Scalar:
-        """Bring an integer or rational into canonical form for this field."""
-        x = Fraction(x)
+        """Bring an integer or rational into canonical form for this field;
+        a float is refused (``exact_fraction``)."""
+        x = exact_fraction(x)
         if self.p == 0:
             return x.numerator if x.denominator == 1 else x
         if x.denominator % self.p == 0:

@@ -12,9 +12,15 @@ dead-ends for want of room.  Structure constants are integers independent
 of the ground field; those of G(k,N) are computed once over Z and cached
 under the unordered pair of labels, since c^nu_{lam,mu} = c^nu_{mu,lam},
 with the smaller label as the content: one comparison orders the pair,
-without a sort.  A product's table is cached once per tuple of factors and
-pair of labels.  A product ring is its flat tuple of factors, one label
-entry per factor: its ground field and lambda0 come from theirs.
+without a sort.  QH*(G(k,N)) and QH*(G(N-k,N)) are isomorphic by
+sigma_lam -> sigma_lam', q -> q, with lam' the transpose (Bertram 1997), so
+a pair is walked in the orientation with fewer rows: G(k,N) with k > N-k
+reads its constants off the transposed pair in G(N-k,N), and a self-dual
+G(k,2k) walks the lexicographically smaller pair of each transposed couple
+and transposes the other's cores.  A product's table is cached once per
+tuple of factors and pair of labels.  A product ring is its flat tuple of
+factors, one label entry per factor: its ground field and lambda0 come from
+theirs.
 
 Basis labels are checked once, where they enter, by each ring's
 ``normalize_label``; past that point partitions are normalised tuples, and
@@ -42,7 +48,7 @@ from functools import lru_cache
 from itertools import chain, combinations, combinations_with_replacement, product
 from typing import Dict, List, Tuple
 
-from .qalgebra import GroundField, QuantumClass, RingMismatchError
+from .qalgebra import GroundField, QuantumClass, RingMismatchError, exact_fraction
 
 Partition = Tuple[int, ...]
 
@@ -117,12 +123,16 @@ def littlewood_richardson(lam, mu, rows: int) -> Dict[Partition, int]:
             return
         strip = strips[i]
         base = shape[r]
-        most = left if i == 0 else min(left, above - placed)
-        if r > 0:
-            most = min(most, shape[r - 1] - strip[r - 1] - base)
+        most = left
+        if i and above - placed < most:
+            most = above - placed
+        if r and shape[r - 1] - strip[r - 1] - base < most:
+            most = shape[r - 1] - strip[r - 1] - base
         fewest = left - (base - shape[-1])
+        if fewest < 0:
+            fewest = 0
         below = above + strips[i - 1][r] if i else 0
-        for n in range(max(0, fewest), most + 1):
+        for n in range(fewest, most + 1):
             shape[r] = base + n
             strip[r] = n
             walk(i, r + 1, left - n, placed + n, below)
@@ -173,8 +183,28 @@ def rim_hook_reduce(nu, k: int, N: int):
 StructTable = Dict[Tuple[object, int], int]
 
 
+def _transpose(lam: Partition) -> Partition:
+    """The conjugate partition: its j-th part is the number of parts > j."""
+    return tuple(sum(part > j for part in lam) for j in range(lam[0] if lam else 0))
+
+
 @lru_cache(maxsize=None)
 def _grassmannian_structure(k: int, N: int, lam: Partition, mu: Partition) -> Tuple:
+    # QH*(G(k,N)) = QH*(G(N-k,N)) by sigma_lam -> sigma_lam', q -> q, so a
+    # pair and its transpose, put in (sum, label) order, have the same
+    # constants up to transposed cores.  The walk runs in the smaller
+    # orientation by (rows, pair): fewer rows first, ties to the smaller
+    # pair.  G(k,N) with k < N-k never transposes, and one with k > N-k
+    # never walks.
+    if N - k <= k:
+        lt, mt = _transpose(lam), _transpose(mu)
+        if (sum(lt), lt) < (sum(mt), mt):
+            lt, mt = mt, lt
+        if (N - k, lt, mt) < (k, lam, mu):
+            return tuple(sorted(
+                ((_transpose(core), d), n)
+                for (core, d), n in _grassmannian_structure(N - k, N, lt, mt)
+            ))
     acc: StructTable = {}
     for nu, c in littlewood_richardson(lam, mu, k).items():
         reduced = rim_hook_reduce(nu, k, N)
@@ -213,7 +243,7 @@ class RingPresentation:
     lambda0: Fraction = dc_field(default=Fraction(1), kw_only=True)
 
     def __post_init__(self):
-        object.__setattr__(self, "lambda0", Fraction(self.lambda0))
+        object.__setattr__(self, "lambda0", exact_fraction(self.lambda0))
         if self.lambda0 == 0:
             raise ValueError("monotonicity requires lambda0 != 0")
 

@@ -27,6 +27,11 @@ class q^nu u0, where the package's search runs on integer term dicts.
 The rim-hook oracle removes N-rim hooks one at a time on the beta-numbers,
 with each removal's height read off the beads it jumps, where the package
 reads the N-core and the sign off the abacus runners in closed form.
+
+The Grassmannian structure oracle is the rule without the duality
+G(k,N) = G(N-k,N): the package's LR walk on the pair in (sum, label) order,
+in G(k,N) itself, then its rim-hook reduction, summed and sorted.  It checks
+that reading a pair off its transpose changes no structure constant.
 """
 
 import math
@@ -36,6 +41,7 @@ from itertools import combinations, product
 
 from qhcalc.carriers import CarrierAssignment, _ordering_ok
 from qhcalc.ladders import Decomposition
+from qhcalc.rings import littlewood_richardson, rim_hook_reduce
 from qhcalc.spectra import index_window_check, iterate, recap
 
 
@@ -258,3 +264,18 @@ def rim_hook_reduce_oracle(nu, k, N):
             return None
     parts = (b - (k - 1 - i) for i, b in enumerate(beta))
     return tuple(part for part in parts if part), d, sign
+
+
+def grassmannian_structure_oracle(k, N, lam, mu):
+    """The ((core, q-power), coefficient) terms of sigma_lam * sigma_mu in
+    G(k,N), sorted: LR with the smaller label in (sum, label) order as the
+    content, each nu reduced by rim hooks, zero sums dropped."""
+    if (sum(lam), lam) < (sum(mu), mu):
+        lam, mu = mu, lam
+    acc = {}
+    for nu, c in littlewood_richardson(lam, mu, k).items():
+        reduced = rim_hook_reduce(nu, k, N)
+        if reduced is not None:
+            core, d, sign = reduced
+            acc[core, d] = acc.get((core, d), 0) + c * sign
+    return tuple(sorted(kv for kv in acc.items() if kv[1]))

@@ -57,6 +57,20 @@ class TestGroundField:
         half = Q.coerce(Fraction(1, 2))
         assert type(half) is Fraction and half == Fraction(1, 2)
 
+    @pytest.mark.parametrize("field", [Q, GroundField(3)], ids=["Q", "F3"])
+    def test_coerce_refuses_a_float(self, field):
+        """0.1 is a binary approximation, not 1/10: no float enters a class."""
+        with pytest.raises(TypeError, match="0.1 is a float"):
+            field.coerce(0.1)
+        with pytest.raises(TypeError):
+            QuantumClass.build(CPn(n=1, field=field), {(0, 0): 0.5})
+
+    def test_coerce_takes_exact_scalars(self):
+        """A Fraction, an int and a rational string still enter."""
+        assert Q.coerce(Fraction(1, 3)) == Q.coerce("1/3") == Fraction(1, 3)
+        assert type(Q.coerce(Fraction(4, 2))) is int and Q.coerce(-7) == -7
+        assert GroundField(3).coerce("1/2") == GroundField(3).coerce(Fraction(1, 2)) == 2
+
     def test_inverse_rational_follows_canonical_rule(self):
         two = Q.inv(Fraction(1, 2))
         assert type(two) is int and two == 2

@@ -20,7 +20,7 @@ from qhcalc.rings import (
     rim_hook_reduce,
 )
 
-from oracles import lr_coefficients_oracle, rim_hook_reduce_oracle
+from oracles import grassmannian_structure_oracle, lr_coefficients_oracle, rim_hook_reduce_oracle
 
 _BOX_4X4 = st.sampled_from(partitions_in_box(4, 4))
 
@@ -175,6 +175,65 @@ def test_structure_fill_trusts_normalised_labels(monkeypatch):
     assert calls == []
 
 
+def _conjugate(lam):
+    """The transposed partition, column by column."""
+    return tuple(len([part for part in lam if part >= col])
+                 for col in range(1, max(lam, default=0) + 1))
+
+
+class TestDuality:
+    """QH*(G(k,N)) = QH*(G(N-k,N)) by sigma_lam -> sigma_lam', q -> q: the
+    structure table reads a pair off its transpose when that one has fewer
+    rows, or, in a self-dual ring, is the smaller pair."""
+
+    def test_every_pair_matches_the_rule_without_duality(self):
+        """Every ordered pair of every G(k,N) with N <= 8 (17,560 pairs), from
+        a cold table, equals LR + rim-hook in G(k,N) itself, and
+        sigma_lam' * sigma_mu' in G(N-k,N) is the transpose of
+        sigma_lam * sigma_mu."""
+        rings._grassmannian_structure.cache_clear()
+        pairs = 0
+        for N in range(2, 9):
+            for k in range(1, N):
+                ring, dual = Grassmannian(k=k, N=N), Grassmannian(k=N - k, N=N)
+                labels = ring.basis_labels()
+                for a, b in product(labels, repeat=2):
+                    got = ring.structure(a, b)
+                    assert got == grassmannian_structure_oracle(k, N, a, b), (k, N, a, b)
+                    assert dual.structure(_conjugate(a), _conjugate(b)) == tuple(sorted(
+                        ((_conjugate(core), d), n) for (core, d), n in got)), (k, N, a, b)
+                    pairs += 1
+        assert pairs == 17560
+
+    @staticmethod
+    def _cold_fill(monkeypatch, k, N):
+        """The rows of each LR walk in a cold fill of G(k,N)'s table."""
+        rows, real = [], rings.littlewood_richardson
+        monkeypatch.setattr(rings, "littlewood_richardson",
+                            lambda lam, mu, r: rows.append(r) or real(lam, mu, r))
+        rings._grassmannian_structure.cache_clear()
+        ring = Grassmannian(k=k, N=N)
+        for a, b in product(ring.basis_labels(), repeat=2):
+            ring.structure(a, b)
+        return rows
+
+    def test_self_dual_ring_walks_one_pair_per_transposed_couple(self, monkeypatch):
+        """G(4,8) has 2,485 unordered pairs; 1,324 of them are walked, each the
+        smaller of its transposed couple or its own transpose."""
+        assert len(self._cold_fill(monkeypatch, 4, 8)) == 1324
+
+    def test_tall_grassmannian_walks_with_fewer_rows(self, monkeypatch):
+        """G(6,8) reads every pair off G(2,8): its 406 walks have two rows."""
+        rows = self._cold_fill(monkeypatch, 6, 8)
+        assert len(rows) == 406 and set(rows) == {2}
+
+    def test_wide_grassmannian_never_transposes(self, monkeypatch):
+        calls, real = [], rings._transpose
+        monkeypatch.setattr(rings, "_transpose", lambda lam: calls.append(lam) or real(lam))
+        assert set(self._cold_fill(monkeypatch, 2, 8)) == {2}
+        assert calls == []
+
+
 class TestQuantumPieri:
     def test_g24_two_one(self):
         ring = Grassmannian(k=2, N=4)
@@ -283,6 +342,17 @@ class TestQuantumProduct:
                 assert ring.quantum_product(ab, c) == ring.quantum_product(
                     a, ring.quantum_product(b, c)
                 )
+
+
+@pytest.mark.parametrize("make", [lambda x: CPn(n=2, lambda0=x),
+                                  lambda x: Grassmannian(k=2, N=4, lambda0=x)],
+                         ids=["CPn", "Grassmannian"])
+def test_lambda0_is_exact(make):
+    """A float lambda0 is refused; a Fraction, an int or "1/3" is kept exactly."""
+    with pytest.raises(TypeError, match="0.1 is a float"):
+        make(0.1)
+    assert make(Fraction(1, 3)).lambda0 == make("1/3").lambda0 == Fraction(1, 3)
+    assert make(2).lambda0 == Fraction(2)
 
 
 class TestKunneth:
