@@ -97,13 +97,14 @@ def _verify(ring, dec: Decomposition) -> Tuple[VerificationReport, List[QuantumC
     of products it checked."""
     if dec.u0.is_zero():
         raise ValueError("u0 must be nonzero")
-    for cls in (dec.u0,) + dec.factors:
-        if not cls.is_homogeneous():
-            raise ValueError("all classes in a decomposition must be homogeneous")
+    # one degree set per class: at most one element iff it is homogeneous
+    degree_sets = [cls._degrees() for cls in (dec.u0,) + dec.factors]
+    if any(len(degs) > 1 for degs in degree_sets):
+        raise ValueError("all classes in a decomposition must be homogeneous")
     reasons: List[str] = []
     if dec.nu <= 0:
         reasons.append(f"nu must be positive, got {dec.nu}")
-    degrees = [0 if f.is_zero() else f.degree() for f in dec.factors]
+    degrees = [degs.pop() if degs else 0 for degs in degree_sets[1:]]
     for i, deg in enumerate(degrees, start=1):
         if deg <= 0:
             reasons.append(f"factor u{i} does not have positive degree")
@@ -149,11 +150,11 @@ def search_decompositions(ring, ell_max: int, nu_max: int) -> List[Decomposition
     two_n_chern = 2 * ring.N_chern
     cap = two_n_chern * nu_max
     p = ring.field.p
-    labels = sorted(ring.basis_labels(), key=ring.label_key)
+    table = ring._label_table  # the basis labels in label_key order, with their degrees
     # (label, degree, the label's basis class as a term list)
-    factors = [(lbl, d, (((lbl, 0), 1),)) for lbl in labels if (d := ring.label_degree(lbl)) > 0]
+    factors = [(lbl, d, (((lbl, 0), 1),)) for lbl, (_, d) in table.items() if d > 0]
     found: List[Tuple] = []
-    for u0_label in labels:
+    for u0_label in table:
         # u0 times the factors of a multiset, under its sorted factor indices
         products: dict = {}
 

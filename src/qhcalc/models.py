@@ -14,7 +14,8 @@ A product of such models with equal n (equal monotonicity constants
 1/(n+1)) has one fixed point per tuple of factor axes: the ids join with
 ``*``, the actions add and the angles concatenate, so mean indices and
 Conley-Zehnder indices add, the flags AND, and the common augmented action
-is the sum of the factors'.
+is the sum of the factors'.  Coefficients are read through
+``qalgebra.exact_fraction``, so a float is refused with ``TypeError``.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from fractions import Fraction
 from itertools import chain, product
 from typing import List, Sequence, Tuple
 
+from .qalgebra import exact_fraction
 from .spectra import (
     CappedOrbit,
     MonotoneData,
@@ -38,7 +40,7 @@ class CPnQuadraticModel:
     lambdas: Tuple[Fraction, ...]
 
     def __post_init__(self):
-        lams = tuple(Fraction(x) for x in self.lambdas)
+        lams = tuple(exact_fraction(x) for x in self.lambdas)
         if len(lams) < 2:
             raise ValueError("need at least two coefficients (n >= 1)")
         if len(set(lams)) != len(lams):

@@ -7,13 +7,20 @@ the rationals an integral value is an ``int`` and any other value a
 products of integral classes over Q never build a ``Fraction``.
 
 ``GroundField.coerce`` is the one entry point for scalars from outside
-(``QuantumClass.build``, ``scale``, class literals, ``one``).  It and a
-ring's ``lambda0`` read them through ``exact_fraction``, which refuses a
-float with ``TypeError``.  Past it, ring operations combine coefficients
+(``QuantumClass.build``, ``scale``, class literals, ``one``).  It passes an
+``int`` straight through (reduced mod p), and reads anything else through
+``exact_fraction``, which refuses a float with ``TypeError``; a ring's
+``lambda0`` and the numbers of ``spectra`` and ``models`` are read through
+``exact_fraction`` too.  Past it, ring operations combine coefficients
 with plain ``+``, ``-`` and ``*``, and
 ``reduce_terms`` is the one rule that brings the sums to canonical form and
 drops zeros: ``QuantumClass._assemble`` applies it to every class, and the
 decomposition search to its plain integer term dicts.
+The basis labels' order and degrees live in one table per ring
+(``RingPresentation._label_table``, built on first use from ``label_key``
+and ``label_degree``): ``_assemble`` sorts terms by a label's position
+there, and ``_degrees``, the one set of term degrees, reads each degree
+from it.
 ``QuantumClass.build`` is the checked entry for outside terms (it
 normalises labels and coerces scalars).
 """
@@ -49,9 +56,12 @@ def _is_prime(p: int) -> bool:
 
 
 def exact_fraction(x) -> Fraction:
-    """x as a ``Fraction``: an ``int``, a ``Fraction`` or a string such as
-    ``"1/3"``.  A float is refused, since it is a binary approximation:
-    ``Fraction(0.1)`` is 3602879701896397/36028797018963968, not 1/10."""
+    """x as a ``Fraction``: an ``int``, a ``Fraction`` (returned as it is) or
+    a string such as ``"1/3"``.  A float is refused, since it is a binary
+    approximation: ``Fraction(0.1)`` is 3602879701896397/36028797018963968,
+    not 1/10."""
+    if type(x) is Fraction:
+        return x
     if isinstance(x, float):
         raise TypeError(f"{x!r} is a float; pass an exact int, Fraction or string such as '1/3'")
     return Fraction(x)
@@ -73,7 +83,10 @@ class GroundField:
 
     def coerce(self, x: Scalar) -> Scalar:
         """Bring an integer or rational into canonical form for this field;
-        a float is refused (``exact_fraction``)."""
+        an ``int`` builds no ``Fraction``, and a float is refused
+        (``exact_fraction``)."""
+        if type(x) is int:
+            return x % self.p if self.p else x
         x = exact_fraction(x)
         if self.p == 0:
             return x.numerator if x.denominator == 1 else x
@@ -154,9 +167,10 @@ class QuantumClass:
         """The class of terms with normalised labels and coefficients in the
         field (integers standing for their residues over F_p): reduces each
         coefficient mod p, drops zeros and sorts."""
+        table = ring._label_table
         ordered = sorted(
             reduce_terms(terms, ring.field.p).items(),
-            key=lambda kv: (ring.label_key(kv[0][0]), kv[0][1]),
+            key=lambda kv: (table[kv[0][0]][0], kv[0][1]),
         )
         return cls(ring, tuple(ordered))
 
@@ -200,12 +214,11 @@ class QuantumClass:
     # -- grading -----------------------------------------------------------
 
     def _degrees(self) -> set:
-        """The degrees |b| + 2N*m of the terms."""
+        """The degrees |b| + 2N*m of the terms; a class is homogeneous iff
+        this set has at most one element."""
+        table = self.ring._label_table
         two_n_chern = 2 * self.ring.N_chern
-        return {self.ring.label_degree(label) + two_n_chern * m for (label, m), _ in self.terms}
-
-    def is_homogeneous(self) -> bool:
-        return len(self._degrees()) <= 1
+        return {table[label][1] + two_n_chern * m for (label, m), _ in self.terms}
 
     def degree(self) -> int:
         """Cohomological degree of a nonzero homogeneous class."""

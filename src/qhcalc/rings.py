@@ -11,16 +11,26 @@ least what the rows below it have no room for, so no branch of the walk
 dead-ends for want of room.  Structure constants are integers independent
 of the ground field; those of G(k,N) are computed once over Z and cached
 under the unordered pair of labels, since c^nu_{lam,mu} = c^nu_{mu,lam},
-with the smaller label as the content: one comparison orders the pair,
-without a sort.  QH*(G(k,N)) and QH*(G(N-k,N)) are isomorphic by
+with the smaller label as the content: one comparison of the two labels'
+positions in the ring's label table orders the pair, without a sort.
+QH*(G(k,N)) and QH*(G(N-k,N)) are isomorphic by
 sigma_lam -> sigma_lam', q -> q, with lam' the transpose (Bertram 1997), so
 a pair is walked in the orientation with fewer rows: G(k,N) with k > N-k
 reads its constants off the transposed pair in G(N-k,N), and a self-dual
 G(k,2k) walks the lexicographically smaller pair of each transposed couple
-and transposes the other's cores.  A product's table is cached once per
-tuple of factors and pair of labels.  A product ring is its flat tuple of
-factors, one label entry per factor: its ground field and lambda0 come from
-theirs.
+and transposes the other's cores; each partition's transpose is computed
+once.  A product's constants live in one module table per signature of its
+factors (each factor's kind, its n or k and N, and its q-power ratio
+N_f/N), computed once when the ring is built: equal products over any field
+share the table, and a lookup hashes only the pair of labels.  A product
+ring is its flat tuple of factors, one label entry per factor: its ground
+field and lambda0 come from theirs.
+
+Each ring builds one label table, on first use: every basis label's
+position in ``label_key`` order and its ``label_degree``, the two methods
+that state those rules.  ``QuantumClass`` sorts terms and reads degrees
+from it, and ``basis``, ``Grassmannian.structure`` and the decomposition
+search read it too.
 
 Basis labels are checked once, where they enter, by each ring's
 ``normalize_label``; past that point partitions are normalised tuples, and
@@ -33,8 +43,9 @@ structure constants.
 ``RingPresentation._contract`` is the one contraction of two term lists with
 the structure constants: ``quantum_product`` assembles its sums into a class,
 and the decomposition search keeps them as plain integer term dicts.  Either
-way coefficients are combined with plain arithmetic and reduced mod p by
-``qalgebra.reduce_terms``.
+way coefficients are combined with plain arithmetic (a new key takes its
+value as it is, and a structure constant of 1 does not multiply) and
+reduced mod p by ``qalgebra.reduce_terms``.
 ``partitions_in_box`` is the one partition enumerator: it lists the
 Grassmannian basis and is the set the Pieri oracle filters.
 """
@@ -42,9 +53,9 @@ Grassmannian basis and is the set the Pieri oracle filters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain, combinations, combinations_with_replacement, product
 from typing import Dict, List, Tuple
 
@@ -183,6 +194,7 @@ def rim_hook_reduce(nu, k: int, N: int):
 StructTable = Dict[Tuple[object, int], int]
 
 
+@lru_cache(maxsize=None)
 def _transpose(lam: Partition) -> Partition:
     """The conjugate partition: its j-th part is the number of parts > j."""
     return tuple(sum(part > j for part in lam) for j in range(lam[0] if lam else 0))
@@ -216,7 +228,11 @@ def _grassmannian_structure(k: int, N: int, lam: Partition, mu: Partition) -> Tu
     return tuple(sorted((kv for kv in acc.items() if kv[1] != 0)))
 
 
-@lru_cache(maxsize=None)
+# signature -> {(label, label): terms}; ProductRing.__post_init__ computes the
+# signature, which fixes the structure constants over Z
+_PRODUCT_TABLES: Dict[Tuple, Dict] = {}
+
+
 def _product_structure(factors: Tuple, la: Tuple, lb: Tuple) -> Tuple:
     N = math.gcd(*(f.N_chern for f in factors))
     ratios = [f.N_chern // N for f in factors]
@@ -254,6 +270,14 @@ class RingPresentation:
     def monotonicity(self) -> Fraction:
         return self.lambda0 / self.N_chern
 
+    @cached_property
+    def _label_table(self) -> Dict:
+        """label -> (position in label_key order, degree) for every basis
+        label: built once per ring, on first use, from label_key and
+        label_degree."""
+        ordered = sorted(self.basis_labels(), key=self.label_key)
+        return {label: (i, self.label_degree(label)) for i, label in enumerate(ordered)}
+
     def one(self) -> QuantumClass:
         return self.basis_class(self.unit_label())
 
@@ -266,10 +290,7 @@ class RingPresentation:
     def basis(self, degree: int) -> List:
         if degree < 0:
             raise ValueError("degree must be non-negative")
-        return sorted(
-            (lbl for lbl in self.basis_labels() if self.label_degree(lbl) == degree),
-            key=self.label_key,
-        )
+        return [lbl for lbl, (_, d) in self._label_table.items() if d == degree]
 
     def quantum_product(self, a: QuantumClass, b: QuantumClass) -> QuantumClass:
         # identity first, so a class of this ring skips the dataclass ==
@@ -286,7 +307,9 @@ class RingPresentation:
                 cab = ca * cb
                 for (lc, mc), n in self.structure(la, lb):
                     key = (lc, ma + mb + mc)
-                    acc[key] = acc.get(key, 0) + cab * n
+                    c = cab if n == 1 else cab * n
+                    prev = acc.get(key)
+                    acc[key] = c if prev is None else prev + c
         return acc
 
     def first_chern_generator(self) -> QuantumClass:
@@ -383,8 +406,9 @@ class Grassmannian(RingPresentation):
     def structure(self, a, b):
         # c^nu_{a,b} = c^nu_{b,a}: one cache entry per unordered pair, with
         # the smaller class in label_key order as the LR content, the pair
-        # ordered by one comparison rather than a sort
-        if (sum(a), a) > (sum(b), b):
+        # ordered by one comparison of label-table positions
+        table = self._label_table
+        if table[a][0] > table[b][0]:
             return _grassmannian_structure(self.k, self.N, a, b)
         return _grassmannian_structure(self.k, self.N, b, a)
 
@@ -427,6 +451,15 @@ class ProductRing(RingPresentation):
         object.__setattr__(self, "field", first.field)
         object.__setattr__(self, "lambda0", first.monotonicity * self.N_chern)
         super().__post_init__()
+        # per factor: its kind, its own fields (those that are not
+        # keyword-only: n, or k and N) and its q-power ratio N_f/N
+        N = self.N_chern
+        signature = tuple(
+            (type(f).__name__, *(getattr(f, fl.name) for fl in fields(f) if not fl.kw_only),
+             f.N_chern // N)
+            for f in facs
+        )
+        object.__setattr__(self, "_structure_table", _PRODUCT_TABLES.setdefault(signature, {}))
 
     @property
     def complex_dim(self) -> int:
@@ -455,7 +488,11 @@ class ProductRing(RingPresentation):
         return tuple(f.label_key(a) for f, a in zip(self.factors, label))
 
     def structure(self, la, lb):
-        return _product_structure(self.factors, la, lb)
+        table = self._structure_table
+        terms = table.get((la, lb))
+        if terms is None:
+            terms = table[la, lb] = _product_structure(self.factors, la, lb)
+        return terms
 
 
 # ---------------------------------------------------------------------------

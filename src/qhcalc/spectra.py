@@ -5,6 +5,8 @@ identity is checked with exact arithmetic.  Conventions: the distinguished
 sphere class A has I_omega(A) = -lambda0 and I_c1(A) = -2N; a planar rotation
 by total angle 2*pi*theta over one period contributes 2*theta to the mean
 index, and mu_CZ of a split nondegenerate flow is sum(2*floor(theta) + 1).
+Numbers are read through ``qalgebra.exact_fraction``, so a float is refused
+with ``TypeError``.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
+
+from .qalgebra import exact_fraction
 
 
 class DegenerateAngleError(ValueError):
@@ -33,7 +37,7 @@ class MonotoneData:
     def __post_init__(self):
         if self.N < 1:
             raise ValueError("minimal Chern number must be positive")
-        object.__setattr__(self, "lam", Fraction(self.lam))
+        object.__setattr__(self, "lam", exact_fraction(self.lam))
         if self.lam == 0:
             raise ValueError("monotonicity constant must be nonzero")
 
@@ -69,8 +73,8 @@ class CappedOrbit:
     cz_index: Optional[int] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "action", Fraction(self.action))
-        object.__setattr__(self, "mean_index", Fraction(self.mean_index))
+        object.__setattr__(self, "action", exact_fraction(self.action))
+        object.__setattr__(self, "mean_index", exact_fraction(self.mean_index))
 
 
 def recap(o: CappedOrbit, m: int, md: MonotoneData) -> CappedOrbit:
@@ -106,7 +110,7 @@ def augmented_action(o: CappedOrbit, md: MonotoneData) -> Fraction:
 
 def mean_index_split(av: Sequence) -> Fraction:
     """Mean index of a split linear flow with rotation numbers theta_j."""
-    return 2 * sum((Fraction(a) for a in av), Fraction(0))
+    return 2 * sum((exact_fraction(a) for a in av), Fraction(0))
 
 
 def cz_index_split(av: Sequence) -> int:
@@ -117,7 +121,7 @@ def cz_index_split(av: Sequence) -> int:
     """
     total = 0
     for a in av:
-        theta = Fraction(a)
+        theta = exact_fraction(a)
         if theta.denominator == 1:
             raise DegenerateAngleError(f"degenerate direction: theta = {theta}")
         total += 2 * math.floor(theta) + 1

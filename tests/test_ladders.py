@@ -69,6 +69,36 @@ class TestVerify:
                 ring, Decomposition(u0=ring.zero(), factors=(), nu=1)
             )
 
+    @pytest.mark.parametrize("check", [verify_decomposition, build_ladder],
+                             ids=["verify", "build"])
+    @pytest.mark.parametrize("case, message", [
+        ("zero u0", "u0 must be nonzero"),
+        ("inhomogeneous u0", "must be homogeneous"),
+        ("inhomogeneous factor", "must be homogeneous"),
+    ])
+    def test_refusals(self, check, case, message):
+        """A zero or inhomogeneous u0 and an inhomogeneous factor are
+        refused with a plain ValueError, before any report or ladder."""
+        ring = CPn(n=2)
+        u, one = ring.basis_class(1), ring.one()
+        u0, factors = {
+            "zero u0": (ring.zero(), (u,) * 3),
+            "inhomogeneous u0": (one + u, (u,) * 3),
+            "inhomogeneous factor": (one, (u, u + ring.basis_class(2), u)),
+        }[case]
+        with pytest.raises(ValueError, match=message) as info:
+            check(ring, Decomposition(u0=u0, factors=factors, nu=1))
+        assert type(info.value) is ValueError
+
+    def test_zero_factor_has_no_positive_degree(self):
+        ring = CPn(n=2)
+        u = ring.basis_class(1)
+        dec = Decomposition(u0=ring.one(), factors=(u, ring.zero(), u), nu=1)
+        report = verify_decomposition(ring, dec)
+        assert "factor u2 does not have positive degree" in report.reasons
+        with pytest.raises(InvalidDecompositionError, match="factor u2 does not have"):
+            build_ladder(ring, dec)
+
 
 class TestSearch:
     def test_cp2_contains_canonical(self):

@@ -20,10 +20,10 @@ PACKAGE = Path(qhcalc.__file__).resolve().parent
 ALLOWED = {
     "__init__": set(),
     "qalgebra": set(),
-    "spectra": set(),
+    "spectra": {"qalgebra"},
     "rings": {"qalgebra"},
     "ladders": {"qalgebra"},
-    "models": {"spectra"},
+    "models": {"qalgebra", "spectra"},
     "carriers": {"ladders", "spectra"},
     "serialize": {"qalgebra", "rings", "spectra", "ladders", "carriers", "models"},
     "cli": {"qalgebra", "spectra", "ladders", "models", "carriers", "serialize"},

@@ -48,6 +48,14 @@ class TestFixedPoints:
             assert b.action == a.action + 2
             assert b.mean_index == a.mean_index
 
+    def test_coefficients_are_exact(self):
+        """A float coefficient is refused; an int, a Fraction or "1/3" is
+        kept exactly."""
+        with pytest.raises(TypeError, match="0.1 is a float"):
+            CPnQuadraticModel(lambdas=(0, 1, 0.1))
+        assert CPnQuadraticModel(lambdas=(0, Fraction(1, 3), "1/2")).lambdas == (
+            0, Fraction(1, 3), Fraction(1, 2))
+
     def test_repeated_lambdas_rejected(self):
         with pytest.raises(ValueError):
             model(1, 1)

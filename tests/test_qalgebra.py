@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qhcalc import qalgebra
 from qhcalc.qalgebra import (
     GradingError,
     GroundField,
@@ -70,6 +71,12 @@ class TestGroundField:
         assert Q.coerce(Fraction(1, 3)) == Q.coerce("1/3") == Fraction(1, 3)
         assert type(Q.coerce(Fraction(4, 2))) is int and Q.coerce(-7) == -7
         assert GroundField(3).coerce("1/2") == GroundField(3).coerce(Fraction(1, 2)) == 2
+
+    def test_coerce_passes_an_int_through(self, monkeypatch):
+        """An int is already exact: it is reduced mod p, and no Fraction is
+        built for it."""
+        monkeypatch.setattr(qalgebra, "exact_fraction", None)
+        assert Q.coerce(-7) == -7 and F5.coerce(-1) == 4 and F5.coerce(12) == 2
 
     def test_inverse_rational_follows_canonical_rule(self):
         two = Q.inv(Fraction(1, 2))

@@ -66,6 +66,53 @@ class TestBasis:
         assert CPn(n=4).basis(5) == []
 
 
+@st.composite
+def _rings_over_fields(draw):
+    """CP^n, G(k,N) or a product of two of them, over Q, F_2 or F_3; each
+    factor has lambda0 = N_f, so that any two share their monotonicity."""
+    field = GroundField(draw(st.sampled_from([0, 2, 3])))
+
+    def single():
+        if draw(st.booleans()):
+            n = draw(st.integers(1, 5))
+            return CPn(n=n, field=field, lambda0=n + 1)
+        N = draw(st.integers(2, 7))
+        return Grassmannian(k=draw(st.integers(1, N - 1)), N=N, field=field, lambda0=N)
+
+    return ProductRing(factors=(single(), single())) if draw(st.booleans()) else single()
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(_rings_over_fields())
+def test_label_table_is_read_off_label_key_and_label_degree(ring):
+    """A ring's label table is built on first use, once, and holds each basis
+    label's position in label_key order and its label_degree; so a
+    Grassmannian orders a pair by position as by (sum, label)."""
+    assert "_label_table" not in vars(ring)
+    table = ring._label_table
+    assert ring._label_table is table
+    ordered = sorted(ring.basis_labels(), key=ring.label_key)
+    assert list(table) == ordered
+    assert list(table.values()) == [(i, ring.label_degree(lbl)) for i, lbl in enumerate(ordered)]
+    if isinstance(ring, Grassmannian):
+        for a, b in product(ordered, repeat=2):
+            assert (table[a][0] > table[b][0]) == ((sum(a), a) > (sum(b), b))
+
+
+def test_cold_fill_transposes_each_partition_once(monkeypatch):
+    """A cold G(4,8) fill looks up many transposes, but computes each of its
+    partitions' transposes once: every cache miss is a new partition."""
+    looked_up, real = [], rings._transpose
+    monkeypatch.setattr(rings, "_transpose", lambda lam: looked_up.append(lam) or real(lam))
+    rings._grassmannian_structure.cache_clear()
+    real.cache_clear()
+    ring = Grassmannian(k=4, N=8)
+    for a, b in product(ring.basis_labels(), repeat=2):
+        ring.structure(a, b)
+    computed = real.cache_info().misses
+    assert computed == len(set(looked_up)) <= len(ring.basis_labels()) < len(looked_up)
+
+
 class TestLittlewoodRichardson:
     def test_pieri_square(self):
         assert littlewood_richardson((1,), (1,), 2) == {(2,): 1, (1, 1): 1}
@@ -379,7 +426,7 @@ class TestKunneth:
         monkeypatch.setattr(
             Grassmannian, "structure", lambda self, a, b: calls.append((a, b)) or real(self, a, b)
         )
-        rings._product_structure.cache_clear()
+        rings._PRODUCT_TABLES.clear()
         squares = set()
         for _ in range(10):
             ring = ProductRing(factors=(Grassmannian(k=2, N=4), CPn(n=3)))
@@ -387,6 +434,23 @@ class TestKunneth:
             squares.add(ring.quantum_product(a, a))
         assert len(squares) == 1
         assert calls == [((1,), (1,))]
+
+    def test_one_table_per_signature(self):
+        """The table is keyed by each factor's kind, integers and q-power
+        ratio: it is shared across fields and lambda0, and not between
+        different factors."""
+        f3 = GroundField(3)
+        table = ProductRing(factors=(Grassmannian(k=2, N=4), CPn(n=3)))._structure_table
+        assert ProductRing(factors=(Grassmannian(k=2, N=4, field=f3, lambda0=8),
+                                    CPn(n=3, field=f3, lambda0=8)))._structure_table is table
+        others = [ProductRing(factors=factors)._structure_table for factors in (
+            (CPn(n=3), Grassmannian(k=2, N=4)),
+            (Grassmannian(k=2, N=4), Grassmannian(k=1, N=4)),
+            (Grassmannian(k=2, N=4), Grassmannian(k=3, N=4)),
+            (CPn(n=1, lambda0=2), CPn(n=3, lambda0=4)),
+            (CPn(n=1, lambda0=2), CPn(n=1, lambda0=2)),
+        )]
+        assert len({id(t) for t in [table, *others]}) == 1 + len(others)
 
     def test_field_and_lambda0_come_from_factors(self):
         f3 = GroundField(3)

@@ -158,3 +158,33 @@ class TestIndexWindow:
     def test_lower_edge(self):
         o = CappedOrbit("x", mean_index=Fraction(-2))
         assert index_window_check(o, 0, 2)
+
+
+# Each entry that reads numbers: a function of one number x.
+_EXACT_ENTRIES = {
+    "MonotoneData": lambda x: MonotoneData(N=2, lam=x).lam,
+    "CappedOrbit.action": lambda x: CappedOrbit("x", action=x).action,
+    "CappedOrbit.mean_index": lambda x: CappedOrbit("x", mean_index=x).mean_index,
+    "mean_index_split": lambda x: mean_index_split((x,)) / 2,
+    "cz_index_split": lambda x: cz_index_split((x,)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_EXACT_ENTRIES))
+def test_entries_refuse_a_float(entry):
+    """0.1 is a binary approximation, not 1/10: no float enters the calculus."""
+    with pytest.raises(TypeError, match="0.1 is a float"):
+        _EXACT_ENTRIES[entry](0.1)
+
+
+@pytest.mark.parametrize("entry", sorted(_EXACT_ENTRIES))
+def test_entries_take_exact_numbers(entry):
+    """An int, a Fraction and a rational string still enter, exactly."""
+    read = _EXACT_ENTRIES[entry]
+    if entry == "cz_index_split":  # 2*floor(theta) + 1, none for an integer theta
+        assert read(Fraction(7, 3)) == read("7/3") == 5
+        with pytest.raises(DegenerateAngleError):
+            read(2)
+    else:
+        assert read(Fraction(1, 3)) == read("1/3") == Fraction(1, 3)
+        assert read(2) == 2
