@@ -16,13 +16,14 @@ degree (no v_j of a verified decomposition is 0), and the wrap-around step is
 The decomposition search runs on plain integer term dicts {(label, m): c},
 through the ring's structure-constant contraction and `qalgebra.reduce_terms`
 (the one reduction mod p), and builds `QuantumClass`es only for what it
-finds.  It carries one degree, the chain's, which is the interior degree of
-any longer chain, so a chain grows only while it is below 2N.  A chain that
-can neither close (degree a multiple of 2N) nor grow costs no product.  The
-ring is commutative (every basis class has even degree), so u0 times a
-multiset of factors is one product, shared by every order of the factors.
-Verification and ladders stay on `QuantumClass`, so the checker shares no
-walk with it.
+finds.  The ring is commutative (every basis class has even degree), so it
+walks each multiset of factors once, adding factors lightest first.  A
+multiset grows only while its degree, the least interior degree of any order
+of a multiset one factor larger, is below 2N; one that can neither grow nor
+close (degree a multiple of 2N) costs no product.  A closed multiset is
+listed in each distinct order whose interior degree is below 2N, under one
+explicit sort key.  Verification and ladders stay on `QuantumClass`, so the
+checker shares no walk with it.
 """
 
 from __future__ import annotations
@@ -131,16 +132,13 @@ def _walk(ring, v: QuantumClass, factors: Sequence[QuantumClass]) -> List[Quantu
 def search_decompositions(ring, ell_max: int, nu_max: int) -> List[Decomposition]:
     """Exhaustive search over additive basis classes.
 
-    Factors range over positive-degree basis labels; results are sorted by
-    (ell descending, nu ascending) with a lexicographic label tiebreak, so
-    the output is deterministic.  The search runs on plain integer term dicts
-    {(label, m): c}: from {(u0, 0): 1} it multiplies by one basis label at a
-    time through the ring's structure constants, reduces mod p, and compares
-    with {(u0, nu): 1}; a partial product that vanishes prunes its branch.
-    The walk visits ordered chains, but the products are kept per u0 under
-    the sorted factor indices, so each multiset of factors is multiplied out
-    once; a chain that could neither close nor grow is not multiplied at all.
-    Basis classes are built only for the decompositions found, and
+    Factors range over positive-degree basis labels.  Results are sorted by
+    one explicit key: ell descending, nu ascending, then the `label_key`
+    positions of u0 and of the factors.  Each multiset of factors is
+    multiplied once, adding factors lightest first, on integer term dicts; a
+    product that vanishes prunes its branch.  A multiset whose product is
+    q^nu u0 is listed in each distinct order whose interior degree is below
+    2N.  Basis classes are built only for the decompositions found, and
     `verify_decomposition` checks those independently on `QuantumClass`es.
     """
     if ell_max < 1:
@@ -150,52 +148,54 @@ def search_decompositions(ring, ell_max: int, nu_max: int) -> List[Decomposition
     two_n_chern = 2 * ring.N_chern
     cap = two_n_chern * nu_max
     p = ring.field.p
-    table = ring._label_table  # the basis labels in label_key order, with their degrees
-    # (label, degree, the label's basis class as a term list)
-    factors = [(lbl, d, (((lbl, 0), 1),)) for lbl, (_, d) in table.items() if d > 0]
+    labels = list(ring._label_table)  # the basis labels in label_key order
+    degrees = [d for _, d in ring._label_table.values()]
+    # (degree, position, the label's basis class as a term list), lightest first
+    factors = sorted((d, i, (((labels[i], 0), 1),)) for i, d in enumerate(degrees) if d > 0)
+    # (-ell, nu, position of u0, positions of the factors): the output order
     found: List[Tuple] = []
-    for u0_label in table:
-        # u0 times the factors of a multiset, under its sorted factor indices
-        products: dict = {}
 
-        def dfs(chain, key, partial, total_deg):
-            # a nonempty chain has total_deg > 0, and the skips below keep
-            # it <= 2N*nu_max, so a hit has 1 <= nu <= nu_max
-            if chain and total_deg % two_n_chern == 0:
-                nu = total_deg // two_n_chern
-                if partial == {(u0_label, nu): 1}:
-                    found.append((u0_label, tuple(factors[i][0] for i in chain), nu))
-            # extending makes the whole chain interior: its degree is total_deg
-            if len(chain) == ell_max or total_deg >= two_n_chern:
-                return
-            last = len(chain) + 1 == ell_max
-            for i, (_, deg, terms) in enumerate(factors):
-                child_deg = total_deg + deg
-                # skip a child that is too heavy, or can neither close nor grow
-                if child_deg > cap or (child_deg % two_n_chern
-                                       and (last or child_deg >= two_n_chern)):
-                    continue
-                child_key = tuple(sorted(key + (i,)))
-                step = products.get(child_key)
-                if step is None:
-                    step = products[child_key] = reduce_terms(
-                        ring._contract(partial.items(), terms), p)
-                if not step:
-                    continue
-                chain.append(i)
-                dfs(chain, child_key, step, child_deg)
-                chain.pop()
+    def grow(u0, multiset, partial, deg, start):
+        # multiset: the factor positions in walk order, of degree deg < 2N
+        for i in range(start, len(factors)):
+            d, pos, terms = factors[i]
+            child_deg = deg + d
+            if child_deg > cap:
+                break
+            grows = child_deg < two_n_chern and len(multiset) + 1 < ell_max
+            nu, off = divmod(child_deg, two_n_chern)
+            if not grows and off:
+                continue
+            step = reduce_terms(ring._contract(partial.items(), terms), p)
+            if not step:
+                continue
+            child = multiset + (pos,)
+            if grows:
+                grow(u0, child, step, child_deg, i)
+            elif step == {(labels[u0], nu): 1}:
+                # each distinct last factor that keeps the interior below 2N
+                for j, last in enumerate(child):
+                    if degrees[last] > child_deg - two_n_chern and child[j - 1:j] != (last,):
+                        found.extend((-len(child), nu, u0, order + (last,))
+                                     for order in _orders(child[:j] + child[j + 1:]))
 
-        dfs([], (), {(u0_label, 0): 1}, 0)
+    for u0 in range(len(labels)):
+        grow(u0, (), {(labels[u0], 0): 1}, 0, 0)
+    found.sort()
+    used = {i for _, _, u0, order in found for i in (u0, *order)}
+    classes = {i: ring.basis_class(labels[i]) for i in used}
+    return [Decomposition(classes[u0], tuple(classes[i] for i in order), nu)
+            for _, nu, u0, order in found]
 
-    # the walk meets u0 and factors in label_key order; the stable sort keeps it
-    found.sort(key=lambda t: (-len(t[1]), t[2]))
-    used = {lbl for u0l, fl, _ in found for lbl in (u0l, *fl)}
-    classes = {lbl: ring.basis_class(lbl) for lbl in used}
-    return [
-        Decomposition(classes[u0l], tuple(classes[l] for l in fl), nu)
-        for u0l, fl, nu in found
-    ]
+
+def _orders(items: Tuple[int, ...]):
+    """Each distinct order of items, whose equal entries are adjacent."""
+    if not items:
+        yield ()
+    for j, x in enumerate(items):
+        if items[j - 1:j] != (x,):
+            for rest in _orders(items[:j] + items[j + 1:]):
+                yield (x,) + rest
 
 
 def build_ladder(ring, dec: Decomposition) -> Ladder:

@@ -22,13 +22,15 @@ and ``label_degree``): ``_assemble`` sorts terms by a label's position
 there, and ``_degrees``, the one set of term degrees, reads each degree
 from it.
 ``QuantumClass.build`` is the checked entry for outside terms (it
-normalises labels and coerces scalars).
+normalises labels and coerces scalars); it and ``q_shift`` read a q exponent
+through ``operator.index``, so a float exponent raises ``TypeError``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 from typing import Dict, Mapping, Tuple, Union
 
 Scalar = Union[int, Fraction]
@@ -158,7 +160,7 @@ class QuantumClass:
             c = field.coerce(c)
             if c == 0:
                 continue
-            key = (ring.normalize_label(label), int(m))
+            key = (ring.normalize_label(label), index(m))
             cleaned[key] = cleaned.get(key, 0) + c
         return cls._assemble(ring, cleaned)
 
@@ -231,6 +233,7 @@ class QuantumClass:
 
     def q_shift(self, m: int) -> "QuantumClass":
         """Multiply by q^m: every Novikov exponent moves by m."""
+        m = index(m)
         return QuantumClass._assemble(
             self.ring, {(label, e + m): c for (label, e), c in self.terms}
         )

@@ -33,10 +33,12 @@ from it, and ``basis``, ``Grassmannian.structure`` and the decomposition
 search read it too.
 
 Basis labels are checked once, where they enter, by each ring's
-``normalize_label``; past that point partitions are normalised tuples, and
-the LR walk and the rim-hook reduction take them as they are.  The reduction
-is the N-core of the partition's abacus, read off in closed form and cached
-like the structure constants.  ``first_chern_generator`` is one rule on
+``normalize_label``, which reads each integer (a part, a power of u)
+through ``operator.index``, so a float, a ``Fraction`` or a string raises
+``TypeError`` instead of being truncated; past that point partitions are
+normalised tuples, and the LR walk and the rim-hook reduction take them as
+they are.  The reduction is the N-core of the partition's abacus, read off
+in closed form and cached like the structure constants.  ``first_chern_generator`` is one rule on
 ``RingPresentation``, the sum of the degree-2 basis classes assembled from
 the ring's own labels, so a product's q-power conversion lives only in its
 structure constants.
@@ -57,6 +59,7 @@ from dataclasses import dataclass, field as dc_field, fields
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain, combinations, combinations_with_replacement, product
+from operator import index
 from typing import Dict, List, Tuple
 
 from .qalgebra import GroundField, QuantumClass, RingMismatchError, exact_fraction
@@ -69,7 +72,7 @@ Partition = Tuple[int, ...]
 
 
 def normalize_partition(parts) -> Partition:
-    t = tuple(int(x) for x in parts)
+    t = tuple(map(index, parts))
     while t and t[-1] == 0:
         t = t[:-1]
     if any(x < 0 for x in t):
@@ -349,7 +352,7 @@ class CPn(RingPresentation):
         return list(range(self.n + 1))
 
     def normalize_label(self, label):
-        label = int(label)
+        label = index(label)
         if not 0 <= label <= self.n:
             raise ValueError(f"u^{label} is not a basis label of CP^{self.n}")
         return label

@@ -151,8 +151,11 @@ def _cp1_power(count, p=0):
 
 # (ring, ell_max, nu_max): CP^1-CP^4 over Q, F_2, F_3, F_5; G(2,4) and G(2,5)
 # over Q, F_2, F_3 (over F_2, s1^3 = 2 s21 in G(2,4) dies only mod 2); G(3,6);
-# CP^1 x CP^1 over Q and F_3; CP^1 x CP^1 x CP^1; G(2,4) x G(2,4); and
-# CP^1 x G(2,4) with lambda0 = 2 on G(2,4), so N = 2 and a q of G(2,4) is q^2
+# CP^1 x CP^1 over Q and F_3; CP^1 x CP^1 x CP^1; G(2,4) x G(2,4); CP^1 x G(2,4)
+# with lambda0 = 2 on G(2,4), so N = 2 and a q of G(2,4) is q^2; CP^6 at
+# ell <= 7, with u^7 = q a multiset of seven equal factors; and G(2,4) x G(2,4)
+# over F_5, whose degree order is not its label_key order and whose factor
+# scalars need not be +-1
 ORACLE_SEARCHES = [
     *((CPn(n=n, field=GroundField(p)), n + 2, 2) for n in range(1, 5) for p in (0, 2, 3, 5)),
     *((Grassmannian(k=2, N=N, field=GroundField(p)), 3, 2) for N in (4, 5) for p in (0, 2, 3)),
@@ -162,6 +165,8 @@ ORACLE_SEARCHES = [
     (_cp1_power(3), 3, 2),
     (ProductRing(factors=(Grassmannian(k=2, N=4),) * 2), 3, 2),
     (ProductRing(factors=(CPn(n=1), Grassmannian(k=2, N=4, lambda0=2))), 3, 3),
+    (CPn(n=6), 7, 2),
+    (ProductRing(factors=(Grassmannian(k=2, N=4, field=GroundField(5)),) * 2), 3, 2),
 ]
 
 
@@ -231,7 +236,8 @@ class TestSearchWork:
     @pytest.mark.parametrize("ring, ell_max, contractions", [
         (CPn(n=3), 4, 40),
         (Grassmannian(k=2, N=5), 3, 340),
-    ], ids=["CP3", "G(2,5)"])
+        (ProductRing(factors=(Grassmannian(k=2, N=4),) * 2), 3, 7812),
+    ], ids=["CP3", "G(2,5)", "G(2,4)xG(2,4)"])
     def test_one_contraction_per_multiset_that_can_close_or_grow(
             self, ring, ell_max, contractions, monkeypatch):
         """The ring is commutative, so the search contracts u0 with each
@@ -264,6 +270,17 @@ class TestSearchWork:
             deg = sum(map(ring.label_degree, multiset))
             assert deg % two_n_chern == 0 or (len(multiset) < ell_max and deg < two_n_chern), (
                 u0, multiset)
+
+    @pytest.mark.parametrize("n, count", [(10, 11253), (12, 53235)], ids=["CP10", "CP12"])
+    def test_orders_are_listed_without_running_through_permutations(self, n, count):
+        """CP^n at ell <= n + 1 lists 1 * u^(n+1) = q once: its multiset of
+        n + 1 equal factors has one order, and a listing that ran through
+        all (n + 1)! orders of it, or the n! of all but its last factor,
+        would not finish in reasonable time."""
+        ring = CPn(n=n)
+        decs = search_decompositions(ring, n + 1, 1)
+        assert len(decs) == count
+        assert decs.count(Decomposition(ring.one(), (ring.basis_class(1),) * (n + 1), 1)) == 1
 
 
 class TestLadder:

@@ -66,6 +66,26 @@ class TestGroundField:
         with pytest.raises(TypeError):
             QuantumClass.build(CPn(n=1, field=field), {(0, 0): 0.5})
 
+    @pytest.mark.parametrize("m", [0.5, 1.0, Fraction(1), "1"],
+                             ids=["float", "integral float", "Fraction", "str"])
+    def test_q_exponents_refuse_non_integers(self, m):
+        """A q exponent is read with operator.index, at the checked entry
+        and in q_shift: it raises TypeError instead of being truncated."""
+        ring = CPn(n=2)
+        with pytest.raises(TypeError):
+            ring.basis_class(1, m)
+        with pytest.raises(TypeError):
+            QuantumClass.build(ring, {(1, m): 1})
+        with pytest.raises(TypeError):
+            ring.basis_class(1).q_shift(m)
+
+    def test_int_q_exponents_still_enter(self):
+        ring = CPn(n=2)
+        assert (ring.basis_class(1, 2) == QuantumClass.build(ring, {(1, 2): 1})
+                == ring.basis_class(1).q_shift(2))
+        assert ring.basis_class(1, 2).terms == (((1, 2), 1),)
+        assert ring.basis_class(1, -1).q_shift(1) == ring.basis_class(1)
+
     def test_coerce_takes_exact_scalars(self):
         """A Fraction, an int and a rational string still enter."""
         assert Q.coerce(Fraction(1, 3)) == Q.coerce("1/3") == Fraction(1, 3)

@@ -33,6 +33,25 @@ class TestPartitions:
         with pytest.raises(ValueError):
             normalize_partition([2, -1])
 
+    @pytest.mark.parametrize("label", [1.7, 1.0, Fraction(1), "1"],
+                             ids=["float", "integral float", "Fraction", "str"])
+    def test_labels_refuse_non_integers(self, label):
+        """A part or a power of u is read with operator.index: a float, a
+        Fraction or a string raises TypeError instead of being truncated."""
+        with pytest.raises(TypeError):
+            normalize_partition([2, label])
+        with pytest.raises(TypeError):
+            CPn(n=2).basis_class(label)
+        with pytest.raises(TypeError):
+            Grassmannian(k=2, N=4).basis_class((label, 1))
+
+    def test_int_labels_still_enter(self):
+        assert normalize_partition((2, 1, 0)) == normalize_partition([2, 1]) == (2, 1)
+        assert CPn(n=2).basis_class(1).terms == (((1, 0), 1),)
+        assert Grassmannian(k=2, N=4).basis_class((2, 1, 0)).terms == ((((2, 1), 0), 1),)
+        ring = ProductRing(factors=(CPn(n=1), CPn(n=1)))
+        assert ring.basis_class((1, 0)).terms == ((((1, 0), 0), 1),)
+
     def test_box(self):
         assert fits_box((2, 2), 2, 2)
         assert not fits_box((3,), 2, 2)
