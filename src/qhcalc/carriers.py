@@ -27,6 +27,9 @@ nondegenerate row.  Its candidates ((orbit id, m), k*a*D - m*lambda0*D) are
 the search's (slot, action) pairs; the fundamental-class carrier and the
 negative-monotone verdict read them too, the verdict turning them into
 `Fraction`s only in its printed details.
+`_assignments` walks the slots depth first on an explicit stack, the next
+candidate index of each slot, with no generator per search node; it stays a
+lazy generator, so a verdict's `next()` stops at the first assignment.
 `check_assignment` stays the independent checker: it rebuilds each capped
 orbit with `Fraction`s and tests it with `spectra.index_window_check`.
 """
@@ -139,7 +142,8 @@ def _cappings(table: OrbitTable, deg_hom: int, k: int) -> List[Tuple[Slot, int]]
         x, a = k * mean_index, k * action
         # lo <= x - step*m <= hi  <=>  ceil((x - hi)/step) <= m <= floor((x - lo)/step)
         m_lo, m_hi = -((hi - x) // step), (x - lo) // step
-        out.extend(((oid, m), a - m * lambda0) for m in range(m_lo, m_hi + 1))
+        for m in range(m_lo, m_hi + 1):
+            out.append(((oid, m), a - m * lambda0))
     return out
 
 
@@ -185,33 +189,46 @@ def _assignments(
     on; a full period is kept when its last slot lies above the floor, or on
     it as another capped orbit (the wrap-around pair of `_ordering_ok`).
     Actions are compared as the scaled integers of `OrbitTable.scaled`.
+
+    The walk keeps an explicit stack, the next candidate index of each slot
+    of the prefix and of the open slot, with no generator per node; it is
+    still lazy, yielding each assignment as soon as its last slot is found.
     """
     if k < 1:
         raise ValueError("iteration order must be >= 1")
     nu = ladder.nu
     period_drop = nu * table.scaled.lambda0
     candidates = [_cappings(table, deg, k) for deg in ladder.hom_degrees]
+    last_slot = len(candidates) - 1
     chain: List[Slot] = []
+    actions: List[int] = []
     used: Set[Slot] = set()
-
-    def extend(floor: Optional[int], last: Optional[int]) -> Iterator[CarrierAssignment]:
-        j = len(chain)
-        if j == len(candidates):
-            oid, m = chain[0]
-            if last > floor or (last == floor and chain[-1] != (oid, m + nu)):
-                yield CarrierAssignment(k=k, slots=tuple(chain))
-            return
-        for key, action in candidates[j]:
+    floor = wrap = None
+    stack = [0]
+    while stack:
+        j = len(stack) - 1
+        row = candidates[j]
+        last = actions[-1] if j else None
+        for i in range(stack[j], len(row)):
+            key, action = row[i]
             if key in used or (j and not floor <= action <= last):
                 continue
-            chain.append(key)
-            used.add(key)
-            # slot 0 sets the floor
-            yield from extend(floor if j else action - period_drop, action)
-            chain.pop()
-            used.remove(key)
-
-    yield from extend(None, None)
+            if not j:  # slot 0 sets the floor and the capped orbit it closes on
+                floor, wrap = action - period_drop, (key[0], key[1] + nu)
+            if j < last_slot:
+                stack[j] = i + 1
+                stack.append(0)
+                chain.append(key)
+                actions.append(action)
+                used.add(key)
+                break
+            if action > floor or (action == floor and key != wrap):
+                yield CarrierAssignment(k=k, slots=(*chain, key))
+        else:
+            stack.pop()
+            if chain:
+                used.remove(chain.pop())
+                actions.pop()
 
 
 def admissible_assignments(

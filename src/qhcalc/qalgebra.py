@@ -24,6 +24,8 @@ from it.
 ``QuantumClass.build`` is the checked entry for outside terms (it
 normalises labels and coerces scalars); it and ``q_shift`` read a q exponent
 through ``operator.index``, so a float exponent raises ``TypeError``.
+``QuantumClass.__pow__`` reads its power d the same way and squares
+repeatedly, so x ** d costs O(log d) products.
 """
 
 from __future__ import annotations
@@ -206,11 +208,17 @@ class QuantumClass:
         return self.ring.quantum_product(self, other)
 
     def __pow__(self, d: int) -> "QuantumClass":
+        """The d-th power by repeated squaring: O(log d) products."""
+        d = index(d)
         if d < 0:
             raise ValueError("negative powers are not defined")
-        result = self.ring.one()
-        for _ in range(d):
-            result = result * self
+        result, square = self.ring.one(), self
+        while d:
+            if d & 1:
+                result = result * square
+            d >>= 1
+            if d:
+                square = square * square
         return result
 
     # -- grading -----------------------------------------------------------

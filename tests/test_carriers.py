@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qhcalc import carriers
 from qhcalc.carriers import (
     DEGENERATE,
     CarrierAssignment,
+    _assignments,
     _cappings,
     _fundamental_class_carrier,
     OrbitTable,
@@ -57,10 +59,18 @@ def g24_nu2_ladder():
     return case_ii_ladder(ring, ring.basis_class((1,)), 1, 9)
 
 
+def cp1xcp1_ladder():
+    """The ladder of 1 * (1 x u) * (1 x u) = q on CP^1 x CP^1."""
+    ring = ProductRing(factors=(CPn(n=1), CPn(n=1)))
+    u = ring.basis_class((0, 1))
+    return build_ladder(ring, Decomposition(u0=ring.one(), factors=(u, u), nu=1))
+
+
 # (complex dimension, minimal Chern number, ladder): the CP^n ladders of
-# u^(n+1) = q and the nu = 2 ladder of G(2,4)
+# u^(n+1) = q, the nu = 2 ladder of G(2,4) and the ladder of a product ring
 ORACLE_LADDERS = tuple((n, n + 1, cpn_ladder(n)) for n in range(1, 5)) + (
     (4, 4, g24_nu2_ladder()),
+    (2, 2, cp1xcp1_ladder()),
 )
 
 
@@ -68,17 +78,23 @@ ORACLE_LADDERS = tuple((n, n + 1, cpn_ladder(n)) for n in range(1, 5)) + (
 def carrier_searches(draw):
     """An orbit table, a ladder and a few primes below 30.
 
-    Half the tables are quadratic-model fixed points on CP^(N-1) (with one
-    action sometimes shifted by an odd multiple of 1/16), half are random
-    rows; the flags are random and lambda has either sign.
+    Half the tables are quadratic-model fixed points on CP^(N-1), or on the
+    product ring's CP^1 x CP^1 (with one action sometimes shifted by an odd
+    multiple of 1/16), half are random rows; the flags are random and lambda
+    has either sign.
     """
     n, n_chern, ladder = draw(st.sampled_from(ORACLE_LADDERS))
     lam = draw(st.sampled_from([1, -1])) * Fraction(1, n_chern)
     if draw(st.booleans()):
-        lams = draw(st.lists(st.integers(-12, 12), min_size=n_chern, max_size=n_chern,
-                             unique=True))
+        ring = ladder.window[0].ring
+        dims = ([f.complex_dim for f in ring.factors] if isinstance(ring, ProductRing)
+                else [n_chern - 1])
+        lams = [draw(st.lists(st.integers(-12, 12), min_size=d + 1, max_size=d + 1,
+                              unique=True)) for d in dims]
         den = draw(st.sampled_from([5, 7, 8, 9, 16]))
-        model = CPnQuadraticModel(lambdas=tuple(Fraction(x, den) for x in lams))
+        factors = [CPnQuadraticModel(lambdas=tuple(Fraction(x, den) for x in xs))
+                   for xs in lams]
+        model = factors[0] if len(factors) == 1 else ProductModel(factors=tuple(factors))
         rows = [(o.action, o.mean_index) for o in fixed_points(model)]
         shift = draw(st.sampled_from([0, 0, -3, -1, 1, 3]))
         j = draw(st.integers(0, len(rows) - 1))
@@ -223,6 +239,45 @@ class TestAdmissibleAssignments:
         oid, m = a.slots[0]
         bad = CarrierAssignment(k=a.k, slots=((oid, m + 5),) + a.slots[1:])
         assert not check_assignment(table, ladder, bad)
+
+
+def product_model_table(*lams):
+    """The fixed points of the CP^1 x CP^1 model with the given pairs of lambdas."""
+    model = ProductModel(factors=tuple(
+        CPnQuadraticModel(lambdas=tuple(Fraction(x) for x in pair)) for pair in lams))
+    return OrbitTable(md=model.monotone_data, n=model.n, orbits=tuple(fixed_points(model)))
+
+
+class TestSearchWork:
+    @pytest.mark.parametrize("table, ladder, k, count", [
+        (model_table(*(Fraction(j * j + 1, 15) for j in range(4))), cpn_ladder(3), 15, 108),
+        (OrbitTable(md=MonotoneData(N=4, lam=Fraction(1, 4)), n=4, orbits=tuple(
+            CappedOrbit(f"x{i}", Fraction(i, 7), Fraction(2 * i - 3, 5)) for i in range(5))),
+         g24_nu2_ladder(), 2, 47),
+        (product_model_table((0, Fraction(1, 8)), (0, Fraction(3, 8))), cp1xcp1_ladder(), 5, 10),
+    ], ids=["CP3", "G(2,4) nu=2", "CP1xCP1"])
+    def test_first_assignment_is_found_lazily(self, table, ladder, k, count, monkeypatch):
+        """A verdict reads only the first assignment, so the search must stop
+        there: next() builds exactly one CarrierAssignment and lists each
+        slot's candidates once, in slot order.  A search that built every
+        assignment before yielding the first would build `count` of them."""
+        every = admissible_assignments(table, ladder, k)
+        assert len(every) == count
+        built, listed = [], []
+
+        def counted_assignment(*args, **kwargs):
+            built.append(kwargs)
+            return CarrierAssignment(*args, **kwargs)
+
+        def counted_cappings(table, deg_hom, k):
+            listed.append(deg_hom)
+            return _cappings(table, deg_hom, k)
+
+        monkeypatch.setattr(carriers, "CarrierAssignment", counted_assignment)
+        monkeypatch.setattr(carriers, "_cappings", counted_cappings)
+        assert next(_assignments(table, ladder, k)) == every[0]
+        assert len(built) == 1
+        assert listed == list(ladder.hom_degrees)
 
 
 class TestStableSubsequence:
@@ -437,9 +492,7 @@ class TestRelationVerdict:
         ))
         orbits = tuple(replace(o, action=o.action - Fraction(3, 128))
                        if o.orbit_id == "x0*x1" else o for o in fixed_points(model))
-        ring = ProductRing(factors=(CPn(n=1), CPn(n=1)))
-        u = ring.basis_class((0, 1))
-        ladder = build_ladder(ring, Decomposition(u0=ring.one(), factors=(u, u), nu=1))
+        ladder = cp1xcp1_ladder()
         primes = PRIMES[1:15]  # 3 to 47
         names = {"x0*x0": "a", "x1*x1": "b", "x1*x0": "c", "x0*x1": "d"}
         statuses = [

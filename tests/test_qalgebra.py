@@ -14,6 +14,7 @@ from qhcalc.qalgebra import (
     reduce_terms,
 )
 from qhcalc.rings import CPn, Grassmannian, ProductRing
+from qhcalc.serialize import class_to_str
 
 from test_serialize import PROPERTY, quantum_classes
 
@@ -209,6 +210,51 @@ class TestQuantumClass:
         assert one.q_shift(1).degree() == 4
         a = ring.basis_class(1, m=2)
         assert a.q_shift(3).q_shift(-3) == a
+
+
+class TestPower:
+    @pytest.mark.parametrize("ring", [
+        CPn(n=3), Grassmannian(k=2, N=4), Grassmannian(k=2, N=5),
+        CPn(n=3, field=GroundField(3)), Grassmannian(k=2, N=4, field=GroundField(3)),
+        Grassmannian(k=2, N=5, field=GroundField(3)),
+    ], ids=["CP3", "G(2,4)", "G(2,5)", "CP3/F3", "G(2,4)/F3", "G(2,5)/F3"])
+    def test_power_is_the_repeated_product(self, ring):
+        """Repeated squaring gives the same exact class as d products, on
+        basis classes and on sums of terms of mixed degree."""
+        rng = random.Random(29)
+        labels = ring.basis_labels()
+        classes = [ring.basis_class(label) for label in labels[1:4]] + [
+            QuantumClass.build(ring, {(rng.choice(labels), rng.randint(-1, 1)):
+                                      rng.randint(-3, 3) for _ in range(3)})
+            for _ in range(2)
+        ]
+        for x in classes:
+            product = ring.one()
+            for d in range(13):
+                assert x ** d == product, (x, d)
+                product = product * x
+
+    def test_huge_power_takes_logarithmically_many_products(self, monkeypatch):
+        """u^(3m+1) = q^m u in CP^2; 10^18 = 3m + 1 takes one squaring and
+        at most one multiplication per binary digit."""
+        ring = CPn(n=2)
+        d = 10 ** 18
+        products = []
+        product = CPn.quantum_product
+
+        def counted(self, a, b):
+            products.append((a, b))
+            return product(self, a, b)
+
+        monkeypatch.setattr(CPn, "quantum_product", counted)
+        power = ring.basis_class(1) ** d
+        assert class_to_str(power) == "q^333333333333333333*u"
+        assert len(products) <= 2 * d.bit_length()
+
+    @pytest.mark.parametrize("d", [2.0, Fraction(2), "2"], ids=["float", "Fraction", "str"])
+    def test_exponent_read_with_operator_index(self, d):
+        with pytest.raises(TypeError):
+            CPn(n=2).basis_class(1) ** d
 
 
 class TestProperties:
