@@ -2,12 +2,15 @@
 
 Exit codes: 0 ok/consistent, 2 mathematical contradiction found,
 3 inconclusive (a hypothesis gate fired), 64 usage or input error.
-Every command is one row of ``COMMANDS``, from which the parser is built.
+Every command is one handler in ``COMMANDS``, from which the parser is
+built: the handler ``<group>_<command>`` is the command ``<group> <command>``,
+and its keyword-only, annotated signature is the command's option list.  A
+parameter's annotation is the option's type (``bool`` is a switch), its
+default the option's default, and a parameter without one is required.
 """
 
-from __future__ import annotations
-
 import argparse
+import inspect
 import json
 import sys
 from fractions import Fraction
@@ -53,17 +56,17 @@ def _load_ring(path: str, field: str = None):
 # ring
 
 
-def ring_mul(ring, a, b, field):
+def ring_mul(*, ring: str, a: str, b: str, field: str = None):
     r = _load_ring(ring, field)
     return ser.class_to_str(r.quantum_product(ser.class_from_str(r, a), ser.class_from_str(r, b)))
 
 
-def ring_power(ring, class_, d, field):
+def ring_power(*, ring: str, class_: str, d: int, field: str = None):
     r = _load_ring(ring, field)
     return ser.class_to_str(ser.class_from_str(r, class_) ** d)
 
 
-def ring_basis(ring, degree, field):
+def ring_basis(*, ring: str, degree: int, field: str = None):
     r = _load_ring(ring, field)
     return [ser.class_to_str(r.basis_class(lbl)) for lbl in r.basis(degree)]
 
@@ -72,7 +75,7 @@ def ring_basis(ring, degree, field):
 # ladders
 
 
-def ladders_search(ring, ell_max, nu_max, out):
+def ladders_search(*, ring: str, ell_max: int, nu_max: int = 2, out: str = None):
     r = _load_ring(ring)
     decs = ladders_mod.search_decompositions(r, ell_max, nu_max)
     payload = [ser.decomposition_to_json(d) for d in decs]
@@ -84,7 +87,7 @@ def ladders_search(ring, ell_max, nu_max, out):
     return payload
 
 
-def ladders_verify(ring, dec):
+def ladders_verify(*, ring: str, dec: str):
     r = _load_ring(ring)
     report = ladders_mod.verify_decomposition(r, ser.decomposition_from_json(r, _load_json(dec)))
     payload = {"valid": report.valid, "reasons": list(report.reasons)}
@@ -94,7 +97,7 @@ def ladders_verify(ring, dec):
     return payload
 
 
-def ladders_build(ring, dec):
+def ladders_build(*, ring: str, dec: str):
     r = _load_ring(ring)
     ladder = ladders_mod.build_ladder(r, ser.decomposition_from_json(r, _load_json(dec)))
     return {
@@ -105,7 +108,7 @@ def ladders_build(ring, dec):
     }
 
 
-def ladders_case2(ring, class_, orbits):
+def ladders_case2(*, ring: str, class_: str = None, orbits: int):
     r = _load_ring(ring)
     u = ser.class_from_str(r, class_) if class_ is not None else r.first_chern_generator()
     try:
@@ -120,16 +123,16 @@ def ladders_case2(ring, class_, orbits):
 # spectra
 
 
-def spectra_recap(orbit, m, chern, lambda_):
+def spectra_recap(*, orbit: str, m: int, chern: int, lambda_: str):
     x = ser.orbit_from_json(_load_json(orbit))
     return ser.orbit_to_json(recap(x, m, MonotoneData(N=chern, lam=ser.frac_from_str(lambda_))))
 
 
-def spectra_iterate(orbit, k):
+def spectra_iterate(*, orbit: str, k: int):
     return ser.orbit_to_json(iterate(ser.orbit_from_json(_load_json(orbit)), k))
 
 
-def spectra_augmented(orbit, chern, lambda_):
+def spectra_augmented(*, orbit: str, chern: int, lambda_: str):
     x = ser.orbit_from_json(_load_json(orbit))
     md = MonotoneData(N=chern, lam=ser.frac_from_str(lambda_))
     return ser.frac_to_str(augmented_action(x, md))
@@ -157,7 +160,7 @@ def _model_report(model):
     }
 
 
-def models_cpn(lambdas, verify):
+def models_cpn(*, lambdas: str, verify: bool = False):
     payload = _model_report(models_mod.CPnQuadraticModel(lambdas=_parse_lambdas(lambdas)))
     if not verify:
         payload.pop("equal_augmented_actions")
@@ -165,14 +168,14 @@ def models_cpn(lambdas, verify):
     return payload
 
 
-def models_product(factors):
+def models_product(*, factors: str):
     parts = [p for p in factors.split(";") if p.strip()]
     return _model_report(models_mod.ProductModel(
         factors=tuple(models_mod.CPnQuadraticModel(lambdas=_parse_lambdas(p)) for p in parts)
     ))
 
 
-def models_verify(model):
+def models_verify(*, model: str):
     payload = _model_report(ser.model_from_json(_load_json(model)))
     if not payload["equal_augmented_actions"]:
         raise Exit(EXIT_CONTRADICTION, "augmented actions are not all equal", payload)
@@ -214,7 +217,7 @@ def _verdict(verdict: carriers_mod.Verdict):
     return payload
 
 
-def carriers_assignments(scenario, k):
+def carriers_assignments(*, scenario: str, k: int):
     table, ladder, _ = _load_scenario(scenario, need_ladder=True)
     # the search runs on any table and ladder; a listing is stated for the relation's
     carriers_mod.relation_preconditions(table, ladder)
@@ -222,25 +225,22 @@ def carriers_assignments(scenario, k):
     return [{"k": a.k, "slots": [[oid, m] for oid, m in a.slots]} for a in assignments]
 
 
-def carriers_verify(scenario):
+def carriers_verify(*, scenario: str):
     table, ladder, primes = _load_scenario(scenario, need_ladder=True, need_primes=True)
     return _verdict(carriers_mod.relation_verdict(table, ladder, primes))
 
 
-def carriers_negmon(scenario):
+def carriers_negmon(*, scenario: str):
     table, _, primes = _load_scenario(scenario, need_primes=True)
     return _verdict(carriers_mod.neg_monotone_obstruction(table, primes))
 
 
 # ---------------------------------------------------------------------------
-# the command table
+# the commands
 
-# An option is its flag (a required string), or (flag, type) for a required
-# value of that type, or (flag, type, default); (flag, bool) is a switch.
-# The value reaches the handler under the flag's name with "-" read as "_",
-# except where _PARAMETER names it.
-RING, FIELD = "--ring", ("--field", str, None)
-_PARAMETER = {"--class": "class_", "--lam": "lambda_"}
+# A parameter is the flag "--" + its name, with "_" read as "-" and a
+# trailing "_" dropped ("class_" is "--class"), except where _FLAG names it.
+_FLAG = {"lambda_": "--lam"}
 
 GROUPS = {
     "ring": "Quantum ring computations.",
@@ -251,23 +251,11 @@ GROUPS = {
 }
 
 COMMANDS = (
-    ("ring", "mul", ring_mul, (RING, "--a", "--b", FIELD)),
-    ("ring", "power", ring_power, (RING, "--class", ("--d", int), FIELD)),
-    ("ring", "basis", ring_basis, (RING, ("--degree", int), FIELD)),
-    ("ladders", "search", ladders_search,
-     (RING, ("--ell-max", int), ("--nu-max", int, 2), ("--out", str, None))),
-    ("ladders", "verify", ladders_verify, (RING, "--dec")),
-    ("ladders", "build", ladders_build, (RING, "--dec")),
-    ("ladders", "case2", ladders_case2, (RING, ("--class", str, None), ("--orbits", int))),
-    ("spectra", "recap", spectra_recap, ("--orbit", ("--m", int), ("--chern", int), "--lam")),
-    ("spectra", "iterate", spectra_iterate, ("--orbit", ("--k", int))),
-    ("spectra", "augmented", spectra_augmented, ("--orbit", ("--chern", int), "--lam")),
-    ("models", "cpn", models_cpn, ("--lambdas", ("--verify", bool))),
-    ("models", "product", models_product, ("--factors",)),
-    ("models", "verify", models_verify, ("--model",)),
-    ("carriers", "assignments", carriers_assignments, ("--scenario", ("--k", int))),
-    ("carriers", "verify", carriers_verify, ("--scenario",)),
-    ("carriers", "negmon", carriers_negmon, ("--scenario",)),
+    ring_mul, ring_power, ring_basis,
+    ladders_search, ladders_verify, ladders_build, ladders_case2,
+    spectra_recap, spectra_iterate, spectra_augmented,
+    models_cpn, models_product, models_verify,
+    carriers_assignments, carriers_verify, carriers_negmon,
 )
 
 
@@ -287,43 +275,38 @@ class _Parser(argparse.ArgumentParser):
         return namespace, extras
 
 
-def _options(options):
-    """Each option's flag and the keywords of its ``add_argument``."""
-    for option in options:
-        flag, kind, *default = (option, str) if isinstance(option, str) else option
-        dest = _PARAMETER.get(flag, flag[2:].replace("-", "_"))
-        if kind is bool:
-            yield flag, {"dest": dest, "action": "store_true"}
-        else:
-            yield flag, {"dest": dest, "type": kind, "required": not default,
-                         "default": default[0] if default else None}
-
-
 def _parser():
+    """The parser, and the flags that take a value."""
     parser = _Parser(prog="qhcalc", allow_abbrev=False,
                      description="Exact quantum cohomology and action/index calculus.")
     groups = parser.add_subparsers(dest="group", required=True)
     subgroups = {name: groups.add_parser(name, help=text, description=text, allow_abbrev=False)
                  .add_subparsers(dest="command", required=True)
                  for name, text in GROUPS.items()}
-    for group, name, handler, options in COMMANDS:
+    value_flags = set()
+    for handler in COMMANDS:
+        group, name = handler.__name__.split("_", 1)
         command = subgroups[group].add_parser(name, allow_abbrev=False)
         command.set_defaults(handler=handler)
-        for flag, keywords in _options(options):
-            command.add_argument(flag, **keywords)
-    return parser
+        for param in inspect.signature(handler).parameters.values():
+            flag = _FLAG.get(param.name, "--" + param.name.rstrip("_").replace("_", "-"))
+            required = param.default is param.empty
+            if param.annotation is bool:
+                keywords = {"action": "store_true"}
+            else:
+                keywords = {"type": param.annotation, "required": required}
+                value_flags.add(flag)
+            command.add_argument(flag, dest=param.name,
+                                 default=None if required else param.default, **keywords)
+    return parser, value_flags
 
 
-# Options that take a value.  Each is joined to its value as "--opt=value",
-# so a value may start with "-" (argparse reads "--lam -1/2" as two options).
-_VALUE_FLAGS = {flag for *_, options in COMMANDS
-                for flag, keywords in _options(options) if "type" in keywords}
-
-
-def _join_values(argv):
+# Each option that takes a value is joined to it as "--opt=value", so a value
+# may start with "-" (argparse reads "--lam -1/2" as two options).
+def _join_values(argv, value_flags):
     words = iter(argv)
     for word in words:
-        value = next(words, None) if word in _VALUE_FLAGS else None
+        value = next(words, None) if word in value_flags else None
         yield word if value is None else f"{word}={value}"
 
 
@@ -338,7 +321,9 @@ def _emit(invocation, result):
 def main(argv=None):
     invocation = None
     try:
-        params = vars(_parser().parse_args(_join_values(sys.argv[1:] if argv is None else argv)))
+        parser, value_flags = _parser()
+        argv = sys.argv[1:] if argv is None else argv
+        params = vars(parser.parse_args(_join_values(argv, value_flags)))
         handler = params.pop("handler")
         # the command's name and every parameter, defaults included, under its
         # name without a trailing "_" ("class_" records as "class")

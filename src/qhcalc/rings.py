@@ -30,7 +30,8 @@ Each ring builds one label table, on first use: every basis label's
 position in ``label_key`` order and its ``label_degree``, the two methods
 that state those rules.  ``QuantumClass`` sorts terms and reads degrees
 from it, and ``basis``, ``Grassmannian.structure`` and the decomposition
-search read it too.
+search read it too.  The ring's unit label (its first key, of degree 0) and
+its complex dimension (half its top degree) are read off it.
 
 Basis labels are checked once, where they enter, by each ring's
 ``normalize_label``, which reads each integer (a part, a power of u)
@@ -266,8 +267,9 @@ class RingPresentation:
         if self.lambda0 == 0:
             raise ValueError("monotonicity requires lambda0 != 0")
 
-    # subclasses: complex_dim, N_chern, basis_labels, label_degree,
-    # label_key, normalize_label, structure
+    # subclasses: N_chern, basis_labels, label_degree, label_key,
+    # normalize_label, structure; the unit label and the complex dimension
+    # are read off the label table
 
     @property
     def monotonicity(self) -> Fraction:
@@ -280,6 +282,15 @@ class RingPresentation:
         label_degree."""
         ordered = sorted(self.basis_labels(), key=self.label_key)
         return {label: (i, self.label_degree(label)) for i, label in enumerate(ordered)}
+
+    def unit_label(self):
+        """The degree-0 label, first in label_key order."""
+        return next(iter(self._label_table))
+
+    @cached_property
+    def complex_dim(self) -> int:
+        """Half the top degree of the basis."""
+        return max(d for _, d in self._label_table.values()) // 2
 
     def one(self) -> QuantumClass:
         return self.basis_class(self.unit_label())
@@ -338,15 +349,8 @@ class CPn(RingPresentation):
             raise ValueError("n must be >= 1")
 
     @property
-    def complex_dim(self) -> int:
-        return self.n
-
-    @property
     def N_chern(self) -> int:
         return self.n + 1
-
-    def unit_label(self):
-        return 0
 
     def basis_labels(self):
         return list(range(self.n + 1))
@@ -381,15 +385,8 @@ class Grassmannian(RingPresentation):
             raise ValueError("need 1 <= k < N")
 
     @property
-    def complex_dim(self) -> int:
-        return self.k * (self.N - self.k)
-
-    @property
     def N_chern(self) -> int:
         return self.N
-
-    def unit_label(self):
-        return ()
 
     def basis_labels(self):
         return partitions_in_box(self.k, self.N - self.k)
@@ -465,15 +462,8 @@ class ProductRing(RingPresentation):
         object.__setattr__(self, "_structure_table", _PRODUCT_TABLES.setdefault(signature, {}))
 
     @property
-    def complex_dim(self) -> int:
-        return sum(f.complex_dim for f in self.factors)
-
-    @property
     def N_chern(self) -> int:
         return math.gcd(*(f.N_chern for f in self.factors))
-
-    def unit_label(self):
-        return tuple(f.unit_label() for f in self.factors)
 
     def basis_labels(self):
         return list(product(*(f.basis_labels() for f in self.factors)))

@@ -25,7 +25,7 @@ from qhcalc.carriers import (
 from qhcalc.ladders import Decomposition, build_ladder, case_ii_ladder, search_decompositions
 from qhcalc.models import CPnQuadraticModel, ProductModel, fixed_points
 from qhcalc.rings import CPn, Grassmannian, ProductRing
-from qhcalc.spectra import CappedOrbit, MonotoneData
+from qhcalc.spectra import CappedOrbit, MonotoneData, index_window_check
 
 from oracles import (
     brute_force_assignments,
@@ -137,16 +137,17 @@ def test_search_matches_brute_force(case):
 
 
 @st.composite
-def window_edge_tables(draw):
-    """An orbit table, a ladder and a few primes, with every row's iterated,
-    capped mean index exactly on an end of a slot's index window, or of the
-    fundamental class's, at one of the primes.
+def window_edge_tables(draw, oracle_ladder):
+    """An orbit table for one entry of ORACLE_LADDERS, its ladder and a few
+    primes, with every row's iterated, capped mean index exactly on an end
+    of a slot's index window, or of the fundamental class's, at one of the
+    primes.
 
     lambda0 is 4/3 or 5/2 with either sign, the actions have the coprime
     denominators 7, 11 and 13 and are drawn from a pool of two, so that
     actions tie; the flags are random and the ids unsorted.
     """
-    n, n_chern, ladder = draw(st.sampled_from(ORACLE_LADDERS))
+    n, n_chern, ladder = oracle_ladder
     lambda0 = draw(st.sampled_from([1, -1])) * draw(st.sampled_from(
         [Fraction(4, 3), Fraction(5, 2)]))
     ks = sorted(draw(st.lists(st.sampled_from([2, 3, 5, 7, 11, 13]), min_size=1,
@@ -171,9 +172,15 @@ def window_edge_tables(draw):
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
-@given(window_edge_tables())
-def test_window_edges_match_oracle(case):
-    table, ladder, ks = case
+@given(st.tuples(*map(window_edge_tables, ORACLE_LADDERS)))
+def test_window_edges_match_oracle(cases):
+    """One table per ladder in each example, so that every ladder, the
+    product ring's included, has its own share of the draws."""
+    for table, ladder, ks in cases:
+        check_window_edges(table, ladder, ks)
+
+
+def check_window_edges(table, ladder, ks):
     D = table.scaled.D
     for k in ks:
         for deg in set(ladder.hom_degrees) | {2 * table.n}:
@@ -239,6 +246,36 @@ class TestAdmissibleAssignments:
         oid, m = a.slots[0]
         bad = CarrierAssignment(k=a.k, slots=((oid, m + 5),) + a.slots[1:])
         assert not check_assignment(table, ladder, bad)
+
+    def test_post_hoc_checker_rejects_a_wrong_length(self):
+        table = model_table(0, Fraction(1, 8))
+        ladder = cpn_ladder(1)
+        a = admissible_assignments(table, ladder, 3)[0]
+        for slots in (a.slots[:1], a.slots + a.slots[:1]):
+            assert not check_assignment(table, ladder, CarrierAssignment(k=a.k, slots=slots))
+
+    def test_post_hoc_checker_rejects_a_repeated_capped_orbit(self):
+        """A row with delta = 0 fits every slot of the CP^2 ladder.  Slots
+        x, y, x tie their actions between distinct neighbours and drop by
+        lambda0 where the period closes, so the order around the period
+        holds; only the repeated capped orbit (x, 0) rules them out."""
+        md = MonotoneData(N=3, lam=Fraction(1, 3))
+        table = OrbitTable(md=md, n=2, orbits=(
+            CappedOrbit("x", Fraction(0), Fraction(0)),
+            CappedOrbit("y", Fraction(0), Fraction(0)),
+        ))
+        ladder = cpn_ladder(2)
+        slots = (("x", 0), ("y", 0), ("x", 0))
+        capped = [table.orbit(oid) for oid, _ in slots]
+        assert all(index_window_check(c, deg, table.n)
+                   for c, deg in zip(capped, ladder.hom_degrees))
+        assert carriers._ordering_ok(capped, ladder.nu, md)
+        assert not check_assignment(table, ladder, CarrierAssignment(k=1, slots=slots))
+        assert admissible_assignments(table, ladder, 1) == []
+
+    def test_unknown_orbit_id_is_a_key_error(self):
+        with pytest.raises(KeyError):
+            model_table(0, Fraction(1, 8)).orbit("x9")
 
 
 def product_model_table(*lams):

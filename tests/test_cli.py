@@ -816,3 +816,81 @@ def test_help_exits_0(workdir, argv):
     assert proc.returncode == 0
     assert proc.stdout
     assert proc.stderr == ""
+
+
+def _without(record, key):
+    return {k: v for k, v in record.items() if k != key}
+
+
+_IN_BASIS = ["ring", "basis", "--ring", "in.json", "--degree", "0"]
+_IN_SCENARIO = ["carriers", "verify", "--scenario", "in.json"]
+_CP2_MUL = ["ring", "mul", "--ring", "cp2.json", "--b", "u", "--a"]
+
+
+@pytest.mark.parametrize("record, argv, code, stderr", [
+    ({"u0": "1", "factors": ["u"] * 3, "nu": 0}, _DEC_VERIFY, 2,
+     "decomposition invalid: nu must be positive, got 0; product does not equal q^nu * u0"),
+    # refusals of cli itself: a bare message
+    ("not json", _ITERATE, 64,
+     "malformed JSON in in.json: Expecting value: line 1 column 1 (char 0)"),
+    (None, ["models", "cpn", "--lambdas", "0,x"], 64,
+     "bad --lambdas value '0,x': Invalid literal for Fraction: 'x'"),
+    (_without(scenario_payload(), "ladder"), _IN_SCENARIO, 64, "scenario has no 'ladder' entry"),
+    (_without(scenario_payload(), "primes"), ["carriers", "negmon", "--scenario", "in.json"], 64,
+     "scenario has no 'primes' entry"),
+    # input records
+    (_without(_ORBIT, "action"), _ITERATE, 64, "input error: orbit record missing key 'action'"),
+    ({"kind": "cpn", "n": 0}, _IN_BASIS, 64, "input error: n must be >= 1"),
+    ({"kind": "cpn", "n": 1, "lambda0": "0"}, _IN_BASIS, 64,
+     "input error: monotonicity requires lambda0 != 0"),
+    ({"kind": "torus", "n": 1}, _IN_BASIS, 64, "input error: unknown ring kind 'torus'"),
+    ({"kind": "grassmannian", "k": 4, "N": 4}, _IN_BASIS, 64, "input error: need 1 <= k < N"),
+    ({"kind": "blah"}, _MODEL, 64, "input error: unknown model kind 'blah'"),
+    (_scenario_with(["orbits", 1], scenario_payload()["orbits"][0]), _IN_SCENARIO, 64,
+     "input error: orbit ids must be unique"),
+    (_scenario_with(["orbits"], []), _IN_SCENARIO, 64,
+     "input error: orbit table must be non-empty"),
+    (_scenario_with(["monotone", "N"], 0), _IN_SCENARIO, 64,
+     "input error: minimal Chern number must be positive"),
+    # class literals and field specs
+    (None, [*_CP2_MUL, "u^5"], 64, "input error: u^5 is not a basis label of CP^2"),
+    (None, ["ring", "mul", "--ring", "g24.json", "--a", "s[3]", "--b", "s[1]"], 64,
+     "input error: (3,) does not fit the 2x2 box"),
+    (None, [*_CP2_MUL, "2**u"], 64, "input error: empty factor in term '2**u'"),
+    (None, [*_CP2_MUL, "u*u"], 64, "input error: more than one basis label in term 'u*u'"),
+    (None, [*_CP2_MUL, "u", "--field", "Fp:9"], 64,
+     "input error: field order must be 0 (rationals) or prime, got 9"),
+    (None, [*_CP2_MUL, "u", "--field", "Fp:1"], 64,
+     "input error: field order must be 0 (rationals) or prime, got 1"),
+    # option values
+    (None, ["ring", "basis", "--ring", "cp2.json", "--degree", "-1"], 64,
+     "input error: degree must be non-negative"),
+    (None, ["ring", "power", "--ring", "cp2.json", "--class", "u", "--d", "-1"], 64,
+     "input error: negative powers are not defined"),
+    (None, ["ladders", "search", "--ring", "cp2.json", "--ell-max", "0"], 64,
+     "input error: ell_max must be >= 1"),
+    (None, ["ladders", "case2", "--ring", "g24.json", "--orbits", "0"], 64,
+     "input error: n_orbits must be >= 1"),
+    (None, ["models", "cpn", "--lambdas", "0"], 64,
+     "input error: need at least two coefficients (n >= 1)"),
+    (None, ["models", "product", "--factors", ";"], 64, "input error: need at least one factor"),
+    (_ORBIT, ["spectra", "iterate", "--orbit", "in.json", "--k", "0"], 64,
+     "input error: iteration order must be >= 1"),
+    (scenario_payload(), ["carriers", "assignments", "--scenario", "in.json", "--k", "0"], 64,
+     "input error: iteration order must be >= 1"),
+], ids=["dec nu 0", "malformed JSON", "bad lambdas", "scenario without ladder",
+        "scenario without primes", "orbit without action", "cpn n 0", "lambda0 0",
+        "unknown ring kind", "grassmannian k = N", "unknown model kind", "duplicate orbit ids",
+        "empty orbit table", "chern 0", "cpn label", "grassmannian label", "empty factor",
+        "two labels", "field Fp:9", "field Fp:1", "degree -1", "power -1", "ell-max 0",
+        "orbits 0", "one coefficient", "no factor", "iterate k 0", "assignments k 0"])
+def test_refusal_exit_code_and_message(workdir, record, argv, code, stderr):
+    """Each refusal exits with its code and its one-line message; only a
+    contradiction prints a result."""
+    if record is not None:
+        text = record if isinstance(record, str) else json.dumps(record)
+        (workdir / "in.json").write_text(text)
+    proc = run_cli(*argv, cwd=workdir)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr == stderr + "\n"
+    assert bool(proc.stdout) == (code == 2)

@@ -111,7 +111,8 @@ UNREFERENCED = {
     "carriers.TableOrbit": "perfbench's alias of CappedOrbit (ROADMAP items 8 and 11)",
     "models.cpn_fixed_points": "perfbench calls and traces it (ROADMAP items 8 and 11)",
     "rings.kunneth": "perfbench builds CP^1 x CP^1 with it (ROADMAP items 8 and 11)",
-    "serialize.monotone_to_json": "perfbench traces it (ROADMAP items 8 and 11)",
+    "serialize.monotone_to_json": "perfbench traces it, the round-trip tests read it "
+                                  "(ROADMAP items 8 and 11)",
     "serialize.ring_to_json": "perfbench traces it, the round-trip tests read it "
                               "(ROADMAP items 8 and 11)",
     "serialize.model_to_json": "perfbench traces it, the golden tests read it "

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qhcalc import rings
-from qhcalc.qalgebra import GroundField
+from qhcalc.qalgebra import GroundField, RingMismatchError
 from qhcalc.rings import (
     CPn,
     Grassmannian,
@@ -118,6 +118,23 @@ def test_label_table_is_read_off_label_key_and_label_degree(ring):
             assert (table[a][0] > table[b][0]) == ((sum(a), a) > (sum(b), b))
 
 
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(_rings_over_fields())
+def test_unit_label_and_complex_dim_are_read_off_the_label_table(ring):
+    """The unit label is the one label of degree 0, and the complex dimension
+    is n for CP^n, k(N - k) for G(k,N) and the factors' sum for a product."""
+    def closed_form(r):
+        if isinstance(r, CPn):
+            return 0, r.n
+        if isinstance(r, Grassmannian):
+            return (), r.k * (r.N - r.k)
+        units, dims = zip(*map(closed_form, r.factors))
+        return units, sum(dims)
+
+    assert (ring.unit_label(), ring.complex_dim) == closed_form(ring)
+    assert ring.basis(0) == [ring.unit_label()]
+
+
 def test_cold_fill_transposes_each_partition_once(monkeypatch):
     """A cold G(4,8) fill looks up many transposes, but computes each of its
     partitions' transposes once: every cache miss is a new partition."""
@@ -162,6 +179,11 @@ class TestLittlewoodRichardson:
         takes every box of the strip."""
         assert littlewood_richardson((2,), (3,), 1) == {(5,): 1}
         assert littlewood_richardson((), (4,), 1) == {(4,): 1}
+
+    def test_too_many_parts_is_refused(self):
+        for lam, mu in (((1, 1, 1), (1,)), ((1,), (1, 1, 1))):
+            with pytest.raises(ValueError, match="at most 2 parts"):
+                littlewood_richardson(lam, mu, 2)
 
     def test_empty_factor_is_the_unit(self):
         assert littlewood_richardson((), (2, 1), 3) == {(2, 1): 1}
@@ -319,6 +341,10 @@ class TestQuantumPieri:
         with pytest.raises(ValueError):
             quantum_pieri(Grassmannian(k=2, N=4), (1,), 3)
 
+    def test_cpn_is_refused(self):
+        with pytest.raises(TypeError, match="Grassmannian"):
+            quantum_pieri(CPn(n=2), 1, 1)
+
 
 class TestQuantumProduct:
     def test_cp2_relation(self):
@@ -335,6 +361,13 @@ class TestQuantumProduct:
         ring = Grassmannian(k=2, N=5)
         a = ring.basis_class((2, 1)) + ring.basis_class((1,), m=2)
         assert ring.quantum_product(ring.one(), a) == a
+
+    def test_class_of_another_ring_is_refused(self):
+        ring, other = CPn(n=2), CPn(n=3)
+        u = ring.basis_class(1)
+        for a, b in ((u, other.basis_class(1)), (other.basis_class(1), u)):
+            with pytest.raises(RingMismatchError):
+                ring.quantum_product(a, b)
 
     def test_g24_powers_nonzero_over_q(self):
         ring = Grassmannian(k=2, N=4)

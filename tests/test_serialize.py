@@ -1,6 +1,7 @@
-"""Round trips of the text and JSON records: class literals, ring and orbit
-records; the sign rule of a literal, a product's field as its factors' default,
-and a whole scenario read by ``scenario_from_json``."""
+"""Round trips of the text and JSON records: class literals, ring, orbit and
+monotone records; the sign rule of a literal, a product's field as its
+factors' default, and a whole scenario read by ``scenario_from_json`` and by
+``table_from_json``."""
 
 import json
 from fractions import Fraction
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qhcalc.carriers import OrbitTable
 from qhcalc.models import CPnQuadraticModel, fixed_points
 from qhcalc.qalgebra import GroundField, QuantumClass
 from qhcalc.rings import CPn, Grassmannian, ProductRing
@@ -16,6 +18,8 @@ from qhcalc.serialize import (
     ParseError,
     class_from_str,
     class_to_str,
+    monotone_from_json,
+    monotone_to_json,
     orbit_from_json,
     orbit_to_json,
     ring_from_json,
@@ -23,7 +27,7 @@ from qhcalc.serialize import (
     scenario_from_json,
     table_from_json,
 )
-from qhcalc.spectra import CappedOrbit
+from qhcalc.spectra import CappedOrbit, MonotoneData
 
 # Derandomized with a bounded example count, so the suite stays deterministic
 # and its run time does not depend on the host.
@@ -157,11 +161,26 @@ def test_scenario_from_json_reads_table_ladder_and_primes():
         "primes": [2, 3, 5],
     }
     table, ladder, primes = scenario_from_json(record)
-    assert table == table_from_json(record)
+    # the table reader takes a whole scenario: perfbench's cli-readme check
+    # reads the table of the scenario it gives the CLI with table_from_json
+    assert table == table_from_json(record) == OrbitTable(
+        md=MonotoneData(N=2, lam=Fraction(1, 2)), n=1,
+        orbits=(CappedOrbit("x0", Fraction(0), Fraction(-1, 4)),
+                CappedOrbit("x1", Fraction(1, 8), Fraction(1, 4))),
+    )
     assert (ladder.hom_degrees, ladder.nu) == ((2, 0), 1)
     assert primes == [2, 3, 5]
     del record["ladder"], record["primes"]
     assert scenario_from_json(record) == (table, None, [])
+
+
+@PROPERTY
+@given(st.builds(MonotoneData, N=st.integers(1, 12),
+                 lam=st.fractions(max_denominator=50).filter(bool)))
+def test_monotone_record_round_trip(md):
+    record = json.loads(json.dumps(monotone_to_json(md)))
+    assert monotone_from_json(record) == md
+    assert monotone_to_json(monotone_from_json(record)) == record
 
 
 orbits = st.builds(
