@@ -110,8 +110,7 @@ class OrbitTable:
 Slot = Tuple[str, int]  # (orbit id, capping)
 
 
-@dataclass(frozen=True)
-class CarrierAssignment:
+class CarrierAssignment(NamedTuple):
     """One ladder period of carrier choices at iteration k.
 
     slots[j] is the capped orbit assigned to v_j; the assignment extends to
@@ -242,8 +241,7 @@ def admissible_assignments(
     return list(_assignments(table, ladder, k))
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(NamedTuple):
     table: OrbitTable
     assignments: Tuple[Tuple[int, CarrierAssignment], ...]
     stable_ks: Tuple[int, ...]

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from .qalgebra import QuantumClass, reduce_terms
 
@@ -66,8 +66,7 @@ class Decomposition:
         return len(self.factors)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     valid: bool
     reasons: Tuple[str, ...]
 
@@ -83,8 +82,7 @@ class Ladder:
         return len(self.window)
 
 
-@dataclass(frozen=True)
-class CaseTwoParameters:
+class CaseTwoParameters(NamedTuple):
     d: int
     ell: int
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from .qalgebra import exact_fraction
 from .spectra import (
@@ -90,8 +90,7 @@ class ProductModel:
         return self.factors[0].monotone_data
 
 
-@dataclass(frozen=True)
-class ModelReport:
+class ModelReport(NamedTuple):
     ok: bool
     common_value: Fraction
     details: Tuple[str, ...]

@@ -722,3 +722,24 @@ class TestNegMonotone:
             )
             verdict = neg_monotone_obstruction(table, PRIMES)
             assert verdict.status == "contradiction"
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 21: the obstruction follows the fundamental-class "
+        "carrier that most primes share, ties to the smallest id, so a "
+        "renaming can change it"))
+    def test_renaming_the_orbits_keeps_the_status(self):
+        """Two rows, (action -11, mean index 0) and (action 4, mean index
+        -2/5), each carry the fundamental class at 39 of the 78 primes below
+        400.  Named x0, x1 the tie goes to the first row and the verdict is
+        the degenerate branch; named y1, y0, in the same order, to the second,
+        and it is a contradiction at k = 17."""
+        primes = [p for p in range(2, 400) if all(p % d for d in range(2, p))]
+        md = MonotoneData(N=2, lam=Fraction(-1, 2))
+        statuses = [
+            neg_monotone_obstruction(OrbitTable(md=md, n=1, orbits=(
+                CappedOrbit(first, Fraction(-11), Fraction(0)),
+                CappedOrbit(second, Fraction(4), Fraction(-2, 5)),
+            )), primes).status
+            for first, second in (("x0", "x1"), ("y1", "y0"))
+        ]
+        assert statuses[0] == statuses[1], statuses

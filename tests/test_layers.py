@@ -1,6 +1,7 @@
 """The module stack of ``qhcalc``: each module imports only the modules below it,
-and nothing outside the standard library; and the record formats stay in
-``serialize``, so ``cli`` calls none of its record readers.
+and nothing outside the standard library; the record formats stay in
+``serialize``, so ``cli`` calls none of its record readers; and a class is a
+dataclass only when a NamedTuple cannot serve (``DATACLASSES``).
 
 Every import is collected from the source with ``ast``, including imports
 inside functions, so a lazy upward import fails here too.
@@ -205,3 +206,49 @@ def test_every_public_method_is_read():
               for cls, name in public_methods(tree) if name not in read}
     listed = set(UNREAD_METHODS)
     assert unread == listed, f"unread: {sorted(unread - listed)}, read: {sorted(listed - unread)}"
+
+
+# Dataclasses that neither validate a field in ``__post_init__`` nor cache
+# with ``cached_property``, each with the reason it is not a NamedTuple, the
+# type of every other record that only carries results.
+DATACLASSES = {
+    "qalgebra.QuantumClass": "its + and * are the ring's sum and product; a tuple type "
+                             "would shadow them with concatenation and repetition",
+    "ladders.Ladder": "perfbench's self-tests dataclasses.replace it (ROADMAP item 8)",
+    "carriers.Verdict": "perfbench's self-tests dataclasses.replace it (ROADMAP item 8)",
+}
+
+
+def decorator_names(node) -> set:
+    """The names a def or class is decorated with, ``@dataclass(frozen=True)``
+    and ``@functools.cached_property`` read as dataclass and cached_property."""
+    found = set()
+    for dec in node.decorator_list:
+        dec = dec.func if isinstance(dec, ast.Call) else dec
+        found.add(dec.attr if isinstance(dec, ast.Attribute) else getattr(dec, "id", None))
+    return found
+
+
+def dataclass_needs() -> dict:
+    """module.class -> whether it defines ``__post_init__`` or a
+    ``cached_property``, for each ``@dataclass`` class of the package."""
+    return {f"{module}.{node.name}": any(
+                isinstance(item, ast.FunctionDef) and (
+                    item.name == "__post_init__" or "cached_property" in decorator_names(item))
+                for item in node.body)
+            for module, tree in package_trees().items() for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) and "dataclass" in decorator_names(node)}
+
+
+def test_a_dataclass_validates_caches_or_is_listed():
+    """A record that only carries results is a NamedTuple, which costs a
+    fraction of a dataclass to define at import; a dataclass validates or
+    normalises a field in ``__post_init__`` (a NamedTuple cannot override
+    ``__new__``), caches with ``cached_property`` (which needs an instance
+    ``__dict__``), or is in DATACLASSES with its reason, and each class
+    listed there is a dataclass that does neither."""
+    needs = dataclass_needs()
+    unlisted = {name for name, needed in needs.items() if not needed}
+    listed = set(DATACLASSES)
+    assert unlisted == listed, f"unlisted: {sorted(unlisted - listed)}, " \
+                               f"listed: {sorted(listed - unlisted)}"

@@ -37,6 +37,29 @@ class TestGroundField:
         with pytest.raises(ValueError):
             GroundField(6)
 
+    def test_orders_below_500_are_the_sieve_primes(self):
+        """Every order from 1 to 499, as an int and as "Fp:<p>": the primes
+        of a sieve make a field and every other order is refused, the
+        squares of 5, 7, 11 and 13 among them, which only a trial divisor
+        past 3 rejects."""
+        prime = [False, False] + [True] * 498
+        for d in range(2, 23):
+            if prime[d]:
+                prime[d * d::d] = [False] * len(prime[d * d::d])
+        refused = set()
+        for p in range(1, 500):
+            for make in (GroundField, lambda p: GroundField.from_spec(f"Fp:{p}")):
+                if prime[p]:
+                    assert make(p).p == p
+                    continue
+                with pytest.raises(ValueError) as raised:
+                    make(p)
+                assert str(raised.value) == (
+                    f"field order must be 0 (rationals) or prime, got {p}")
+                refused.add(p)
+        assert {25, 49, 121, 169} <= refused
+        assert len(refused) == 499 - 95  # 95 primes below 500
+
     def test_spec_round_trip(self):
         assert GroundField.from_spec("Q") == Q
         assert GroundField.from_spec("Fp:7").p == 7
