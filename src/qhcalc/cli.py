@@ -7,6 +7,7 @@ built: the handler ``<group>_<command>`` is the command ``<group> <command>``,
 and its keyword-only, annotated signature is the command's option list.  A
 parameter's annotation is the option's type (``bool`` is a switch), its
 default the option's default, and a parameter without one is required.
+A handler returns the package's values, and `serialize.to_json` writes them.
 """
 
 import argparse
@@ -58,17 +59,17 @@ def _load_ring(path: str, field: str = None):
 
 def ring_mul(*, ring: str, a: str, b: str, field: str = None):
     r = _load_ring(ring, field)
-    return ser.class_to_str(r.quantum_product(ser.class_from_str(r, a), ser.class_from_str(r, b)))
+    return r.quantum_product(ser.class_from_str(r, a), ser.class_from_str(r, b))
 
 
 def ring_power(*, ring: str, class_: str, d: int, field: str = None):
     r = _load_ring(ring, field)
-    return ser.class_to_str(ser.class_from_str(r, class_) ** d)
+    return ser.class_from_str(r, class_) ** d
 
 
 def ring_basis(*, ring: str, degree: int, field: str = None):
     r = _load_ring(ring, field)
-    return [ser.class_to_str(r.basis_class(lbl)) for lbl in r.basis(degree)]
+    return [r.basis_class(lbl) for lbl in r.basis(degree)]
 
 
 # ---------------------------------------------------------------------------
@@ -76,36 +77,29 @@ def ring_basis(*, ring: str, degree: int, field: str = None):
 
 
 def ladders_search(*, ring: str, ell_max: int, nu_max: int = 2, out: str = None):
-    r = _load_ring(ring)
-    decs = ladders_mod.search_decompositions(r, ell_max, nu_max)
-    payload = [ser.decomposition_to_json(d) for d in decs]
+    decs = ladders_mod.search_decompositions(_load_ring(ring), ell_max, nu_max)
     if out is not None:
         try:
-            Path(out).write_text(json.dumps(payload, indent=2))
+            Path(out).write_text(json.dumps(decs, indent=2, default=ser.to_json))
         except OSError as exc:
             raise Exit(EXIT_USAGE, f"cannot write {out!r}: {exc}")
-    return payload
+    return decs
 
 
 def ladders_verify(*, ring: str, dec: str):
     r = _load_ring(ring)
     report = ladders_mod.verify_decomposition(r, ser.decomposition_from_json(r, _load_json(dec)))
-    payload = {"valid": report.valid, "reasons": list(report.reasons)}
     if not report.valid:
         raise Exit(EXIT_CONTRADICTION, "decomposition invalid: " + "; ".join(report.reasons),
-                   payload)
-    return payload
+                   report._asdict())
+    return report._asdict()
 
 
 def ladders_build(*, ring: str, dec: str):
     r = _load_ring(ring)
     ladder = ladders_mod.build_ladder(r, ser.decomposition_from_json(r, _load_json(dec)))
-    return {
-        "window": [ser.class_to_str(v) for v in ladder.window],
-        "hom_degrees": list(ladder.hom_degrees),
-        "nu": ladder.nu,
-        "ell": ladder.ell,
-    }
+    return {"window": ladder.window, "hom_degrees": ladder.hom_degrees,
+            "nu": ladder.nu, "ell": ladder.ell}
 
 
 def ladders_case2(*, ring: str, class_: str = None, orbits: int):
@@ -116,7 +110,7 @@ def ladders_case2(*, ring: str, class_: str = None, orbits: int):
     except ladders_mod.PowerVanishesError as exc:
         raise Exit(EXIT_CONTRADICTION, str(exc),
                    {"error": str(exc), "vanishing_exponent": exc.exponent})
-    return {"d": params.d, "ell": params.ell}
+    return params._asdict()
 
 
 # ---------------------------------------------------------------------------
@@ -125,17 +119,17 @@ def ladders_case2(*, ring: str, class_: str = None, orbits: int):
 
 def spectra_recap(*, orbit: str, m: int, chern: int, lambda_: str):
     x = ser.orbit_from_json(_load_json(orbit))
-    return ser.orbit_to_json(recap(x, m, MonotoneData(N=chern, lam=ser.frac_from_str(lambda_))))
+    return recap(x, m, MonotoneData(N=chern, lam=ser.frac_from_str(lambda_)))
 
 
 def spectra_iterate(*, orbit: str, k: int):
-    return ser.orbit_to_json(iterate(ser.orbit_from_json(_load_json(orbit)), k))
+    return iterate(ser.orbit_from_json(_load_json(orbit)), k)
 
 
 def spectra_augmented(*, orbit: str, chern: int, lambda_: str):
     x = ser.orbit_from_json(_load_json(orbit))
     md = MonotoneData(N=chern, lam=ser.frac_from_str(lambda_))
-    return ser.frac_to_str(augmented_action(x, md))
+    return augmented_action(x, md)
 
 
 # ---------------------------------------------------------------------------
@@ -152,12 +146,8 @@ def _parse_lambdas(text):
 def _model_report(model):
     orbits = models_mod.fixed_points(model)
     report = models_mod.verify_equal_augmented_actions(model, orbits)
-    return {
-        "orbits": [ser.orbit_to_json(o) for o in orbits],
-        "equal_augmented_actions": report.ok,
-        "common_value": ser.frac_to_str(report.common_value),
-        "details": list(report.details),
-    }
+    return {"orbits": orbits, "equal_augmented_actions": report.ok,
+            "common_value": report.common_value, "details": report.details}
 
 
 def models_cpn(*, lambdas: str, verify: bool = False):
@@ -195,21 +185,9 @@ def _load_scenario(path, need_ladder=False, need_primes=False):
     return table, ladder, primes
 
 
-def _typed(value):
-    """A witness element as typed JSON: a tuple as an array, a Fraction as
-    "a/b", and an int or a string as itself."""
-    if isinstance(value, tuple):
-        return [_typed(v) for v in value]
-    return ser.frac_to_str(value) if isinstance(value, Fraction) else value
-
-
 def _verdict(verdict: carriers_mod.Verdict):
     """A carrier verdict's payload; a contradiction exits 2, `DEGENERATE` 3."""
-    payload = {
-        "status": verdict.status,
-        "witness": _typed(verdict.witness),
-        "details": list(verdict.details),
-    }
+    payload = {"status": verdict.status, "witness": verdict.witness, "details": verdict.details}
     if verdict.status == "contradiction":
         raise Exit(EXIT_CONTRADICTION, "; ".join(verdict.details) or "contradiction", payload)
     if verdict == carriers_mod.DEGENERATE:
@@ -221,8 +199,7 @@ def carriers_assignments(*, scenario: str, k: int):
     table, ladder, _ = _load_scenario(scenario, need_ladder=True)
     # the search runs on any table and ladder; a listing is stated for the relation's
     carriers_mod.relation_preconditions(table, ladder)
-    assignments = carriers_mod.admissible_assignments(table, ladder, k)
-    return [{"k": a.k, "slots": [[oid, m] for oid, m in a.slots]} for a in assignments]
+    return [a._asdict() for a in carriers_mod.admissible_assignments(table, ladder, k)]
 
 
 def carriers_verify(*, scenario: str):
@@ -315,7 +292,8 @@ def _join_values(argv, value_flags):
 
 
 def _emit(invocation, result):
-    print(json.dumps({"invocation": invocation, "result": result}, indent=2, sort_keys=True))
+    print(json.dumps({"invocation": invocation, "result": result}, indent=2, sort_keys=True,
+                     default=ser.to_json))
 
 
 def main(argv=None):

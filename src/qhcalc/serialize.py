@@ -14,7 +14,8 @@ orbit, a table, a model and a scenario, whose ladder `scenario_from_json`
 builds.  One table, `_RING_KINDS`, gives the reader and the writer the keys
 of a CP^n and a G(k,N) record.  A record has no key but its own: `known_keys`
 makes any other, a misspelt optional key included, a ParseError rather than
-dropping it for its default.  The command line reads no record key itself.
+dropping it for its default.  The command line reads no record key itself,
+and writes every value through `to_json`.
 """
 
 from __future__ import annotations
@@ -379,3 +380,16 @@ def model_to_json(model) -> dict:
             "factors": [model_to_json(f) for f in model.factors],
         }
     return {"kind": "cpn", "lambdas": [frac_to_str(x) for x in model.lambdas]}
+
+
+# ---------------------------------------------------------------------------
+# output
+
+
+def to_json(value):
+    """`json`'s ``default``: the JSON form of a value that `json` cannot write."""
+    for kind, writer in ((Fraction, frac_to_str), (QuantumClass, class_to_str),
+                         (CappedOrbit, orbit_to_json), (Decomposition, decomposition_to_json)):
+        if isinstance(value, kind):
+            return writer(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")

@@ -743,3 +743,37 @@ class TestNegMonotone:
             for first, second in (("x0", "x1"), ("y1", "y0"))
         ]
         assert statuses[0] == statuses[1], statuses
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 21: the obstruction follows the fundamental-class "
+        "carrier that most primes share, ties to the smallest id, so a "
+        "renaming can change it"))
+    def test_renaming_random_tables_keeps_the_status(self):
+        """Item 21's renaming property on its seeded sample: 400 tables of
+        one to three rows in the ranges of neg_monotone_tables, each action
+        drawn on its own and every flag False, keep their status, and
+        whether they are the degenerate branch, over the 78 primes below 400
+        under three random renamings."""
+        rng = random.Random(1)
+        primes = [p for p in range(2, 400) if all(p % d for d in range(2, p))]
+        changed = []
+        for _ in range(400):
+            n = rng.randint(1, 2)
+            n_chern = rng.choice([1, n + 1])
+            lambda0 = rng.choice([Fraction(-1), Fraction(-5, 2), Fraction(-4, 3)])
+            md = MonotoneData(N=n_chern, lam=lambda0 / n_chern)
+            rows = [(Fraction(rng.randint(-12, 12), rng.choice([1, 3, 7])),
+                     Fraction(rng.randint(-8, 8), rng.choice([1, 2, 3, 5])))
+                    for _ in range(rng.randint(1, 3))]
+            namings = [[f"x{i}" for i in range(len(rows))]]
+            namings += [[f"o{j}" for j in rng.sample(range(len(rows)), len(rows))]
+                        for _ in range(3)]
+            outcomes = []
+            for names in namings:
+                table = OrbitTable(md=md, n=n, orbits=tuple(
+                    CappedOrbit(name, a, delta) for name, (a, delta) in zip(names, rows)))
+                verdict = neg_monotone_obstruction(table, primes)
+                outcomes.append((verdict.status, verdict == DEGENERATE))
+            if len(set(outcomes)) > 1:
+                changed.append((md, rows, outcomes))
+        assert not changed, f"{len(changed)} tables changed under renaming, first {changed[0]}"

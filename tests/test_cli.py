@@ -165,6 +165,16 @@ class TestLadders:
                          cwd=workdir)
         assert result_of(verify)["valid"] is True
 
+    def test_search_out_is_the_printed_result(self, workdir):
+        """The file holds the printed result, indented by 2, each record's
+        keys in record order (u0, factors, nu) where stdout sorts them."""
+        proc = run_cli("ladders", "search", "--ring", "g24.json", "--ell-max", "3",
+                       "--out", "decs.json", cwd=workdir)
+        decs = result_of(proc)
+        assert len(decs) > 1
+        records = [{"u0": d["u0"], "factors": d["factors"], "nu": d["nu"]} for d in decs]
+        assert (workdir / "decs.json").read_text() == json.dumps(records, indent=2)
+
     def test_search_out_to_missing_directory_is_usage_error(self, workdir):
         proc = run_cli("ladders", "search", "--ring", "cp2.json", "--ell-max", "3",
                        "--out", "missing/decs.json", cwd=workdir)
@@ -862,6 +872,8 @@ _CP2_MUL = ["ring", "mul", "--ring", "cp2.json", "--b", "u", "--a"]
      "input error: field order must be 0 (rationals) or prime, got 9"),
     (None, [*_CP2_MUL, "u", "--field", "Fp:1"], 64,
      "input error: field order must be 0 (rationals) or prime, got 1"),
+    (None, [*_CP2_MUL, "u", "--field", f"Fp:{2**64}"], 64,
+     f"input error: field order must be below 2^64, got {2**64}"),
     # option values
     (None, ["ring", "basis", "--ring", "cp2.json", "--degree", "-1"], 64,
      "input error: degree must be non-negative"),
@@ -882,7 +894,7 @@ _CP2_MUL = ["ring", "mul", "--ring", "cp2.json", "--b", "u", "--a"]
         "scenario without primes", "orbit without action", "cpn n 0", "lambda0 0",
         "unknown ring kind", "grassmannian k = N", "unknown model kind", "duplicate orbit ids",
         "empty orbit table", "chern 0", "cpn label", "grassmannian label", "empty factor",
-        "two labels", "field Fp:9", "field Fp:1", "degree -1", "power -1", "ell-max 0",
+        "two labels", "field Fp:9", "field Fp:1", "field Fp:2^64", "degree -1", "power -1", "ell-max 0",
         "orbits 0", "one coefficient", "no factor", "iterate k 0", "assignments k 0"])
 def test_refusal_exit_code_and_message(workdir, record, argv, code, stderr):
     """Each refusal exits with its code and its one-line message; only a

@@ -1,7 +1,7 @@
 """The module stack of ``qhcalc``: each module imports only the modules below it,
 and nothing outside the standard library; the record formats stay in
-``serialize``, so ``cli`` calls none of its record readers; and a class is a
-dataclass only when a NamedTuple cannot serve (``DATACLASSES``).
+``serialize``, so ``cli`` calls none of its record readers or writers; and a
+class is a dataclass only when a NamedTuple cannot serve (``DATACLASSES``).
 
 Every import is collected from the source with ``ast``, including imports
 inside functions, so a lazy upward import fails here too.
@@ -104,6 +104,17 @@ def test_cli_reads_no_record():
     names = {node.attr if isinstance(node, ast.Attribute) else node.id
              for node in ast.walk(tree) if isinstance(node, (ast.Attribute, ast.Name))}
     assert not names & {"reading", "json_typed"}
+
+
+def test_cli_calls_no_record_writer():
+    """A handler returns the package's values and ``serialize.to_json``
+    writes each one, so cli names no writer: neither ``frac_to_str``,
+    ``class_to_str`` nor any ``*_to_json``."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    names = {node.attr if isinstance(node, ast.Attribute) else node.id
+             for node in ast.walk(tree) if isinstance(node, (ast.Attribute, ast.Name))}
+    writers = {name for name in names if name.endswith(("_to_str", "_to_json"))}
+    assert not writers, f"cli calls {sorted(writers)}"
 
 
 # Public module-level names that nothing in the package refers to, each with

@@ -60,6 +60,33 @@ class TestGroundField:
         assert {25, 49, 121, 169} <= refused
         assert len(refused) == 499 - 95  # 95 primes below 500
 
+    @pytest.mark.parametrize("p", [2**61 - 1, 2**64 - 59], ids=["2^61-1", "2^64-59"])
+    def test_large_prime_orders_are_accepted(self, p):
+        """Trial division would take minutes on these; the largest prime
+        below 2^64 is accepted too."""
+        assert GroundField(p).p == p
+        assert GroundField.from_spec(f"Fp:{p}").p == p
+
+    @pytest.mark.parametrize("n", [3215031751, 3825123056546413051])
+    def test_strong_pseudoprimes_are_refused(self, n):
+        """3215031751 passes Miller-Rabin to the bases 2, 3, 5 and 7, and
+        3825123056546413051 to every prime base up to 23."""
+        with pytest.raises(ValueError, match=f"must be 0 \\(rationals\\) or prime, got {n}$"):
+            GroundField(n)
+
+    @pytest.mark.parametrize("n", [2**64, 318665857834031151167461], ids=["2^64", "psi_12"])
+    def test_orders_from_2_64_are_refused(self, n):
+        """The check is proven only below 2^64: 318665857834031151167461 is
+        composite, yet passes Miller-Rabin to every prime base up to 37."""
+        with pytest.raises(ValueError, match=f"field order must be below 2\\^64, got {n}$"):
+            GroundField(n)
+
+    @pytest.mark.parametrize("p", [7.0, 41.0])
+    def test_float_order_is_refused(self, p):
+        """An order is read with operator.index, so 7.0 is refused like 41.0."""
+        with pytest.raises(TypeError):
+            GroundField(p)
+
     def test_spec_round_trip(self):
         assert GroundField.from_spec("Q") == Q
         assert GroundField.from_spec("Fp:7").p == 7

@@ -1,7 +1,7 @@
 """Round trips of the text and JSON records: class literals, ring, orbit and
 monotone records; the sign rule of a literal, a product's field as its
-factors' default, and a whole scenario read by ``scenario_from_json`` and by
-``table_from_json``."""
+factors' default, a whole scenario read by ``scenario_from_json`` and by
+``table_from_json``, and ``to_json``, the command line's one JSON writer."""
 
 import json
 from fractions import Fraction
@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qhcalc.carriers import OrbitTable
+from qhcalc.ladders import Decomposition
 from qhcalc.models import CPnQuadraticModel, fixed_points
 from qhcalc.qalgebra import GroundField, QuantumClass
 from qhcalc.rings import CPn, Grassmannian, ProductRing
@@ -26,6 +27,7 @@ from qhcalc.serialize import (
     ring_to_json,
     scenario_from_json,
     table_from_json,
+    to_json,
 )
 from qhcalc.spectra import CappedOrbit, MonotoneData
 
@@ -217,3 +219,20 @@ def test_model_orbits_round_trip_with_flag():
             assert orbit_from_json(json.loads(json.dumps(orbit_to_json(o)))) == o
             flags.add(o.weakly_nondegenerate)
     assert flags == {True, False}
+
+
+def test_to_json_writes_each_value_through_its_writer():
+    """``to_json`` is the ``default`` of every JSON that the command line
+    writes: a value of the package goes through its own writer, nested in
+    tuples and lists as it is, and any other type is json's TypeError."""
+    ring = CPn(n=2)
+    dec = Decomposition(u0=ring.one(), factors=(ring.basis_class(1),) * 3, nu=1)
+    orbit = CappedOrbit("x0", Fraction(1, 8), Fraction(1, 4), cz_index=1,
+                        weakly_nondegenerate=True)
+    value = (Fraction(-3, 2), [ring.basis_class(2)], {"orbit": orbit, "dec": dec})
+    assert json.loads(json.dumps(value, default=to_json)) == ["-3/2", ["u^2"], {
+        "orbit": {"id": "x0", "m": 0, "action": "1/8", "delta": "1/4", "cz": 1,
+                  "weakly_nondegenerate": True},
+        "dec": {"u0": "1", "factors": ["u", "u", "u"], "nu": 1}}]
+    with pytest.raises(TypeError, match="Object of type complex is not JSON serializable"):
+        json.dumps({"x": 1j}, default=to_json)
