@@ -32,6 +32,8 @@ candidate index of each slot, with no generator per search node; it stays a
 lazy generator, so a verdict's `next()` stops at the first assignment.
 `check_assignment` stays the independent checker: it rebuilds each capped
 orbit with `Fraction`s and tests it with `spectra.index_window_check`.
+A table's n, an iteration k and the primes are read through
+`operator.index`, so a float is refused with `TypeError`.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .ladders import Ladder
@@ -75,6 +77,7 @@ class OrbitTable:
 
     def __post_init__(self):
         object.__setattr__(self, "orbits", tuple(self.orbits))
+        object.__setattr__(self, "n", index(self.n))
         ids = [o.orbit_id for o in self.orbits]
         if len(set(ids)) != len(ids):
             raise ValueError("orbit ids must be unique")
@@ -193,6 +196,7 @@ def _assignments(
     of the prefix and of the open slot, with no generator per node; it is
     still lazy, yielding each assignment as soon as its last slot is found.
     """
+    k = index(k)
     if k < 1:
         raise ValueError("iteration order must be >= 1")
     nu = ladder.nu
@@ -252,7 +256,7 @@ class StabilityReport(NamedTuple):
 def _increasing(primes: Sequence[int]) -> Tuple[int, ...]:
     """The iterations as a tuple: at least one, each >= 1, and strictly
     increasing, the order in which both verdicts read them."""
-    primes = tuple(primes)
+    primes = tuple(map(index, primes))
     if not primes or primes[0] < 1:
         raise ValueError("iteration order must be >= 1")
     if any(b <= a for a, b in zip(primes, primes[1:])):

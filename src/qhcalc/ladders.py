@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
+from operator import index
 from typing import List, NamedTuple, Sequence, Tuple
 
 from .qalgebra import QuantumClass, reduce_terms
@@ -131,14 +132,16 @@ def search_decompositions(ring, ell_max: int, nu_max: int) -> List[Decomposition
     """Exhaustive search over additive basis classes.
 
     Factors range over positive-degree basis labels.  Results are sorted by
-    one explicit key: ell descending, nu ascending, then the `label_key`
+    one explicit key: ell descending, nu ascending, then the basis-order
     positions of u0 and of the factors.  Each multiset of factors is
     multiplied once, adding factors lightest first, on integer term dicts; a
     product that vanishes prunes its branch.  A multiset whose product is
     q^nu u0 is listed in each distinct order whose interior degree is below
     2N.  Basis classes are built only for the decompositions found, and
     `verify_decomposition` checks those independently on `QuantumClass`es.
+    ell_max and nu_max are read through `operator.index`.
     """
+    ell_max, nu_max = index(ell_max), index(nu_max)
     if ell_max < 1:
         raise ValueError("ell_max must be >= 1")
     if nu_max < 1:
@@ -146,7 +149,7 @@ def search_decompositions(ring, ell_max: int, nu_max: int) -> List[Decomposition
     two_n_chern = 2 * ring.N_chern
     cap = two_n_chern * nu_max
     p = ring.field.p
-    labels = list(ring._label_table)  # the basis labels in label_key order
+    labels = list(ring._label_table)
     degrees = [d for _, d in ring._label_table.values()]
     # (degree, position, the label's basis class as a term list), lightest first
     factors = sorted((d, i, (((labels[i], 0), 1),)) for i, d in enumerate(degrees) if d > 0)

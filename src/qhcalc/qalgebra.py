@@ -17,10 +17,10 @@ with plain ``+``, ``-`` and ``*``, and
 drops zeros: ``QuantumClass._assemble`` applies it to every class, and the
 decomposition search to its plain integer term dicts.
 The basis labels' order and degrees live in one table per ring
-(``RingPresentation._label_table``, built on first use from ``label_key``
-and ``label_degree``): ``_assemble`` sorts terms by a label's position
-there, and ``_degrees``, the one set of term degrees, reads each degree
-from it.
+(``RingPresentation._label_table``, built on first use from the ring
+kind's ``_basis``, its (label, degree) list in basis order): ``_assemble``
+sorts terms by a label's position there, and ``_degrees``, the one set of
+term degrees, reads each degree from it.
 ``QuantumClass.build`` is the checked entry for outside terms (it
 normalises labels and coerces scalars); it and ``q_shift`` read a q exponent
 through ``operator.index``, so a float exponent raises ``TypeError``.

@@ -26,10 +26,13 @@ share the table, and a lookup hashes only the pair of labels.  A product
 ring is its flat tuple of factors, one label entry per factor: its ground
 field and lambda0 come from theirs.
 
-Each ring builds one label table, on first use: every basis label's
-position in ``label_key`` order and its ``label_degree``, the two methods
-that state those rules.  ``QuantumClass`` sorts terms and reads degrees
-from it, and ``basis``, ``Grassmannian.structure`` and the decomposition
+Each ring kind states its basis once, in ``_basis``: every basis label with
+its degree, in basis order (u^j of degree 2j for CP^n; the box's partitions
+by (|lam|, lam), of degree 2|lam|, for G(k,N); the lexicographic product of
+the factors' lists, degrees summed, for a product).  Each ring builds one
+label table from it, on first use: every label's position and degree.
+``QuantumClass`` sorts terms and reads degrees from it, and ``basis``,
+``normalize_label``, ``Grassmannian.structure`` and the decomposition
 search read it too.  The ring's unit label (its first key, of degree 0) and
 its complex dimension (half its top degree) are read off it.
 
@@ -81,11 +84,6 @@ def normalize_partition(parts) -> Partition:
     if any(t[i] < t[i + 1] for i in range(len(t) - 1)):
         raise ValueError(f"parts not weakly decreasing: {parts}")
     return t
-
-
-def fits_box(lam: Partition, rows: int, cols: int) -> bool:
-    """Whether a normalised partition fits the rows x cols box."""
-    return len(lam) <= rows and (not lam or lam[0] <= cols)
 
 
 def partitions_in_box(rows: int, cols: int) -> List[Partition]:
@@ -267,9 +265,9 @@ class RingPresentation:
         if self.lambda0 == 0:
             raise ValueError("monotonicity requires lambda0 != 0")
 
-    # subclasses: N_chern, basis_labels, label_degree, label_key,
-    # normalize_label, structure; the unit label and the complex dimension
-    # are read off the label table
+    # subclasses: N_chern, _basis, normalize_label, structure; the basis
+    # labels, the unit label and the complex dimension are read off the
+    # label table
 
     @property
     def monotonicity(self) -> Fraction:
@@ -277,14 +275,16 @@ class RingPresentation:
 
     @cached_property
     def _label_table(self) -> Dict:
-        """label -> (position in label_key order, degree) for every basis
-        label: built once per ring, on first use, from label_key and
-        label_degree."""
-        ordered = sorted(self.basis_labels(), key=self.label_key)
-        return {label: (i, self.label_degree(label)) for i, label in enumerate(ordered)}
+        """label -> (position in basis order, degree) for every basis label:
+        built once per ring, on first use, from ``_basis``."""
+        return {label: (i, d) for i, (label, d) in enumerate(self._basis())}
+
+    def basis_labels(self) -> List:
+        """The basis labels in sorted order."""
+        return sorted(self._label_table)
 
     def unit_label(self):
-        """The degree-0 label, first in label_key order."""
+        """The degree-0 label, first in basis order."""
         return next(iter(self._label_table))
 
     @cached_property
@@ -352,20 +352,14 @@ class CPn(RingPresentation):
     def N_chern(self) -> int:
         return self.n + 1
 
-    def basis_labels(self):
-        return list(range(self.n + 1))
+    def _basis(self):
+        return [(j, 2 * j) for j in range(self.n + 1)]
 
     def normalize_label(self, label):
         label = index(label)
-        if not 0 <= label <= self.n:
+        if label not in self._label_table:
             raise ValueError(f"u^{label} is not a basis label of CP^{self.n}")
         return label
-
-    def label_degree(self, label) -> int:
-        return 2 * label
-
-    def label_key(self, label):
-        return (label,)
 
     def structure(self, a, b):
         e = a + b
@@ -388,24 +382,19 @@ class Grassmannian(RingPresentation):
     def N_chern(self) -> int:
         return self.N
 
-    def basis_labels(self):
-        return partitions_in_box(self.k, self.N - self.k)
+    def _basis(self):
+        box = sorted(partitions_in_box(self.k, self.N - self.k), key=lambda lam: (sum(lam), lam))
+        return [(lam, 2 * sum(lam)) for lam in box]
 
     def normalize_label(self, label):
         lam = normalize_partition(label)
-        if not fits_box(lam, self.k, self.N - self.k):
+        if lam not in self._label_table:
             raise ValueError(f"{lam} does not fit the {self.k}x{self.N - self.k} box")
         return lam
 
-    def label_degree(self, label) -> int:
-        return 2 * sum(label)
-
-    def label_key(self, label):
-        return (sum(label), label)
-
     def structure(self, a, b):
         # c^nu_{a,b} = c^nu_{b,a}: one cache entry per unordered pair, with
-        # the smaller class in label_key order as the LR content, the pair
+        # the smaller class in basis order as the LR content, the pair
         # ordered by one comparison of label-table positions
         table = self._label_table
         if table[a][0] > table[b][0]:
@@ -465,20 +454,15 @@ class ProductRing(RingPresentation):
     def N_chern(self) -> int:
         return math.gcd(*(f.N_chern for f in self.factors))
 
-    def basis_labels(self):
-        return list(product(*(f.basis_labels() for f in self.factors)))
+    def _basis(self):
+        return [(tuple(label for label, _ in entries), sum(d for _, d in entries))
+                for entries in product(*(f._basis() for f in self.factors))]
 
     def normalize_label(self, label):
         label = tuple(label)
         if len(label) != len(self.factors):
             raise ValueError(f"label {label} needs one entry per factor")
         return tuple(f.normalize_label(a) for f, a in zip(self.factors, label))
-
-    def label_degree(self, label) -> int:
-        return sum(f.label_degree(a) for f, a in zip(self.factors, label))
-
-    def label_key(self, label):
-        return tuple(f.label_key(a) for f, a in zip(self.factors, label))
 
     def structure(self, la, lb):
         table = self._structure_table

@@ -5,8 +5,9 @@ identity is checked with exact arithmetic.  Conventions: the distinguished
 sphere class A has I_omega(A) = -lambda0 and I_c1(A) = -2N; a planar rotation
 by total angle 2*pi*theta over one period contributes 2*theta to the mean
 index, and mu_CZ of a split nondegenerate flow is sum(2*floor(theta) + 1).
-Numbers are read through ``qalgebra.exact_fraction``, so a float is refused
-with ``TypeError``.
+Numbers are read through ``qalgebra.exact_fraction`` and integers (N, a
+capping m, mu_CZ) through ``operator.index``, so a float is refused with
+``TypeError``.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 from typing import Optional, Sequence
 
 from .qalgebra import exact_fraction
@@ -35,6 +37,7 @@ class MonotoneData:
     lam: Fraction
 
     def __post_init__(self):
+        object.__setattr__(self, "N", index(self.N))
         if self.N < 1:
             raise ValueError("minimal Chern number must be positive")
         object.__setattr__(self, "lam", exact_fraction(self.lam))
@@ -75,6 +78,9 @@ class CappedOrbit:
     def __post_init__(self):
         object.__setattr__(self, "action", exact_fraction(self.action))
         object.__setattr__(self, "mean_index", exact_fraction(self.mean_index))
+        object.__setattr__(self, "m", index(self.m))
+        if self.cz_index is not None:
+            object.__setattr__(self, "cz_index", index(self.cz_index))
 
 
 def recap(o: CappedOrbit, m: int, md: MonotoneData) -> CappedOrbit:

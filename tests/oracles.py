@@ -210,9 +210,10 @@ def search_decompositions_oracle(ring, ell_max, nu_max):
     degree sum < 2N, in the package's order: ell descending, nu ascending,
     then the labels of u0 and of the factors."""
     two_n_chern = 2 * ring.N_chern
-    labels = sorted(ring.basis_labels(), key=ring.label_key)
+    table = ring._label_table  # label -> (position, degree)
+    labels = list(table)
     classes = {lbl: ring.basis_class(lbl) for lbl in labels}
-    degree = {lbl: ring.label_degree(lbl) for lbl in labels}
+    degree = {lbl: d for lbl, (_, d) in table.items()}
     pos_labels = [lbl for lbl in labels if degree[lbl] > 0]
     found = []
 
@@ -233,8 +234,8 @@ def search_decompositions_oracle(ring, ell_max, nu_max):
 
     for u0_label in labels:
         dfs(u0_label, [], classes[u0_label], 0, 0)
-    found.sort(key=lambda t: (-len(t[1]), t[2], ring.label_key(t[0]),
-                              tuple(ring.label_key(lbl) for lbl in t[1])))
+    found.sort(key=lambda t: (-len(t[1]), t[2], table[t[0]][0],
+                              tuple(table[lbl][0] for lbl in t[1])))
     return [Decomposition(classes[u0], tuple(classes[lbl] for lbl in fl), nu)
             for u0, fl, nu in found]
 

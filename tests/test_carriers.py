@@ -217,6 +217,23 @@ class TestAdmissibleAssignments:
                 assert check_assignment(table, ladder, a)
                 assert set(a.phi()) == {"x0", "x1"}
 
+    @pytest.mark.parametrize("k", [Fraction(5, 2), Fraction(2)], ids=["5/2", "Fraction 2"])
+    def test_iteration_is_an_integer(self, k):
+        """The iteration k is read with operator.index: k = 5/2 would yield
+        assignments of a half iterate."""
+        table, ladder = model_table(0, Fraction(1, 8)), cpn_ladder(1)
+        assert admissible_assignments(table, ladder, 2)
+        with pytest.raises(TypeError):
+            admissible_assignments(table, ladder, k)
+
+    @pytest.mark.parametrize("n", [1.0, Fraction(1)], ids=["float", "Fraction"])
+    def test_dimension_is_an_integer(self, n):
+        """A table's n is read with operator.index: n = 1.0 would be
+        accepted here and fail later, inside range, in the verdicts."""
+        table = model_table(0, Fraction(1, 8))
+        with pytest.raises(TypeError):
+            OrbitTable(md=table.md, n=n, orbits=table.orbits)
+
     def test_infeasible_window_empty(self):
         md = MonotoneData(N=2, lam=Fraction(1, 2))
         table = OrbitTable(
@@ -341,6 +358,23 @@ class TestStableSubsequence:
         table = model_table(0, Fraction(1, 8))
         with pytest.raises(ValueError):
             stable_subsequence(table, cpn_ladder(1), [5, 3])
+
+    @pytest.mark.parametrize("primes", [[Fraction(5, 2), 3], [2, Fraction(3)]],
+                             ids=["5/2", "Fraction 3"])
+    def test_primes_are_integers(self, primes):
+        """Each prime is read with operator.index: a stable subsequence of
+        (5/2, 3) would be reported, and a consistent verdict on it."""
+        table, ladder = model_table(0, Fraction(1, 8)), cpn_ladder(1)
+        with pytest.raises(TypeError):
+            stable_subsequence(table, ladder, primes)
+        with pytest.raises(TypeError):
+            relation_verdict(table, ladder, primes)
+        negmon = OrbitTable(
+            md=MonotoneData(N=1, lam=Fraction(-1)), n=1,
+            orbits=(CappedOrbit("x", Fraction(1, 3), Fraction(1, 2), True),),
+        )
+        with pytest.raises(TypeError):
+            neg_monotone_obstruction(negmon, primes)
 
     @pytest.mark.parametrize("primes", [[], [0, 3, 5], [-7, 3, 5]])
     def test_iterations_below_one_rejected(self, primes):

@@ -144,6 +144,17 @@ class TestSearch:
         b = search_decompositions(ring, 3, 2)
         assert a == b
 
+    @pytest.mark.parametrize("ell_max, nu_max", [(2.5, 1), (2.0, 1), (2, 1.5)],
+                             ids=["ell 2.5", "ell 2.0", "nu 1.5"])
+    def test_bounds_are_integers(self, ell_max, nu_max):
+        """ell_max and nu_max are read with operator.index: a float bound
+        raises TypeError, where ell <= 2.5 would list CP^2's ell = 3
+        decompositions too (9 of them, not the 6 of ell <= 2)."""
+        ring = CPn(n=2)
+        assert len(search_decompositions(ring, 2, 1)) == 6
+        with pytest.raises(TypeError):
+            search_decompositions(ring, ell_max, nu_max)
+
 
 def _cp1_power(count, p=0):
     return ProductRing(factors=tuple(CPn(n=1, field=GroundField(p)) for _ in range(count)))
@@ -154,7 +165,7 @@ def _cp1_power(count, p=0):
 # CP^1 x CP^1 over Q and F_3; CP^1 x CP^1 x CP^1; G(2,4) x G(2,4); CP^1 x G(2,4)
 # with lambda0 = 2 on G(2,4), so N = 2 and a q of G(2,4) is q^2; CP^6 at
 # ell <= 7, with u^7 = q a multiset of seven equal factors; and G(2,4) x G(2,4)
-# over F_5, whose degree order is not its label_key order and whose factor
+# over F_5, whose degree order is not its basis order and whose factor
 # scalars need not be +-1
 ORACLE_SEARCHES = [
     *((CPn(n=n, field=GroundField(p)), n + 2, 2) for n in range(1, 5) for p in (0, 2, 3, 5)),
@@ -247,6 +258,7 @@ class TestSearchWork:
         dict carries its (u0, multiset) from contraction to reduction."""
         expected = search_decompositions_oracle(ring, ell_max, 2)
         contract, reduce_terms = RingPresentation._contract, ladders.reduce_terms
+        table = ring._label_table  # label -> (position, degree)
         calls = []
 
         def tagged_contract(self, a_terms, b_terms):
@@ -256,7 +268,7 @@ class TestSearchWork:
                 ((u0, _), _), = a_terms
                 multiset = ()
             ((label, _), _), = b_terms
-            child = (u0, tuple(sorted(multiset + (label,), key=ring.label_key)))
+            child = (u0, tuple(sorted(multiset + (label,), key=lambda lbl: table[lbl][0])))
             calls.append(child)
             return _Tagged(contract(self, a_terms, b_terms), child)
 
@@ -267,7 +279,7 @@ class TestSearchWork:
         assert len(calls) == len(set(calls)) == contractions
         two_n_chern = 2 * ring.N_chern
         for u0, multiset in calls:
-            deg = sum(map(ring.label_degree, multiset))
+            deg = sum(table[lbl][1] for lbl in multiset)
             assert deg % two_n_chern == 0 or (len(multiset) < ell_max and deg < two_n_chern), (
                 u0, multiset)
 

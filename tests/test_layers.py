@@ -1,7 +1,8 @@
 """The module stack of ``qhcalc``: each module imports only the modules below it,
 and nothing outside the standard library; the record formats stay in
-``serialize``, so ``cli`` calls none of its record readers or writers; and a
-class is a dataclass only when a NamedTuple cannot serve (``DATACLASSES``).
+``serialize``, so ``cli`` calls none of its record readers or writers; a
+class is a dataclass only when a NamedTuple cannot serve (``DATACLASSES``);
+and a ring kind states only its basis and its structure (``RING_KIND_METHODS``).
 
 Every import is collected from the source with ``ast``, including imports
 inside functions, so a lazy upward import fails here too.
@@ -263,3 +264,22 @@ def test_a_dataclass_validates_caches_or_is_listed():
     listed = set(DATACLASSES)
     assert unlisted == listed, f"unlisted: {sorted(unlisted - listed)}, " \
                                f"listed: {sorted(listed - unlisted)}"
+
+
+# The methods a ring kind in ``rings`` may define; every other label rule is
+# read off the label table that ``_basis`` fills.
+RING_KIND_METHODS = {"__post_init__", "N_chern", "_basis", "normalize_label", "structure"}
+
+
+def test_a_ring_kind_states_its_basis_once():
+    """Each subclass of ``RingPresentation`` defines no method outside
+    RING_KIND_METHODS: its basis labels, their order and their degrees are
+    one (label, degree) list, so no second rule for any of them can grow
+    back in a kind."""
+    tree = ast.parse((PACKAGE / "rings.py").read_text())
+    kinds = [node for node in tree.body if isinstance(node, ast.ClassDef)
+             and any(getattr(base, "id", None) == "RingPresentation" for base in node.bases)]
+    assert {kind.name for kind in kinds} == {"CPn", "Grassmannian", "ProductRing"}
+    extra = {f"{kind.name}.{item.name}" for kind in kinds for item in kind.body
+             if isinstance(item, ast.FunctionDef) and item.name not in RING_KIND_METHODS}
+    assert not extra, f"ring kinds define {sorted(extra)}"

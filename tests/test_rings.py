@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -12,7 +13,6 @@ from qhcalc.rings import (
     CPn,
     Grassmannian,
     ProductRing,
-    fits_box,
     littlewood_richardson,
     normalize_partition,
     partitions_in_box,
@@ -53,8 +53,15 @@ class TestPartitions:
         assert ring.basis_class((1, 0)).terms == ((((1, 0), 0), 1),)
 
     def test_box(self):
-        assert fits_box((2, 2), 2, 2)
-        assert not fits_box((3,), 2, 2)
+        """A Grassmannian's labels are the partitions in its box: one that
+        fits is normalised, one with a part too long or too many parts is
+        refused."""
+        ring = Grassmannian(k=2, N=4)
+        assert ring.normalize_label([2, 2]) == (2, 2)
+        assert ring.normalize_label((1, 0, 0)) == (1,)
+        for lam in ((3,), (1, 1, 1)):
+            with pytest.raises(ValueError, match=re.escape(f"{lam} does not fit the 2x2 box")):
+                ring.normalize_label(lam)
         assert len(partitions_in_box(2, 2)) == 6  # binomial(4, 2)
 
     def test_enumerator_against_brute_force(self):
@@ -103,16 +110,32 @@ def _rings_over_fields(draw):
 
 @settings(derandomize=True, deadline=None, max_examples=120)
 @given(_rings_over_fields())
-def test_label_table_is_read_off_label_key_and_label_degree(ring):
+def test_label_table_matches_the_closed_forms(ring):
     """A ring's label table is built on first use, once, and holds each basis
-    label's position in label_key order and its label_degree; so a
-    Grassmannian orders a pair by position as by (sum, label)."""
+    label's position and degree: u^j has key j and degree 2j in CP^n, lam
+    has key (|lam|, lam) and degree 2|lam| in G(k,N), and a product label
+    has its factors' keys and the sum of their degrees.  So a Grassmannian
+    orders a pair by position as by (sum, label)."""
+    def closed_form(r):
+        # label -> (order key, degree)
+        if isinstance(r, CPn):
+            return {j: (j, 2 * j) for j in range(r.n + 1)}
+        if isinstance(r, Grassmannian):
+            return {lam: ((sum(lam), lam), 2 * sum(lam))
+                    for lam in partitions_in_box(r.k, r.N - r.k)}
+        tables = [closed_form(f) for f in r.factors]
+        return {label: (tuple(t[a][0] for t, a in zip(tables, label)),
+                        sum(t[a][1] for t, a in zip(tables, label)))
+                for label in product(*tables)}
+
     assert "_label_table" not in vars(ring)
     table = ring._label_table
     assert ring._label_table is table
-    ordered = sorted(ring.basis_labels(), key=ring.label_key)
+    expected = closed_form(ring)
+    ordered = sorted(expected, key=lambda lbl: expected[lbl][0])
     assert list(table) == ordered
-    assert list(table.values()) == [(i, ring.label_degree(lbl)) for i, lbl in enumerate(ordered)]
+    assert list(table.values()) == [(i, expected[lbl][1]) for i, lbl in enumerate(ordered)]
+    assert ring.basis_labels() == sorted(expected)
     if isinstance(ring, Grassmannian):
         for a, b in product(ordered, repeat=2):
             assert (table[a][0] > table[b][0]) == ((sum(a), a) > (sum(b), b))
@@ -415,7 +438,7 @@ class TestQuantumProduct:
                 classical = {
                     nu: c
                     for nu, c in littlewood_richardson(lam, mu, ring.k).items()
-                    if fits_box(nu, ring.k, ring.N - ring.k)
+                    if len(nu) <= ring.k and (not nu or nu[0] <= ring.N - ring.k)
                 }
                 q0 = {
                     label: c for (label, m), c in prod.terms if m == 0

@@ -29,6 +29,14 @@ class TestMonotoneData:
         with pytest.raises(ValueError):
             MonotoneData(N=2, lam=Fraction(0))
 
+    @pytest.mark.parametrize("N", [2.0, Fraction(2)], ids=["float", "Fraction"])
+    def test_N_is_an_integer(self, N):
+        """N is read with operator.index: N = 2.0 would make lambda0 the
+        float 1.0."""
+        with pytest.raises(TypeError):
+            MonotoneData(N=N, lam=Fraction(1, 2))
+        assert MonotoneData(N=2, lam=Fraction(1, 2)).lambda0 == 1
+
 
 class TestRecap:
     def test_identity(self):
@@ -188,3 +196,19 @@ def test_entries_take_exact_numbers(entry):
     else:
         assert read(Fraction(1, 3)) == read("1/3") == Fraction(1, 3)
         assert read(2) == 2
+
+
+@pytest.mark.parametrize("field, value", [
+    ("m", 0.5), ("m", 1.0), ("m", Fraction(1)), ("cz_index", 1.0), ("cz_index", "1"),
+], ids=["m 0.5", "m 1.0", "m Fraction 1", "cz 1.0", "cz str"])
+def test_capping_and_cz_index_are_integers(field, value):
+    """A capping m and a Conley-Zehnder index are read with operator.index,
+    so m = 0.5 cannot reach a recapped orbit or the JSON output; an absent
+    index stays None."""
+    with pytest.raises(TypeError):
+        CappedOrbit("x", **{field: value})
+    with pytest.raises(TypeError):
+        recap(CappedOrbit("x", cz_index=1), value, CP1)
+    o = CappedOrbit("x", m=1, cz_index=3)
+    assert (o.m, o.cz_index) == (1, 3)
+    assert CappedOrbit("x").cz_index is None
