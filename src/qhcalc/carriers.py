@@ -32,8 +32,9 @@ candidate index of each slot, with no generator per search node; it stays a
 lazy generator, so a verdict's `next()` stops at the first assignment.
 `check_assignment` stays the independent checker: it rebuilds each capped
 orbit with `Fraction`s and tests it with `spectra.index_window_check`.
-A table's n, an iteration k and the primes are read through
-`operator.index`, so a float is refused with `TypeError`.
+A table's n is read through `operator.index`, and an iteration k and the
+primes through `spectra.iteration_orders`, so a float is refused with
+`TypeError`.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from .spectra import (
     augmented_action,
     index_window_check,
     iterate,
+    iteration_orders,
     recap,
 )
 
@@ -195,10 +197,8 @@ def _assignments(
     The walk keeps an explicit stack, the next candidate index of each slot
     of the prefix and of the open slot, with no generator per node; it is
     still lazy, yielding each assignment as soon as its last slot is found.
+    Its callers read k through `spectra.iteration_orders`.
     """
-    k = index(k)
-    if k < 1:
-        raise ValueError("iteration order must be >= 1")
     nu = ladder.nu
     period_drop = nu * table.scaled.lambda0
     candidates = [_cappings(table, deg, k) for deg in ladder.hom_degrees]
@@ -242,6 +242,7 @@ def admissible_assignments(
     This lists the whole depth-first search of `_assignments`; verdicts
     read only its first element, through `stable_subsequence`.
     """
+    (k,) = iteration_orders((k,))
     return list(_assignments(table, ladder, k))
 
 
@@ -253,23 +254,12 @@ class StabilityReport(NamedTuple):
     failures: Tuple[int, ...]
 
 
-def _increasing(primes: Sequence[int]) -> Tuple[int, ...]:
-    """The iterations as a tuple: at least one, each >= 1, and strictly
-    increasing, the order in which both verdicts read them."""
-    primes = tuple(map(index, primes))
-    if not primes or primes[0] < 1:
-        raise ValueError("iteration order must be >= 1")
-    if any(b <= a for a, b in zip(primes, primes[1:])):
-        raise ValueError("primes must be strictly increasing")
-    return primes
-
-
 def _stable_walk(primes: Sequence[int], choose: Callable, key: Callable) -> Tuple:
     """Follow one carrier along the increasing iterations, choose(k) or None
     at each k: the (k, choice) pairs, the ks with none, and the key(choice)
     that the most ks share, ties to the smallest, with those ks; () if none."""
     chosen, failures, groups = [], [], {}
-    for k in _increasing(primes):
+    for k in iteration_orders(primes):
         choice = choose(k)
         if choice is None:
             failures.append(k)

@@ -2,6 +2,10 @@
 
 Exit codes: 0 ok/consistent, 2 mathematical contradiction found,
 3 inconclusive (a hypothesis gate fired), 64 usage or input error.
+The ``except`` clauses of `main` are the one table from exception to exit
+code: an `Exit` carries its own, ``ladders.InvalidDecompositionError`` and
+``ladders.PowerVanishesError`` are contradictions (2), and any other
+``ValueError``, the package's one refusal type, is an input error (64).
 Every command is one handler in ``COMMANDS``, from which the parser is
 built: the handler ``<group>_<command>`` is the command ``<group> <command>``,
 and its keyword-only, annotated signature is the command's option list.  A
@@ -105,12 +109,7 @@ def ladders_build(*, ring: str, dec: str):
 def ladders_case2(*, ring: str, class_: str = None, orbits: int):
     r = _load_ring(ring)
     u = ser.class_from_str(r, class_) if class_ is not None else r.first_chern_generator()
-    try:
-        params = ladders_mod.case_ii_parameters(r, u, orbits)
-    except ladders_mod.PowerVanishesError as exc:
-        raise Exit(EXIT_CONTRADICTION, str(exc),
-                   {"error": str(exc), "vanishing_exponent": exc.exponent})
-    return params._asdict()
+    return ladders_mod.case_ii_parameters(r, u, orbits)._asdict()
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +313,10 @@ def main(argv=None):
         code, message = exc.code, exc.message
     except ladders_mod.InvalidDecompositionError as exc:
         code, message = EXIT_CONTRADICTION, f"invalid ladder: {exc}"
-    except ValueError as exc:  # serialize.ParseError is a ValueError
+    except ladders_mod.PowerVanishesError as exc:
+        _emit(invocation, {"error": str(exc), "vanishing_exponent": exc.exponent})
+        code, message = EXIT_CONTRADICTION, str(exc)
+    except ValueError as exc:
         code, message = EXIT_USAGE, f"input error: {exc}"
     else:
         sys.exit(EXIT_OK)

@@ -11,7 +11,8 @@ whose window starts at u^{s_-}.  Its homology degrees strictly decrease into
 the next period with no check of their own: each step is a positive factor
 degree (no v_j of a verified decomposition is 0), and the wrap-around step is
 2N minus the interior sum.  A Case II window steps by |u| > 0, and
-(l - 1)|u| < 2N for l = floor(2N/|u|).
+(l - 1)|u| < 2N for l = floor(2N/|u|).  The Case II orbit count and the
+pair s_-, s_+ are read through `operator.index`.
 
 The decomposition search runs on plain integer term dicts {(label, m): c},
 through the ring's structure-constant contraction and `qalgebra.reduce_terms`
@@ -47,10 +48,6 @@ class PowerVanishesError(ValueError):
     def __init__(self, exponent: int):
         self.exponent = exponent
         super().__init__(f"power vanishes: u^{exponent} = 0")
-
-
-class NonIntegralNuError(ValueError):
-    """The pigeonhole pair produces a fractional q-power."""
 
 
 @dataclass(frozen=True)
@@ -227,6 +224,7 @@ def _case_ii_degree(ring, u: QuantumClass) -> Tuple[int, int]:
 
 def case_ii_parameters(ring, u: QuantumClass, n_orbits: int) -> CaseTwoParameters:
     deg, ell = _case_ii_degree(ring, u)
+    n_orbits = index(n_orbits)
     if n_orbits < 1:
         raise ValueError("n_orbits must be >= 1")
     d = ceil(Fraction(2 * ring.N_chern * n_orbits, deg)) + 1
@@ -258,10 +256,11 @@ def pigeonhole_pair(carrier_orbit_ids: Sequence, ring, u: QuantumClass) -> Tuple
 
 
 def case_ii_ladder(ring, u: QuantumClass, s_minus: int, s_plus: int) -> Ladder:
+    s_minus, s_plus = index(s_minus), index(s_plus)
     deg, ell = _case_ii_degree(ring, u)
     nu_frac = Fraction((s_plus - s_minus) * deg, 2 * ring.N_chern)
     if nu_frac.denominator != 1:
-        raise NonIntegralNuError(
+        raise ValueError(
             f"nu = {nu_frac} is not an integer; the non-degeneracy hypothesis "
             "is required to rule this pair out"
         )

@@ -38,14 +38,6 @@ from typing import Dict, Mapping, Tuple, Union
 Scalar = Union[int, Fraction]
 
 
-class RingMismatchError(ValueError):
-    """Two classes from different ring contexts were combined."""
-
-
-class GradingError(ValueError):
-    """An operation required a nonzero homogeneous class and did not get one."""
-
-
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -188,7 +180,7 @@ class QuantumClass:
 
     def _check_ring(self, other: "QuantumClass"):
         if self.ring != other.ring:
-            raise RingMismatchError(f"ring contexts differ: {self.ring} vs {other.ring}")
+            raise ValueError(f"ring contexts differ: {self.ring} vs {other.ring}")
 
     def __add__(self, other: "QuantumClass") -> "QuantumClass":
         self._check_ring(other)
@@ -237,9 +229,9 @@ class QuantumClass:
         """Cohomological degree of a nonzero homogeneous class."""
         degs = self._degrees()
         if not degs:
-            raise GradingError("zero class has no degree")
+            raise ValueError("zero class has no degree")
         if len(degs) > 1:
-            raise GradingError(f"inhomogeneous class, term degrees {sorted(degs)}")
+            raise ValueError(f"inhomogeneous class, term degrees {sorted(degs)}")
         return degs.pop()
 
     def q_shift(self, m: int) -> "QuantumClass":

@@ -38,7 +38,8 @@ its complex dimension (half its top degree) are read off it.
 
 Basis labels are checked once, where they enter, by each ring's
 ``normalize_label``, which reads each integer (a part, a power of u)
-through ``operator.index``, so a float, a ``Fraction`` or a string raises
+through ``operator.index``, as a kind's n, k and N, a basis degree and a
+Pieri degree p are read, so a float, a ``Fraction`` or a string raises
 ``TypeError`` instead of being truncated; past that point partitions are
 normalised tuples, and the LR walk and the rim-hook reduction take them as
 they are.  The reduction is the N-core of the partition's abacus, read off
@@ -66,7 +67,7 @@ from itertools import chain, combinations, combinations_with_replacement, produc
 from operator import index
 from typing import Dict, List, Tuple
 
-from .qalgebra import GroundField, QuantumClass, RingMismatchError, exact_fraction
+from .qalgebra import GroundField, QuantumClass, exact_fraction
 
 Partition = Tuple[int, ...]
 
@@ -302,6 +303,7 @@ class RingPresentation:
         return QuantumClass._assemble(self, {})
 
     def basis(self, degree: int) -> List:
+        degree = index(degree)
         if degree < 0:
             raise ValueError("degree must be non-negative")
         return [lbl for lbl, (_, d) in self._label_table.items() if d == degree]
@@ -309,7 +311,7 @@ class RingPresentation:
     def quantum_product(self, a: QuantumClass, b: QuantumClass) -> QuantumClass:
         # identity first, so a class of this ring skips the dataclass ==
         if (a.ring is not self and a.ring != self) or (b.ring is not self and b.ring != self):
-            raise RingMismatchError("classes do not belong to this ring")
+            raise ValueError("classes do not belong to this ring")
         return QuantumClass._assemble(self, self._contract(a.terms, b.terms))
 
     def _contract(self, a_terms, b_terms) -> dict:
@@ -345,6 +347,7 @@ class CPn(RingPresentation):
 
     def __post_init__(self):
         super().__post_init__()
+        object.__setattr__(self, "n", index(self.n))
         if self.n < 1:
             raise ValueError("n must be >= 1")
 
@@ -375,6 +378,8 @@ class Grassmannian(RingPresentation):
 
     def __post_init__(self):
         super().__post_init__()
+        object.__setattr__(self, "k", index(self.k))
+        object.__setattr__(self, "N", index(self.N))
         if not 1 <= self.k < self.N:
             raise ValueError("need 1 <= k < N")
 
@@ -489,6 +494,7 @@ def quantum_pieri(ring: Grassmannian, lam, p: int) -> QuantumClass:
         raise TypeError("quantum Pieri applies to Grassmannian rings")
     k, N = ring.k, ring.N
     lam = ring.normalize_label(lam)
+    p = index(p)
     if not 1 <= p <= N - k:
         raise ValueError(f"Pieri degree p={p} out of range [1, {N - k}]")
     lam_p = lam + (0,) * (k - len(lam))

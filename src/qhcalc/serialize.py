@@ -13,7 +13,7 @@ default of its factors, and it has no ``"lambda0"``), a decomposition, an
 orbit, a table, a model and a scenario, whose ladder `scenario_from_json`
 builds.  One table, `_RING_KINDS`, gives the reader and the writer the keys
 of a CP^n and a G(k,N) record.  A record has no key but its own: `known_keys`
-makes any other, a misspelt optional key included, a ParseError rather than
+makes any other, a misspelt optional key included, a ValueError rather than
 dropping it for its default.  The command line reads no record key itself,
 and writes every value through `to_json`.
 """
@@ -33,21 +33,17 @@ from .carriers import OrbitTable
 from .models import CPnQuadraticModel, ProductModel
 
 
-class ParseError(ValueError):
-    """Malformed literal or JSON input."""
-
-
 @contextmanager
 def reading(record: str):
     """Read a JSON record: a missing key or a value of the wrong type (a
     number where a list belongs, a list where an object belongs, a null)
-    is a ParseError naming the record."""
+    is a ValueError naming the record."""
     try:
         yield
     except KeyError as exc:
-        raise ParseError(f"{record} missing key {exc}") from exc
+        raise ValueError(f"{record} missing key {exc}") from exc
     except TypeError as exc:
-        raise ParseError(f"malformed {record}: {exc}") from exc
+        raise ValueError(f"malformed {record}: {exc}") from exc
 
 
 def known_keys(data: dict, record: str, keys: str) -> None:
@@ -56,7 +52,7 @@ def known_keys(data: dict, record: str, keys: str) -> None:
     Called once a key of data has been read, so data is an object."""
     unknown = sorted(set(data) - set(keys.split()))
     if unknown:
-        raise ParseError(f"{record} has unknown key {unknown[0]!r}")
+        raise ValueError(f"{record} has unknown key {unknown[0]!r}")
 
 
 _JSON_TYPES = {int: "an integer", bool: "a bool", str: "a string", list: "an array"}
@@ -82,7 +78,7 @@ def frac_from_str(text) -> Fraction:
     try:
         return Fraction(json_typed(text, str, "rational"))
     except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational {text!r}: {exc}") from exc
+        raise ValueError(f"bad rational {text!r}: {exc}") from exc
 
 
 def frac_to_str(x) -> str:
@@ -107,7 +103,7 @@ def _parse_base_label(ring: RingPresentation, text: str):
     if isinstance(ring, ProductRing):
         parts = text.split("ox")
         if len(parts) != len(ring.factors):
-            raise ParseError(
+            raise ValueError(
                 f"a label of {len(ring.factors)} factors needs "
                 f"{len(ring.factors) - 1} 'ox': {text!r}"
             )
@@ -122,7 +118,7 @@ def _parse_base_label(ring: RingPresentation, text: str):
         inner = m.group(1).strip()
         parts = [int(p) for p in inner.split(",")] if inner else []
         return ring.normalize_label(parts)
-    raise ParseError(f"unrecognized basis label {text!r} for {type(ring).__name__}")
+    raise ValueError(f"unrecognized basis label {text!r} for {type(ring).__name__}")
 
 
 def _parse_term(ring: RingPresentation, text: str):
@@ -130,7 +126,7 @@ def _parse_term(ring: RingPresentation, text: str):
     coeff, qpow, labels = Fraction(1), 0, []
     for f in (f.strip() for f in text.split("*")):
         if not f:
-            raise ParseError(f"empty factor in term {text!r}")
+            raise ValueError(f"empty factor in term {text!r}")
         if _NUM_RE.match(f):
             coeff *= frac_from_str(f)
         elif mq := _Q_RE.match(f):
@@ -138,7 +134,7 @@ def _parse_term(ring: RingPresentation, text: str):
         else:
             labels.append(f)
     if len(labels) > 1:
-        raise ParseError(f"more than one basis label in term {text!r}")
+        raise ValueError(f"more than one basis label in term {text!r}")
     label = _parse_base_label(ring, labels[0]) if labels else ring.unit_label()
     return (label, qpow), coeff
 
@@ -148,19 +144,19 @@ def class_from_str(ring: RingPresentation, text: str) -> QuantumClass:
     coefficients coerced below, so the terms go straight to assembly."""
     text = text.strip()
     if not text:
-        raise ParseError("empty class literal")
+        raise ValueError("empty class literal")
     acc = {}
     field = ring.field
     # (sign, term) pairs, the first term signed "+" unless the literal starts with a sign
     _, *pieces = _SIGN_RE.split(text if text[0] in "+-" else "+" + text)
     for sign, term in zip(pieces[::2], pieces[1::2]):
         if not term:
-            raise ParseError(f"sign {sign!r} without a term in {text!r}")
+            raise ValueError(f"sign {sign!r} without a term in {text!r}")
         key, coeff = _parse_term(ring, term)
         try:
             coeff = field.coerce(-coeff if sign == "-" else coeff)
         except ZeroDivisionError as exc:
-            raise ParseError(
+            raise ValueError(
                 f"coefficient in term {term!r} is not in {field.spec()}: {exc}"
             ) from exc
         acc[key] = acc.get(key, 0) + coeff
@@ -227,16 +223,16 @@ def _ring_from_json(data, field: GroundField, spec: str) -> RingPresentation:
         spec = json_typed(data.get("field", spec), str, "field")
         if kind == "product":
             if "lambda0" in data:
-                raise ParseError("product ring spec has 'lambda0'; it follows from the factors'")
+                raise ValueError("product ring spec has 'lambda0'; it follows from the factors'")
             known_keys(data, "ring spec", "kind factors field")
             records = json_typed(data["factors"], list, "factors")
             if not records:
-                raise ParseError("product ring spec has no factors")
+                raise ValueError("product ring spec has no factors")
             factors = [_ring_from_json(record, field, spec) for record in records]
             named = GroundField.from_spec(spec) if field is None and "field" in data else None
             for factor in factors:
                 if named not in (None, factor.field):
-                    raise ParseError(f"product field {named.spec()} disagrees with "
+                    raise ValueError(f"product field {named.spec()} disagrees with "
                                      f"factor field {factor.field.spec()}")
             return factors[0] if len(factors) == 1 else ProductRing(factors=tuple(factors))
         lambda0 = frac_from_str(data.get("lambda0", "1"))
@@ -247,7 +243,7 @@ def _ring_from_json(data, field: GroundField, spec: str) -> RingPresentation:
                 known_keys(data, "ring spec", " ".join(("kind", *keys, "field lambda0")))
                 ints = {key: json_typed(data[key], int, key) for key in keys}
                 return cls(**ints, field=field, lambda0=lambda0)
-    raise ParseError(f"unknown ring kind {kind!r}")
+    raise ValueError(f"unknown ring kind {kind!r}")
 
 
 def ring_to_json(ring: RingPresentation) -> dict:
@@ -370,7 +366,7 @@ def model_from_json(data):
             known_keys(data, "model spec", "kind factors")
             factors = json_typed(data["factors"], list, "factors")
             return ProductModel(factors=tuple(model_from_json(f) for f in factors))
-    raise ParseError(f"unknown model kind {kind!r}")
+    raise ValueError(f"unknown model kind {kind!r}")
 
 
 def model_to_json(model) -> dict:

@@ -6,8 +6,9 @@ sphere class A has I_omega(A) = -lambda0 and I_c1(A) = -2N; a planar rotation
 by total angle 2*pi*theta over one period contributes 2*theta to the mean
 index, and mu_CZ of a split nondegenerate flow is sum(2*floor(theta) + 1).
 Numbers are read through ``qalgebra.exact_fraction`` and integers (N, a
-capping m, mu_CZ) through ``operator.index``, so a float is refused with
-``TypeError``.
+capping m, mu_CZ, an iteration order) through ``operator.index``, so a float
+is refused with ``TypeError``; `iteration_orders` is the one reader of
+iteration orders, each >= 1.
 """
 
 from __future__ import annotations
@@ -16,13 +17,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import index
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 from .qalgebra import exact_fraction
-
-
-class DegenerateAngleError(ValueError):
-    """A Conley-Zehnder index was requested for a degenerate direction."""
 
 
 @dataclass(frozen=True)
@@ -95,10 +92,20 @@ def recap(o: CappedOrbit, m: int, md: MonotoneData) -> CappedOrbit:
     )
 
 
+def iteration_orders(ks: Sequence[int]) -> Tuple[int, ...]:
+    """The iteration orders as a tuple: at least one, each >= 1, and strictly
+    increasing, the order in which the carrier verdicts read them."""
+    ks = tuple(map(index, ks))
+    if not ks or ks[0] < 1:
+        raise ValueError("iteration order must be >= 1")
+    if any(b <= a for a, b in zip(ks, ks[1:])):
+        raise ValueError("primes must be strictly increasing")
+    return ks
+
+
 def iterate(o: CappedOrbit, k: int) -> CappedOrbit:
     """The k-th iterate: action and mean index are homogeneous; mu_CZ is not."""
-    if k < 1:
-        raise ValueError("iteration order must be >= 1")
+    (k,) = iteration_orders((k,))
     return CappedOrbit(
         o.orbit_id,
         k * o.action,
@@ -129,7 +136,7 @@ def cz_index_split(av: Sequence) -> int:
     for a in av:
         theta = exact_fraction(a)
         if theta.denominator == 1:
-            raise DegenerateAngleError(f"degenerate direction: theta = {theta}")
+            raise ValueError(f"degenerate direction: theta = {theta}")
         total += 2 * math.floor(theta) + 1
     return total
 

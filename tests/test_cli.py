@@ -883,6 +883,10 @@ _CP2_MUL = ["ring", "mul", "--ring", "cp2.json", "--b", "u", "--a"]
      "input error: ell_max must be >= 1"),
     (None, ["ladders", "case2", "--ring", "g24.json", "--orbits", "0"], 64,
      "input error: n_orbits must be >= 1"),
+    (None, ["ladders", "case2", "--ring", "g24.json", "--class", "0", "--orbits", "3"], 64,
+     "input error: zero class has no degree"),
+    (None, ["ladders", "case2", "--ring", "cp2.json", "--class", "u + u^2", "--orbits", "3"], 64,
+     "input error: inhomogeneous class, term degrees [2, 4]"),
     (None, ["models", "cpn", "--lambdas", "0"], 64,
      "input error: need at least two coefficients (n >= 1)"),
     (None, ["models", "product", "--factors", ";"], 64, "input error: need at least one factor"),
@@ -895,7 +899,8 @@ _CP2_MUL = ["ring", "mul", "--ring", "cp2.json", "--b", "u", "--a"]
         "unknown ring kind", "grassmannian k = N", "unknown model kind", "duplicate orbit ids",
         "empty orbit table", "chern 0", "cpn label", "grassmannian label", "empty factor",
         "two labels", "field Fp:9", "field Fp:1", "field Fp:2^64", "degree -1", "power -1", "ell-max 0",
-        "orbits 0", "one coefficient", "no factor", "iterate k 0", "assignments k 0"])
+        "orbits 0", "case2 zero class", "case2 inhomogeneous class", "one coefficient",
+        "no factor", "iterate k 0", "assignments k 0"])
 def test_refusal_exit_code_and_message(workdir, record, argv, code, stderr):
     """Each refusal exits with its code and its one-line message; only a
     contradiction prints a result."""

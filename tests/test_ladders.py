@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from qhcalc import ladders
@@ -6,7 +8,6 @@ from qhcalc.rings import CPn, Grassmannian, ProductRing, RingPresentation
 from qhcalc.ladders import (
     Decomposition,
     InvalidDecompositionError,
-    NonIntegralNuError,
     PowerVanishesError,
     _case_ii_degree,
     build_ladder,
@@ -384,6 +385,16 @@ class TestCaseTwo:
             params = case_ii_parameters(ring, ring.basis_class(1), n + 1)
             assert params.ell == n + 1
 
+    @pytest.mark.parametrize("n_orbits", [Fraction(5, 2), Fraction(3), 3.0],
+                             ids=["5/2", "Fraction 3", "float 3"])
+    def test_orbit_count_is_an_integer(self, n_orbits):
+        """The orbit count is read with operator.index: 5/2 orbits would
+        give d = 11."""
+        ring = Grassmannian(k=2, N=4)
+        assert case_ii_parameters(ring, ring.basis_class((1,)), 3).d == 13
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            case_ii_parameters(ring, ring.basis_class((1,)), n_orbits)
+
     def test_char_two_vanishing_power(self):
         ring = Grassmannian(k=2, N=4, field=GroundField(2))
         with pytest.raises(PowerVanishesError) as exc:
@@ -498,8 +509,17 @@ class TestPigeonhole:
 class TestCaseTwoLadder:
     def test_non_integral_nu(self):
         ring = Grassmannian(k=2, N=4)
-        with pytest.raises(NonIntegralNuError):
+        with pytest.raises(ValueError, match="nu = 5/4 is not an integer"):
             case_ii_ladder(ring, ring.basis_class((1,)), 1, 6)
+
+    @pytest.mark.parametrize("s_minus, s_plus", [(1.0, 9.0), (1, Fraction(9)), (Fraction(1), 9)],
+                             ids=["floats", "Fraction s_plus", "Fraction s_minus"])
+    def test_pair_is_integers(self, s_minus, s_plus):
+        """s_minus and s_plus are read with operator.index where they enter,
+        not deep inside the window walk or Fraction."""
+        ring = Grassmannian(k=2, N=4)
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            case_ii_ladder(ring, ring.basis_class((1,)), s_minus, s_plus)
 
     def test_s_minus_below_one_rejected(self):
         """The window starts at u^{s_minus}, a power in the pigeonhole range."""

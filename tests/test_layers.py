@@ -2,13 +2,15 @@
 and nothing outside the standard library; the record formats stay in
 ``serialize``, so ``cli`` calls none of its record readers or writers; a
 class is a dataclass only when a NamedTuple cannot serve (``DATACLASSES``);
-and a ring kind states only its basis and its structure (``RING_KIND_METHODS``).
+a ring kind states only its basis and its structure (``RING_KIND_METHODS``);
+and ``cli.main`` names every exception class the package defines.
 
 Every import is collected from the source with ``ast``, including imports
 inside functions, so a lazy upward import fails here too.
 """
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -283,3 +285,38 @@ def test_a_ring_kind_states_its_basis_once():
     extra = {f"{kind.name}.{item.name}" for kind in kinds for item in kind.body
              if isinstance(item, ast.FunctionDef) and item.name not in RING_KIND_METHODS}
     assert not extra, f"ring kinds define {sorted(extra)}"
+
+
+def exception_classes() -> set:
+    """module.class of each exception class that a package module defines."""
+    found = set()
+    for module in ALLOWED:
+        namespace = vars(importlib.import_module(f"qhcalc.{module}"))
+        found.update(f"{module}.{name}" for name, obj in namespace.items()
+                     if isinstance(obj, type) and issubclass(obj, BaseException)
+                     and obj.__module__ == f"qhcalc.{module}")
+    return found
+
+
+def main_catches() -> set:
+    """The class names, bare or as an attribute, in the ``except`` clauses
+    of ``cli.main``."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    main = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    found = set()
+    for handler in ast.walk(main):
+        if isinstance(handler, ast.ExceptHandler) and handler.type:
+            types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+            found.update(t.attr if isinstance(t, ast.Attribute) else t.id for t in types)
+    return found
+
+
+def test_cli_main_maps_every_exception():
+    """``cli.main``'s ``except`` chain is the one table from exception type
+    to exit code, so each exception class the package defines is named
+    there: a refusal is a plain ``ValueError`` (exit 64), and a class that
+    ``main`` does not tell apart from its base is not defined."""
+    caught = main_catches()
+    unmapped = {name for name in exception_classes() if name.rpartition(".")[2] not in caught}
+    assert not unmapped, f"cli.main names no except clause for {sorted(unmapped)}"

@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 
 from qhcalc import qalgebra
 from qhcalc.qalgebra import (
-    GradingError,
     GroundField,
     QuantumClass,
-    RingMismatchError,
     reduce_terms,
 )
 from qhcalc.rings import CPn, Grassmannian, ProductRing
@@ -232,7 +230,7 @@ class TestQuantumClass:
         assert total == ring.basis_class((2,)) + ring.basis_class((1, 1))
 
     def test_ring_mismatch(self):
-        with pytest.raises(RingMismatchError):
+        with pytest.raises(ValueError, match="ring contexts differ"):
             CPn(n=1).basis_class(1) + CPn(n=2).basis_class(1)
 
     def test_degree_base_class(self):
@@ -248,9 +246,9 @@ class TestQuantumClass:
 
     def test_degree_errors(self):
         ring = CPn(n=2)
-        with pytest.raises(GradingError):
+        with pytest.raises(ValueError, match="zero class has no degree"):
             ring.zero().degree()
-        with pytest.raises(GradingError):
+        with pytest.raises(ValueError, match=r"inhomogeneous class, term degrees \[2, 4\]"):
             (ring.basis_class(1) + ring.basis_class(2)).degree()
 
     def test_q_shift(self):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qhcalc import rings
-from qhcalc.qalgebra import GroundField, RingMismatchError
+from qhcalc.qalgebra import GroundField
 from qhcalc.rings import (
     CPn,
     Grassmannian,
@@ -44,6 +44,24 @@ class TestPartitions:
             CPn(n=2).basis_class(label)
         with pytest.raises(TypeError):
             Grassmannian(k=2, N=4).basis_class((label, 1))
+
+    @pytest.mark.parametrize("kind, fields", [
+        (CPn, {"n": 2.0}), (CPn, {"n": Fraction(2)}), (Grassmannian, {"k": 2, "N": 4.0}),
+        (Grassmannian, {"k": 2.0, "N": 4}),
+    ], ids=["cpn n float", "cpn n Fraction", "grassmannian N float", "grassmannian k float"])
+    def test_ring_sizes_are_integers(self, kind, fields):
+        """n, k and N are read with operator.index when a ring is built: an
+        N_chern of 3.0 would otherwise fail only at the first basis use."""
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            kind(**fields)
+
+    @pytest.mark.parametrize("degree", [2.0, Fraction(2)], ids=["float", "Fraction"])
+    def test_basis_degree_is_an_integer(self, degree):
+        """basis reads its degree with operator.index: 2.0 would list [(1,)]."""
+        ring = Grassmannian(k=2, N=4)
+        assert ring.basis(2) == [(1,)]
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            ring.basis(degree)
 
     def test_int_labels_still_enter(self):
         assert normalize_partition((2, 1, 0)) == normalize_partition([2, 1]) == (2, 1)
@@ -364,6 +382,13 @@ class TestQuantumPieri:
         with pytest.raises(ValueError):
             quantum_pieri(Grassmannian(k=2, N=4), (1,), 3)
 
+    @pytest.mark.parametrize("p", [1.0, Fraction(1)], ids=["float", "Fraction"])
+    def test_degree_is_an_integer(self, p):
+        """p is read with operator.index: p = 1.0 would give sigma11 + sigma2."""
+        ring = Grassmannian(k=2, N=4)
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            quantum_pieri(ring, (1,), p)
+
     def test_cpn_is_refused(self):
         with pytest.raises(TypeError, match="Grassmannian"):
             quantum_pieri(CPn(n=2), 1, 1)
@@ -389,7 +414,7 @@ class TestQuantumProduct:
         ring, other = CPn(n=2), CPn(n=3)
         u = ring.basis_class(1)
         for a, b in ((u, other.basis_class(1)), (other.basis_class(1), u)):
-            with pytest.raises(RingMismatchError):
+            with pytest.raises(ValueError, match="classes do not belong to this ring"):
                 ring.quantum_product(a, b)
 
     def test_g24_powers_nonzero_over_q(self):

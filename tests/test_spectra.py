@@ -5,7 +5,6 @@ import pytest
 
 from qhcalc.spectra import (
     CappedOrbit,
-    DegenerateAngleError,
     MonotoneData,
     augmented_action,
     cz_index_split,
@@ -80,6 +79,16 @@ class TestIterate:
     def test_cz_dropped(self):
         assert iterate(CappedOrbit("x", cz_index=3), 2).cz_index is None
 
+    @pytest.mark.parametrize("k", [Fraction(5, 2), Fraction(2), 2.0],
+                             ids=["5/2", "Fraction 2", "float 2"])
+    def test_order_is_an_integer(self, k):
+        """k is read with operator.index where it enters: k = 5/2 would
+        give a "5/2-th iterate" of action 5/6."""
+        o = CappedOrbit("x", action=Fraction(1, 3))
+        assert iterate(o, 2).action == Fraction(2, 3)
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            iterate(o, k)
+
     def test_multiplicativity(self):
         o = CappedOrbit("x", action=Fraction(2, 7), mean_index=Fraction(-3, 5))
         assert iterate(iterate(o, 2), 3) == iterate(o, 6)
@@ -126,7 +135,7 @@ class TestSplitIndices:
         assert cz_index_split((Fraction(-1, 4),)) == -1
 
     def test_degenerate_errors(self):
-        with pytest.raises(DegenerateAngleError):
+        with pytest.raises(ValueError, match="degenerate direction: theta = 2"):
             cz_index_split((Fraction(2),))
 
     def test_index_gap_generic(self):
@@ -191,7 +200,7 @@ def test_entries_take_exact_numbers(entry):
     read = _EXACT_ENTRIES[entry]
     if entry == "cz_index_split":  # 2*floor(theta) + 1, none for an integer theta
         assert read(Fraction(7, 3)) == read("7/3") == 5
-        with pytest.raises(DegenerateAngleError):
+        with pytest.raises(ValueError, match="degenerate direction: theta = 2"):
             read(2)
     else:
         assert read(Fraction(1, 3)) == read("1/3") == Fraction(1, 3)
