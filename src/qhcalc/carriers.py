@@ -20,16 +20,17 @@ decides on the slope alone and builds no per-k table.
 The search runs on integers.  Each table is scaled once by the common
 denominator D of its actions, its mean indices and lambda0
 (`OrbitTable.scaled`, its rows keyed by orbit id).  `_cappings` is the
-search's one copy of the index window: the cappings m of a k-th iterate that
-put its scaled mean index k*Delta*D - 2N*D*m inside [(d - 2n)*D, d*D] come
-from integer floor and ceil division, both ends strict for a weakly
-nondegenerate row.  Its candidates ((orbit id, m), k*a*D - m*lambda0*D) are
-the search's (slot, action) pairs; the fundamental-class carrier and the
-negative-monotone verdict read them too, the verdict turning them into
-`Fraction`s only in its printed details.
-`_assignments` walks the slots depth first on an explicit stack, the next
-candidate index of each slot, with no generator per search node; it stays a
-lazy generator, so a verdict's `next()` stops at the first assignment.
+search's one copy of the index window: at each k, one pass over the rows
+lists every slot's cappings m of the k-th iterate whose scaled mean index
+k*Delta*D - 2N*D*m lies in [(d - 2n)*D, d*D], from one floor division and
+an ascending loop, both ends strict for a weakly nondegenerate row.  Its
+candidates ((orbit id, m), k*a*D - m*lambda0*D) are the search's (slot,
+action) pairs; the fundamental-class carrier and the negative-monotone
+verdict read them too, the verdict turning them into `Fraction`s only in
+its details.  `_assignments` walks the slots depth first on an explicit
+stack, the next candidate index of each slot, with no generator per search
+node and no set of used slots, since a repeated capped orbit ties the last
+action; it stays lazy, so a verdict's `next()` stops at the first one.
 `check_assignment` stays the independent checker: it rebuilds each capped
 orbit with `Fraction`s and tests it with `spectra.index_window_check`.
 A table's n is read through `operator.index`, and an iteration k and the
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import index, itemgetter
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .ladders import Ladder
 from .spectra import (
@@ -129,25 +130,27 @@ class CarrierAssignment(NamedTuple):
         return tuple(oid for oid, _ in self.slots)
 
 
-def _cappings(table: OrbitTable, deg_hom: int, k: int) -> List[Tuple[Slot, int]]:
-    """Every capped k-th iterate in the index window of a class of homology
-    degree deg_hom, as ((orbit id, capping m), action * D), in (id, m) order.
-
-    The scaled mean index k*Delta*D - 2N*D*m must lie in [(deg_hom - 2n)*D,
-    deg_hom*D]; every term is an integer, so a strict end moves in by one.
+def _cappings(table: OrbitTable, degrees: Sequence[int], k: int) -> List[List[Tuple[Slot, int]]]:
+    """Per homology degree d of degrees, every capped k-th iterate in the
+    index window of a class of degree d, as ((orbit id, capping m), action * D),
+    in (id, m) order, all from one pass over the rows.  The scaled mean index
+    k*Delta*D - 2N*D*m must lie in [(d - 2n)*D, d*D], a row's flag making both
+    ends strict; every term is an integer.
     """
     D, rows, lambda0 = table.scaled
     step = 2 * table.md.N * D
-    out: List[Tuple[Slot, int]] = []
+    windows = [((d - 2 * table.n) * D, d * D) for d in degrees]
+    out: List[List[Tuple[Slot, int]]] = [[] for _ in windows]
     for oid, (action, mean_index, flag) in rows.items():
-        strict = int(flag)
-        lo = (deg_hom - 2 * table.n) * D + strict
-        hi = deg_hom * D - strict
         x, a = k * mean_index, k * action
-        # lo <= x - step*m <= hi  <=>  ceil((x - hi)/step) <= m <= floor((x - lo)/step)
-        m_lo, m_hi = -((hi - x) // step), (x - lo) // step
-        for m in range(m_lo, m_hi + 1):
-            out.append(((oid, m), a - m * lambda0))
+        x_lo, x_hi = x - flag, x + flag  # a strict end moves in by one
+        for (lo, hi), found in zip(windows, out):
+            # the smallest m with x_hi - step*m <= hi, then up while x_lo - step*m >= lo
+            m = -((hi - x_hi) // step)
+            y = x_lo - step * m
+            while y >= lo:
+                found.append(((oid, m), a - m * lambda0))
+                m, y = m + 1, y - step
     return out
 
 
@@ -186,35 +189,33 @@ def _assignments(
 ) -> Iterator[CarrierAssignment]:
     """Admissible assignments at iteration k in slot order, depth first.
 
-    The slot candidates of `_cappings` are in (orbit id, capping) order, so
-    walking them slot by slot visits the assignments in slot order.  A prefix
-    is cut as soon as it repeats a capped orbit, raises the action, or falls
-    below the action of slot 0 recapped by nu, the floor the period must close
-    on; a full period is kept when its last slot lies above the floor, or on
-    it as another capped orbit (the wrap-around pair of `_ordering_ok`).
-    Actions are compared as the scaled integers of `OrbitTable.scaled`.
-
-    The walk keeps an explicit stack, the next candidate index of each slot
-    of the prefix and of the open slot, with no generator per node; it is
-    still lazy, yielding each assignment as soon as its last slot is found.
-    Its callers read k through `spectra.iteration_orders`.
+    One `_cappings` pass lists every slot's candidates in (id, m) order, so
+    a walk slot by slot visits the assignments in slot order.  A prefix is
+    cut as soon as it raises the action, falls below the floor the period
+    closes on (slot 0's action recapped by nu), or repeats a capped orbit;
+    as a candidate's action depends only on its (id, m) and the prefix's
+    actions weakly decrease, a repeat ties the last action, so only a tie
+    is looked up in the prefix.  A full period is kept when its last slot
+    lies above the floor, or on it as another capped orbit (the wrap-around
+    pair of `_ordering_ok`).  The walk keeps an explicit stack, the next
+    candidate index of each slot, and compares the scaled integer actions
+    of `OrbitTable.scaled`; it yields each assignment as soon as its last
+    slot is found.  Its callers read k through `spectra.iteration_orders`.
     """
     nu = ladder.nu
     period_drop = nu * table.scaled.lambda0
-    candidates = [_cappings(table, deg, k) for deg in ladder.hom_degrees]
+    candidates = _cappings(table, ladder.hom_degrees, k)
     last_slot = len(candidates) - 1
     chain: List[Slot] = []
-    actions: List[int] = []
-    used: Set[Slot] = set()
     floor = wrap = None
     stack = [0]
     while stack:
         j = len(stack) - 1
         row = candidates[j]
-        last = actions[-1] if j else None
+        last = candidates[j - 1][stack[j - 1] - 1][1] if j else None  # the prefix's last action
         for i in range(stack[j], len(row)):
             key, action = row[i]
-            if key in used or (j and not floor <= action <= last):
+            if j and (not floor <= action <= last or (action == last and key in chain)):
                 continue
             if not j:  # slot 0 sets the floor and the capped orbit it closes on
                 floor, wrap = action - period_drop, (key[0], key[1] + nu)
@@ -222,16 +223,13 @@ def _assignments(
                 stack[j] = i + 1
                 stack.append(0)
                 chain.append(key)
-                actions.append(action)
-                used.add(key)
                 break
             if action > floor or (action == floor and key != wrap):
                 yield CarrierAssignment(k=k, slots=(*chain, key))
         else:
             stack.pop()
             if chain:
-                used.remove(chain.pop())
-                actions.pop()
+                chain.pop()
 
 
 def admissible_assignments(
@@ -402,9 +400,8 @@ def distinctness_check(
 
 def _fundamental_class_carrier(table: OrbitTable, k: int) -> Optional[Tuple[Slot, int]]:
     """Action maximizer among capped k-th iterates with mean index in [0, 2n],
-    as ((orbit id, capping m), action * D); ties go to the smallest (orbit id,
-    capping), the first in `_cappings` order."""
-    return max(_cappings(table, 2 * table.n, k), key=itemgetter(1), default=None)
+    as ((orbit id, m), action * D), ties to the first in `_cappings` order."""
+    return max(_cappings(table, (2 * table.n,), k)[0], key=itemgetter(1), default=None)
 
 
 def neg_monotone_obstruction(

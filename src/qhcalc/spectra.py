@@ -96,7 +96,9 @@ def iteration_orders(ks: Sequence[int]) -> Tuple[int, ...]:
     """The iteration orders as a tuple: at least one, each >= 1, and strictly
     increasing, the order in which the carrier verdicts read them."""
     ks = tuple(map(index, ks))
-    if not ks or ks[0] < 1:
+    if not ks:
+        raise ValueError("at least one iteration order is required")
+    if ks[0] < 1:
         raise ValueError("iteration order must be >= 1")
     if any(b <= a for a, b in zip(ks, ks[1:])):
         raise ValueError("primes must be strictly increasing")

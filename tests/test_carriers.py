@@ -182,11 +182,12 @@ def test_window_edges_match_oracle(cases):
 
 def check_window_edges(table, ladder, ks):
     D = table.scaled.D
+    # unsorted, with a repeat: one pass over the rows serves each degree as listed
+    degrees = (*ladder.hom_degrees[::-1], 2 * table.n, ladder.hom_degrees[0])
     for k in ks:
-        for deg in set(ladder.hom_degrees) | {2 * table.n}:
-            expected = slot_candidates(table, deg, k)
-            assert [(oid, m, Fraction(a, D)) for (oid, m), a in _cappings(table, deg, k)] == [
-                (c.orbit_id, c.m, c.action) for c in expected
+        for deg, found in zip(degrees, _cappings(table, degrees, k), strict=True):
+            assert [(oid, m, Fraction(a, D)) for (oid, m), a in found] == [
+                (c.orbit_id, c.m, c.action) for c in slot_candidates(table, deg, k)
             ]
         assert admissible_assignments(table, ladder, k) == brute_force_assignments(
             table, ladder, k
@@ -290,6 +291,21 @@ class TestAdmissibleAssignments:
         assert not check_assignment(table, ladder, CarrierAssignment(k=1, slots=slots))
         assert admissible_assignments(table, ladder, 1) == []
 
+    def test_a_repeat_is_caught_at_a_tied_action(self):
+        """The search looks for a repeated capped orbit only where the action
+        ties the previous slot's.  Here x, y and z fit all three slots of the
+        CP^2 ladder at one action, so a repeat such as x, y, x need not be
+        adjacent: each of the six orders of x, y, z is admissible, and no
+        assignment with a repeat."""
+        table = OrbitTable(md=MonotoneData(N=3, lam=Fraction(1, 3)), n=2,
+                           orbits=tuple(CappedOrbit(oid) for oid in "xyz"))
+        ladder = cpn_ladder(2)
+        for k in (1, 2):
+            found = admissible_assignments(table, ladder, k)
+            assert found == brute_force_assignments(table, ladder, k)
+            assert len(found) == 6
+            assert all(len(set(a.slots)) == len(a.slots) for a in found)
+
     def test_unknown_orbit_id_is_a_key_error(self):
         with pytest.raises(KeyError):
             model_table(0, Fraction(1, 8)).orbit("x9")
@@ -312,8 +328,8 @@ class TestSearchWork:
     ], ids=["CP3", "G(2,4) nu=2", "CP1xCP1"])
     def test_first_assignment_is_found_lazily(self, table, ladder, k, count, monkeypatch):
         """A verdict reads only the first assignment, so the search must stop
-        there: next() builds exactly one CarrierAssignment and lists each
-        slot's candidates once, in slot order.  A search that built every
+        there: next() builds exactly one CarrierAssignment and lists every
+        slot's candidates in one `_cappings` call.  A search that built every
         assignment before yielding the first would build `count` of them."""
         every = admissible_assignments(table, ladder, k)
         assert len(every) == count
@@ -323,15 +339,15 @@ class TestSearchWork:
             built.append(kwargs)
             return CarrierAssignment(*args, **kwargs)
 
-        def counted_cappings(table, deg_hom, k):
-            listed.append(deg_hom)
-            return _cappings(table, deg_hom, k)
+        def counted_cappings(table, degrees, k):
+            listed.append(degrees)
+            return _cappings(table, degrees, k)
 
         monkeypatch.setattr(carriers, "CarrierAssignment", counted_assignment)
         monkeypatch.setattr(carriers, "_cappings", counted_cappings)
         assert next(_assignments(table, ladder, k)) == every[0]
         assert len(built) == 1
-        assert listed == list(ladder.hom_degrees)
+        assert listed == [ladder.hom_degrees]
 
 
 class TestStableSubsequence:
@@ -376,18 +392,26 @@ class TestStableSubsequence:
         with pytest.raises(TypeError):
             neg_monotone_obstruction(negmon, primes)
 
-    @pytest.mark.parametrize("primes", [[], [0, 3, 5], [-7, 3, 5]])
-    def test_iterations_below_one_rejected(self, primes):
-        """Both verdicts need at least one iteration, each k >= 1."""
+    @staticmethod
+    def check_refused(primes, message):
         table = model_table(0, Fraction(1, 8))
-        with pytest.raises(ValueError, match="iteration order must be >= 1"):
+        with pytest.raises(ValueError, match=message):
             relation_verdict(table, cpn_ladder(1), primes)
         negmon = OrbitTable(
             md=MonotoneData(N=1, lam=Fraction(-1)), n=1,
             orbits=(CappedOrbit("x", Fraction(1, 3), Fraction(1, 2), True),),
         )
-        with pytest.raises(ValueError, match="iteration order must be >= 1"):
+        with pytest.raises(ValueError, match=message):
             neg_monotone_obstruction(negmon, primes)
+
+    @pytest.mark.parametrize("primes", [[0, 3, 5], [-7, 3, 5]])
+    def test_iterations_below_one_rejected(self, primes):
+        """Both verdicts need each iteration k >= 1."""
+        self.check_refused(primes, "iteration order must be >= 1")
+
+    def test_no_iterations_rejected(self):
+        """Both verdicts need at least one iteration, and say so."""
+        self.check_refused([], "at least one iteration order is required")
 
 
 class TestCountingCheck:
