@@ -13,13 +13,17 @@ of the ground field; those of G(k,N) are computed once over Z and cached
 under the unordered pair of labels, since c^nu_{lam,mu} = c^nu_{mu,lam},
 with the smaller label as the content: one comparison of the two labels'
 positions in the ring's label table orders the pair, without a sort.
-QH*(G(k,N)) and QH*(G(N-k,N)) are isomorphic by
-sigma_lam -> sigma_lam', q -> q, with lam' the transpose (Bertram 1997), so
-a pair is walked in the orientation with fewer rows: G(k,N) with k > N-k
-reads its constants off the transposed pair in G(N-k,N), and a self-dual
-G(k,2k) walks the lexicographically smaller pair of each transposed couple
-and transposes the other's cores; each partition's transpose is computed
-once.  A product's constants live in one module table per signature of its
+Multiplying by sigma_(N-k), the Seidel element of the Z/N loop (Seidel
+1997), permutes the Schubert basis up to powers of q: sigma_(N-k) * sigma_lam
+= q^e sigma_rho(lam), where rho prepends a row N-k to a lam with fewer than
+k parts (e = 0) and otherwise takes one box off each row (e = 1).  This is
+the cyclic symmetry of Grassmannian Gromov-Witten invariants (Postnikov
+2005), so only a pair of the rho-orbits' representatives, each orbit's first
+label in basis order, is walked: sigma_rho^i(a) * sigma_rho^j(b) is
+sigma_a * sigma_b with each term's partition moved i + j steps along its
+orbit and its q-power shifted by the e's that the steps gather and the
+factors' steps shed.  Each G(k,N)'s orbits and steps are computed once, on
+first use.  A product's constants live in one module table per signature of its
 factors (each factor's kind, its n or k and N, and its q-power ratio
 N_f/N), computed once when the ring is built: equal products over any field
 share the table, and a lookup hashes only the pair of labels.  A product
@@ -198,28 +202,61 @@ StructTable = Dict[Tuple[object, int], int]
 
 
 @lru_cache(maxsize=None)
-def _transpose(lam: Partition) -> Partition:
-    """The conjugate partition: its j-th part is the number of parts > j."""
-    return tuple(sum(part > j for part in lam) for j in range(lam[0] if lam else 0))
+def _rotation(k: int, N: int) -> Dict[Partition, Tuple]:
+    """label -> (rep, s, E_s, images) for the Seidel rotation rho of G(k,N).
+
+    sigma_(N-k) * sigma_lam = q^e sigma_rho(lam): rho(lam) = (N-k, lam) with
+    e = 0 when lam has fewer than k parts, else lam with one box taken off
+    each row and e = 1 (quantum Pieri).  images[t] = (rho^t(lam), E_t), with
+    E_t the sum of the e's along the t steps, for t < 2N - 1, the most steps
+    that a product of two labels in orbits of length <= N moves.  rep is the
+    first label of lam's orbit in basis order, and lam = rho^s(rep), with
+    sigma_(N-k)^s * sigma_rep = q^(E_s) sigma_lam.
+    """
+    step = {lam: ((N - k,) + lam, 0) if len(lam) < k else
+            (tuple(part - 1 for part in lam if part > 1), 1)
+            for lam in partitions_in_box(k, N - k)}
+    images = {}
+    for lam in step:
+        walk = [(lam, 0)]
+        for _ in range(2 * N - 2):
+            nu, e = walk[-1]
+            rho, de = step[nu]
+            walk.append((rho, e + de))
+        images[lam] = walk
+    out: Dict[Partition, Tuple] = {}
+    for lam, walk in images.items():
+        if lam in out:
+            continue
+        length = next(t for t in range(1, N + 1) if walk[t][0] == lam)
+        orbit = [nu for nu, _ in walk[:length]]
+        rep = min(orbit, key=lambda nu: (sum(nu), nu))
+        first = orbit.index(rep)
+        for t, nu in enumerate(orbit):
+            s = (t - first) % length
+            out[nu] = (rep, s, images[rep][s][1], images[nu])
+    return out
 
 
 @lru_cache(maxsize=None)
 def _grassmannian_structure(k: int, N: int, lam: Partition, mu: Partition) -> Tuple:
-    # QH*(G(k,N)) = QH*(G(N-k,N)) by sigma_lam -> sigma_lam', q -> q, so a
-    # pair and its transpose, put in (sum, label) order, have the same
-    # constants up to transposed cores.  The walk runs in the smaller
-    # orientation by (rows, pair): fewer rows first, ties to the smaller
-    # pair.  G(k,N) with k < N-k never transposes, and one with k > N-k
-    # never walks.
-    if N - k <= k:
-        lt, mt = _transpose(lam), _transpose(mu)
-        if (sum(lt), lt) < (sum(mt), mt):
-            lt, mt = mt, lt
-        if (N - k, lt, mt) < (k, lam, mu):
-            return tuple(sorted(
-                ((_transpose(core), d), n)
-                for (core, d), n in _grassmannian_structure(N - k, N, lt, mt)
-            ))
+    # lam = rho^i(a) and mu = rho^j(b), with a and b their orbits'
+    # representatives, so sigma_lam * sigma_mu = q^-(E_i + E_j)
+    # sigma_(N-k)^(i+j) * sigma_a * sigma_b: each term q^d sigma_nu of the
+    # representatives' product, put in (sum, label) order, moves i + j steps
+    # along nu's orbit.  Only a pair of representatives is walked.
+    rotation = _rotation(k, N)
+    a, i, e_i, _ = rotation[lam]
+    b, j, e_j, _ = rotation[mu]
+    if i or j:
+        if (sum(a), a) < (sum(b), b):
+            a, b = b, a
+        t, shift = i + j, e_i + e_j
+        terms = []
+        for (nu, d), n in _grassmannian_structure(k, N, a, b):
+            nu_t, e_t = rotation[nu][3][t]
+            terms.append(((nu_t, d + e_t - shift), n))
+        return tuple(sorted(terms))
     acc: StructTable = {}
     for nu, c in littlewood_richardson(lam, mu, k).items():
         reduced = rim_hook_reduce(nu, k, N)

@@ -28,20 +28,27 @@ The rim-hook oracle removes N-rim hooks one at a time on the beta-numbers,
 with each removal's height read off the beads it jumps, where the package
 reads the N-core and the sign off the abacus runners in closed form.
 
-The Grassmannian structure oracle is the rule without the duality
-G(k,N) = G(N-k,N): the package's LR walk on the pair in (sum, label) order,
-in G(k,N) itself, then its rim-hook reduction, summed and sorted.  It checks
-that reading a pair off its transpose changes no structure constant.
+The Grassmannian structure oracle is the rule with neither symmetry, the
+Seidel rotation nor the duality G(k,N) = G(N-k,N): the package's LR walk on
+the pair in (sum, label) order, in G(k,N) itself, then its rim-hook
+reduction, summed and sorted.  It checks that reading a pair off its orbits'
+representatives changes no structure constant.
+
+The quantum Giambelli oracle expands sigma_lam as det(sigma_{lam_i+j-i}) and
+applies each special factor to sigma_mu by `quantum_pieri`, which shares no
+code with the LR walk, the rim-hook reduction or the rotation: it checks the
+q-terms of products of two non-special classes.
 """
 
 import math
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 from qhcalc.carriers import CarrierAssignment, _ordering_ok
 from qhcalc.ladders import Decomposition
-from qhcalc.rings import littlewood_richardson, rim_hook_reduce
+from qhcalc.qalgebra import QuantumClass
+from qhcalc.rings import littlewood_richardson, quantum_pieri, rim_hook_reduce
 from qhcalc.spectra import index_window_check, iterate, recap
 
 
@@ -280,3 +287,25 @@ def grassmannian_structure_oracle(k, N, lam, mu):
             core, d, sign = reduced
             acc[core, d] = acc.get((core, d), 0) + c * sign
     return tuple(sorted(kv for kv in acc.items() if kv[1]))
+
+
+def giambelli_product_oracle(ring, lam, mu):
+    """sigma_lam * sigma_mu in QH*(G(k,N)) by quantum Giambelli: sigma_lam =
+    det(sigma_{lam_i+j-i}) (Bertram 1997), with sigma_0 = 1 and sigma_p = 0
+    for p < 0 or p > N - k, expanded over permutations, each product of
+    special classes applied to sigma_mu as repeated quantum Pieri steps."""
+    acc = {}
+    for perm in permutations(range(len(lam))):
+        degrees = [part + j - i for i, (part, j) in enumerate(zip(lam, perm))]
+        if not all(0 <= p <= ring.N - ring.k for p in degrees):
+            continue
+        terms = {(mu, 0): (-1) ** sum(a > b for a, b in combinations(perm, 2))}
+        for p in filter(None, degrees):
+            step = {}
+            for (label, m), c in terms.items():
+                for (nu, d), n in quantum_pieri(ring, label, p).terms:
+                    step[nu, m + d] = step.get((nu, m + d), 0) + c * n
+            terms = step
+        for key, c in terms.items():
+            acc[key] = acc.get(key, 0) + c
+    return QuantumClass.build(ring, acc)

@@ -21,6 +21,10 @@ products of one to three of them, the ``orbit_to_json`` rows of
 ``models cpn --verify`` and ``models verify`` print them.  Regenerate it,
 only when an output change is intended, with
 ``PYTHONPATH=src python tests/test_golden.py``.
+
+A second pin needs no file: the SHA-256 of ``class_to_str`` of every ordered
+basis product of every G(k,N) with N <= 9, over Q and then F_3, one line
+each.
 """
 
 import hashlib
@@ -253,6 +257,31 @@ def model_outputs() -> dict:
 def golden_outputs() -> dict:
     return {**ring_outputs(), **structure_digests(), **carrier_outputs(),
             **neg_monotone_outputs(), **model_outputs()}
+
+
+# SHA-256 of the 132,356 lines of grassmannian_product_lines()
+GRASSMANNIAN_PRODUCTS_SHA256 = "e8956858d62a43aa11504b77a2d60d073a2347d6bd0d44eefc93d1cbca273e3a"
+
+
+def grassmannian_product_lines():
+    """class_to_str(a * b) for every ordered pair of basis classes of every
+    G(k,N) with 2 <= N <= 9, over Q and then F_3."""
+    for p in (0, 3):
+        for N in range(2, 10):
+            for k in range(1, N):
+                ring = Grassmannian(k=k, N=N, field=GroundField(p))
+                basis = [ring.basis_class(label) for label in ring.basis_labels()]
+                for a in basis:
+                    for b in basis:
+                        yield class_to_str(a * b) + "\n"
+
+
+def test_every_grassmannian_product_up_to_n9_matches_its_digest():
+    digest, lines = hashlib.sha256(), 0
+    for line in grassmannian_product_lines():
+        digest.update(line.encode())
+        lines += 1
+    assert (lines, digest.hexdigest()) == (132356, GRASSMANNIAN_PRODUCTS_SHA256)
 
 
 def test_ring_output_matches_golden():

@@ -20,7 +20,12 @@ from qhcalc.rings import (
     rim_hook_reduce,
 )
 
-from oracles import grassmannian_structure_oracle, lr_coefficients_oracle, rim_hook_reduce_oracle
+from oracles import (
+    giambelli_product_oracle,
+    grassmannian_structure_oracle,
+    lr_coefficients_oracle,
+    rim_hook_reduce_oracle,
+)
 
 _BOX_4X4 = st.sampled_from(partitions_in_box(4, 4))
 
@@ -176,20 +181,6 @@ def test_unit_label_and_complex_dim_are_read_off_the_label_table(ring):
     assert ring.basis(0) == [ring.unit_label()]
 
 
-def test_cold_fill_transposes_each_partition_once(monkeypatch):
-    """A cold G(4,8) fill looks up many transposes, but computes each of its
-    partitions' transposes once: every cache miss is a new partition."""
-    looked_up, real = [], rings._transpose
-    monkeypatch.setattr(rings, "_transpose", lambda lam: looked_up.append(lam) or real(lam))
-    rings._grassmannian_structure.cache_clear()
-    real.cache_clear()
-    ring = Grassmannian(k=4, N=8)
-    for a, b in product(ring.basis_labels(), repeat=2):
-        ring.structure(a, b)
-    computed = real.cache_info().misses
-    assert computed == len(set(looked_up)) <= len(ring.basis_labels()) < len(looked_up)
-
-
 class TestLittlewoodRichardson:
     def test_pieri_square(self):
         assert littlewood_richardson((1,), (1,), 2) == {(2,): 1, (1, 1): 1}
@@ -311,9 +302,8 @@ def _conjugate(lam):
 
 
 class TestDuality:
-    """QH*(G(k,N)) = QH*(G(N-k,N)) by sigma_lam -> sigma_lam', q -> q: the
-    structure table reads a pair off its transpose when that one has fewer
-    rows, or, in a self-dual ring, is the smaller pair."""
+    """QH*(G(k,N)) = QH*(G(N-k,N)) by sigma_lam -> sigma_lam', q -> q, checked
+    as a property of the structure table, which does not use it."""
 
     def test_every_pair_matches_the_rule_without_duality(self):
         """Every ordered pair of every G(k,N) with N <= 8 (17,560 pairs), from
@@ -334,33 +324,63 @@ class TestDuality:
                     pairs += 1
         assert pairs == 17560
 
+
+
+class TestRotation:
+    """sigma_(N-k) * sigma_lam = q^e sigma_rho(lam), so the structure table
+    walks only pairs of rho-orbit representatives and moves their terms
+    along the orbits."""
+
+    def test_seidel_element_rotates_every_label(self):
+        """On every label of every G(k,N) with N <= 9 (1,004 labels), the
+        rotation table's first step is quantum Pieri by sigma_(N-k), one
+        term of coefficient 1, and its later steps and each label's step
+        from its orbit's representative follow from it."""
+        labels = 0
+        for N in range(2, 10):
+            for k in range(1, N):
+                ring, rotation = Grassmannian(k=k, N=N), rings._rotation(k, N)
+                position = ring._label_table
+                for lam in ring.basis_labels():
+                    rep, s, e_s, images = rotation[lam]
+                    rho, e = images[1]
+                    assert quantum_pieri(ring, lam, N - k) == ring.basis_class(rho, m=e), (k, N, lam)
+                    assert len(images) == 2 * N - 1 and images[0] == (lam, 0)
+                    for (nu, e_t), (nu_next, e_next) in zip(images, images[1:]):
+                        assert rotation[nu][3][1] == (nu_next, e_next - e_t), (k, N, lam)
+                    assert rotation[rep][3][s] == (lam, e_s) and rotation[rep][1] == 0
+                    assert position[rep] <= min(position[nu] for nu, _ in images)
+                    labels += 1
+        assert labels == 1004
+
     @staticmethod
     def _cold_fill(monkeypatch, k, N):
-        """The rows of each LR walk in a cold fill of G(k,N)'s table."""
-        rows, real = [], rings.littlewood_richardson
+        """The number of LR walks in a cold fill of G(k,N)'s table."""
+        calls, real = [], rings.littlewood_richardson
         monkeypatch.setattr(rings, "littlewood_richardson",
-                            lambda lam, mu, r: rows.append(r) or real(lam, mu, r))
+                            lambda lam, mu, r: calls.append(r) or real(lam, mu, r))
         rings._grassmannian_structure.cache_clear()
         ring = Grassmannian(k=k, N=N)
         for a, b in product(ring.basis_labels(), repeat=2):
             ring.structure(a, b)
-        return rows
+        return len(calls)
 
-    def test_self_dual_ring_walks_one_pair_per_transposed_couple(self, monkeypatch):
-        """G(4,8) has 2,485 unordered pairs; 1,324 of them are walked, each the
-        smaller of its transposed couple or its own transpose."""
-        assert len(self._cold_fill(monkeypatch, 4, 8)) == 1324
+    @pytest.mark.parametrize("k, N, walks", [(4, 8, 55), (2, 8, 10), (6, 8, 10), (3, 7, 15)])
+    def test_cold_fill_walks_one_pair_per_pair_of_orbits(self, monkeypatch, k, N, walks):
+        """G(4,8) has 10 orbits, G(2,8) and G(6,8) 4 each and G(3,7) 5: one
+        walk per unordered pair of representatives."""
+        assert self._cold_fill(monkeypatch, k, N) == walks
 
-    def test_tall_grassmannian_walks_with_fewer_rows(self, monkeypatch):
-        """G(6,8) reads every pair off G(2,8): its 406 walks have two rows."""
-        rows = self._cold_fill(monkeypatch, 6, 8)
-        assert len(rows) == 406 and set(rows) == {2}
-
-    def test_wide_grassmannian_never_transposes(self, monkeypatch):
-        calls, real = [], rings._transpose
-        monkeypatch.setattr(rings, "_transpose", lambda lam: calls.append(lam) or real(lam))
-        assert set(self._cold_fill(monkeypatch, 2, 8)) == {2}
-        assert calls == []
+    def test_orbit_table_is_computed_once_per_ring(self, monkeypatch):
+        """Cold fills of G(2,8) and G(4,8), the latter twice and over F_3,
+        compute two rotation tables."""
+        rings._rotation.cache_clear()
+        for k in (2, 4, 4):
+            self._cold_fill(monkeypatch, k, 8)
+        ring = Grassmannian(k=4, N=8, field=GroundField(3))
+        for a, b in product(ring.basis_labels(), repeat=2):
+            ring.structure(a, b)
+        assert rings._rotation.cache_info().misses == 2
 
 
 class TestQuantumPieri:
@@ -452,6 +472,21 @@ class TestQuantumProduct:
                         assert quantum_pieri(ring, lam, p) == ring.quantum_product(
                             ring.basis_class(lam), ring.basis_class((p,))
                         ), (field, k, N, lam, p)
+
+    def test_every_product_matches_quantum_giambelli(self):
+        """Every ordered pair of every G(k,N) with N <= 7 over Q (4,692
+        pairs), from a cold table, equals sigma_lam expanded by quantum
+        Giambelli and applied to sigma_mu by quantum Pieri."""
+        rings._grassmannian_structure.cache_clear()
+        pairs = 0
+        for N in range(2, 8):
+            for k in range(1, N):
+                ring = Grassmannian(k=k, N=N)
+                for a, b in product(ring.basis_labels(), repeat=2):
+                    assert ring.basis_class(a) * ring.basis_class(b) == giambelli_product_oracle(
+                        ring, a, b), (k, N, a, b)
+                    pairs += 1
+        assert pairs == 4692
 
     def test_classical_limit(self):
         ring = Grassmannian(k=2, N=5)
